@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ctmc import NBBD, PoissonBD, gillespie, stationary_bd
+from .ctmc import NBBD, PoissonBD, gillespie
 from .discrete import (
     BranchingNB,
     BranchingPoisson,
@@ -310,9 +310,10 @@ def cmd_simulate(cfg):
         _require(cfg, "horizon")
         if cfg.x0 is not None:
             x0 = cfg.x0
+        elif isinstance(spec, PoissonBD):
+            x0 = int(rng.poisson(spec.theta))
         else:
-            pmf = stationary_bd(spec, 200)
-            x0 = int(rng.choice(len(pmf), p=pmf / pmf.sum()))
+            x0 = int(rng.negative_binomial(spec.alpha, spec.p))
         path = gillespie(spec, x0, cfg.horizon, rng)
         rows = [(float(t), int(s)) for t, s in zip(path.times, path.states)]
         _write_rows(cfg, ("time", "state"), rows)

@@ -5,6 +5,19 @@ logarithms, with all coefficients of total degree > maxdeg identically zero.
 For a series built from exact pmf entries, the coefficients of its log up to
 total degree D depend only on the (exact) pgf coefficients up to degree D,
 so low-degree log coefficients carry no truncation error.
+
+Products, exponentials and logarithms run one sparse, degree-graded
+recursion (Brent & Kung, JACM 1978; Knuth, TAOCP vol. 2 sec. 4.7).  With E
+the Euler operator (sum_i x_i d/dx_i), b = exp(a) satisfies E b = (E a) b, so
+at a multi-index mu of total degree h, summing over k + r = mu with k, r != 0:
+
+    exp:  b[mu] = b[0] a[mu] + (1/h) sum deg(k) a[k] b[r]
+    log:  b[mu] = (a[mu] - (1/h) sum deg(k) b[k] a[r]) / a[0]
+
+and a product sums a[k] b[r] over the same pairs.  Only pairs with deg k +
+deg r <= maxdeg are visited: C(2 nvars + maxdeg, 2 nvars) of them, against
+maxdeg (maxdeg + 1)^(2 nvars) terms for dense convolution.  The recursion
+runs on numpy arrays of any scalar type: floats, or ``mpmath.mpf`` objects.
 """
 
 from __future__ import annotations
@@ -15,7 +28,6 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.signal import convolve
 
 __all__ = [
     "TruncSeries",
@@ -24,6 +36,8 @@ __all__ = [
     "ts_log",
     "ts_from_joint_pmf",
     "ts_eval",
+    "graded_order",
+    "graded_exp_log",
 ]
 
 
@@ -116,50 +130,69 @@ def _check_shapes(a, b):
         )
 
 
-def _truncate(full, nvars, maxdeg):
-    return full[(slice(0, maxdeg + 1),) * nvars]
+@lru_cache(maxsize=None)
+def graded_order(nvars, maxdeg):
+    """The multi-indices of total degree <= maxdeg, degree by degree.
+
+    Entry h is (block, left, right, offsets): ``block`` holds the positions in
+    the flattened dense array of the multi-indices of degree h, in increasing
+    order; ``left`` and ``right`` hold those of every pair k, r != 0 with
+    k + r of degree h (none for h < 2), sorted by the position of k + r, and
+    ``offsets`` marks where each k + r starts, for ``np.add.reduceat``.
+    """
+    deg = _degrees(nvars, maxdeg).ravel()
+    blocks = [np.flatnonzero(deg == h) for h in range(maxdeg + 1)]
+    levels = [(block, None, None, None) for block in blocks[:2]]
+    for h in range(2, maxdeg + 1):
+        grids = [np.meshgrid(blocks[p], blocks[h - p]) for p in range(1, h)]
+        left, right = (np.concatenate([g[i].ravel() for g in grids]) for i in (0, 1))
+        order = np.argsort(left + right, kind="stable")  # left + right locates k + r
+        offsets = np.flatnonzero(np.diff((left + right)[order], prepend=-1))
+        levels.append((blocks[h], left[order], right[order], offsets))
+    for array in (x for level in levels for x in level if x is not None):
+        array.setflags(write=False)  # the cache hands the same arrays to every caller
+    return levels
+
+
+def graded_exp_log(a, nvars, maxdeg, log=None):
+    """exp of the series with flattened dense coefficients ``a`` or, given the
+    ``log`` of their scalar type (``math.log``, ``mpmath.log``), its log; by the
+    recursion of the module docstring, in the scalar type of ``a``."""
+    inverse = log is not None
+    if inverse and not a[0] > 0:
+        raise ValueError(f"log needs a positive constant term, got {a[0]}")
+    degree = _degrees(nvars, maxdeg).ravel()
+    b0 = log(a[0]) if inverse else math.exp(a[0])
+    out = a / a[0] if inverse else a * b0
+    out[0] = b0
+    for h, (block, left, right, offsets) in enumerate(graded_order(nvars, maxdeg)[2:], 2):
+        x, y = (out, a) if inverse else (a, out)
+        acc = np.add.reduceat(degree[left] * x[left] * y[right], offsets) / h
+        out[block] = (a[block] - acc) / a[0] if inverse else a[block] * b0 + acc
+    return out
 
 
 def ts_mul(a, b):
     """Cauchy product truncated at the common total degree."""
     _check_shapes(a, b)
-    full = convolve(a.coeffs, b.coeffs, mode="full", method="direct")
-    return TruncSeries(a.nvars, a.maxdeg, _truncate(full, a.nvars, a.maxdeg))
+    x, y = a.coeffs.ravel(), b.coeffs.ravel()
+    out = x[0] * y + x * y[0]
+    out[0] = x[0] * y[0]
+    for block, left, right, offsets in graded_order(a.nvars, a.maxdeg)[2:]:
+        out[block] += np.add.reduceat(x[left] * y[right], offsets)
+    return TruncSeries(a.nvars, a.maxdeg, out.reshape(a.coeffs.shape))
 
 
 def ts_exp(a):
-    """Series exponential via the homogeneous-degree recursion.
-
-    With E the Euler operator (sum_i x_i d/dx_i), b = exp(a) satisfies
-    E b = (E a) b, so the degree-h part of b follows from lower degrees.
-    """
-    deg = _degrees(a.nvars, a.maxdeg)
-    ea = a.coeffs * deg
-    out = np.zeros_like(a.coeffs)
-    origin = (0,) * a.nvars
-    out[origin] = math.exp(a.coeffs[origin])
-    for h in range(1, a.maxdeg + 1):
-        conv = _truncate(convolve(ea, out, mode="full", method="direct"), a.nvars, a.maxdeg)
-        sel = deg == h
-        out[sel] = conv[sel] / h
-    return TruncSeries(a.nvars, a.maxdeg, out)
+    """Series exponential, by the degree-graded recursion."""
+    out = graded_exp_log(a.coeffs.ravel(), a.nvars, a.maxdeg)
+    return TruncSeries(a.nvars, a.maxdeg, out.reshape(a.coeffs.shape))
 
 
 def ts_log(a):
     """Series logarithm, inverse of ts_exp; needs a positive constant term."""
-    origin = (0,) * a.nvars
-    a0 = a.coeffs[origin]
-    if not a0 > 0.0:
-        raise ValueError(f"log needs a positive constant term, got {a0}")
-    deg = _degrees(a.nvars, a.maxdeg)
-    out = np.zeros_like(a.coeffs)
-    out[origin] = math.log(a0)
-    for h in range(1, a.maxdeg + 1):
-        eb = out * deg
-        conv = _truncate(convolve(eb, a.coeffs, mode="full", method="direct"), a.nvars, a.maxdeg)
-        sel = deg == h
-        out[sel] = (h * a.coeffs[sel] - conv[sel]) / (h * a0)
-    return TruncSeries(a.nvars, a.maxdeg, out)
+    out = graded_exp_log(a.coeffs.ravel(), a.nvars, a.maxdeg, log=math.log)
+    return TruncSeries(a.nvars, a.maxdeg, out.reshape(a.coeffs.shape))
 
 
 def ts_from_joint_pmf(pmf, maxdeg=None):

@@ -8,7 +8,6 @@ are pure functions of their inputs and reproducible bit for bit.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -28,7 +27,7 @@ from .discrete import (
     thinning_transition_matrix,
 )
 from .idlaw import NegBinomial, Poisson, id_pmf
-from .series import ts_from_joint_pmf, ts_log, _degrees
+from .series import graded_exp_log, graded_order, ts_from_joint_pmf, ts_log
 from .tables import JointPMF
 
 __all__ = [
@@ -86,19 +85,17 @@ def _stationary_marginal(spec, kmax):
     raise TypeError(f"no stationary marginal for {spec!r}")
 
 
-def _composed_power(one_step, power, kmax, block_tol=1e-13):
-    """(one-step kernel)^power restricted to {0..kmax}, on a state space
-    enlarged until the returned block stabilizes."""
-    buffer = max(8, kmax // 2)
-    block = None
+def _stabilize(build, kmax, block_tol=1e-13):
+    """build(k) cut to {0..kmax}, with k = kmax + buffer and the buffer doubled until
+    the result stops moving, so boundary truncation cannot pass for a property of the law."""
+    buffer, block = max(8, kmax // 2), None
     while True:
-        big = np.linalg.matrix_power(one_step(kmax + buffer), power)[: kmax + 1, : kmax + 1]
+        big = build(kmax + buffer)
         if block is not None and np.max(np.abs(big - block)) <= block_tol:
             return big
         if buffer > 4096:
             raise RuntimeError("state-space buffer failed to converge")
-        block = big
-        buffer *= 2
+        block, buffer = big, buffer * 2
 
 
 def _transition(spec, gap, kmax):
@@ -121,9 +118,10 @@ def _transition(spec, gap, kmax):
         if gap == 1 or isinstance(spec.law, Poisson):
             # Poisson thinning is binomial thinning, which does compose.
             return thinning_transition_matrix(spec.law, spec.theta, spec.rho**gap, kmax)
-        return _composed_power(
-            lambda k: thinning_transition_matrix(spec.law, spec.theta, spec.rho, k),
-            gap,
+        return _stabilize(
+            lambda k: np.linalg.matrix_power(
+                thinning_transition_matrix(spec.law, spec.theta, spec.rho, k), gap
+            )[: kmax + 1, : kmax + 1],
             kmax,
         )
     if isinstance(spec, BranchingPoisson):
@@ -137,25 +135,18 @@ def _transition(spec, gap, kmax):
     raise TypeError(f"no transition kernel for {spec!r}")
 
 
-def _evolved_marginal(spec, initial, gap, kmax, block_tol=1e-13):
-    """Distribution after a gap, computed on a buffered lattice so boundary
-    truncation cannot masquerade as a stationarity violation."""
-    buffer = max(8, kmax // 2)
-    block = None
-    while True:
-        kb = kmax + buffer
+def _evolved_marginal(spec, initial, gap, kmax):
+    """Distribution after a gap, computed on a buffered lattice."""
+
+    def evolved(k):
         if initial is None:
-            start = _stationary_marginal(spec, kb)
+            start = _stationary_marginal(spec, k)
         else:
-            start = np.zeros(kb + 1)
+            start = np.zeros(k + 1)
             start[: len(initial)] = initial
-        evolved = (start @ _transition(spec, gap, kb))[: kmax + 1]
-        if block is not None and np.max(np.abs(evolved - block)) <= block_tol:
-            return evolved
-        if buffer > 4096:
-            raise RuntimeError("state-space buffer failed to converge")
-        block = evolved
-        buffer *= 2
+        return (start @ _transition(spec, gap, k))[: kmax + 1]
+
+    return _stabilize(evolved, kmax)
 
 
 def chain_joint_pmf(spec, times, kmax, initial=None, origin=None):
@@ -263,45 +254,15 @@ def check_markov_triple(j3, tolerance=1e-9, row_floor=1e-12):
     )
 
 
-def _min_log_coeff_extended(pmf, maxdeg, dps=40):
-    """Log-pgf minimum via exact-table recursion in extended precision."""
-    import mpmath
-
-    n = pmf.ntimes
-    origin = (0,) * n
-    with mpmath.workdps(dps):
-        a = {}
-        for idx in itertools.product(range(min(pmf.k, maxdeg) + 1), repeat=n):
-            if sum(idx) <= maxdeg and pmf.table[idx] != 0.0:
-                a[idx] = mpmath.mpf(float(pmf.table[idx]))
-        a0 = a[origin]
-        b = {}
-        best, witness = None, None
-        for h in range(1, maxdeg + 1):
-            for mu in itertools.product(range(maxdeg + 1), repeat=n):
-                if sum(mu) != h:
-                    continue
-                acc = h * a.get(mu, mpmath.mpf(0))
-                for kappa in b:
-                    if kappa == mu:
-                        continue
-                    rem = tuple(m - c for m, c in zip(mu, kappa))
-                    if min(rem) >= 0 and rem in a:
-                        acc -= sum(kappa) * b[kappa] * a[rem]
-                coeff = acc / (h * a0)
-                b[mu] = coeff
-                if best is None or coeff < best:
-                    best, witness = coeff, mu
-        return float(best), witness
-
-
 def check_mvid(pmf, maxdeg, precision="standard", tolerance=None):
     """Joint infinite divisibility test: all non-constant log-pgf coefficients >= 0.
 
     Coefficients up to total degree ``maxdeg`` are determined by the exact
     lattice entries alone (hence ``maxdeg <= pmf.k`` is required), so a
-    negative minimum is attributable to the law, not the truncation; the
-    tolerance only absorbs float noise (tighter in extended precision).
+    negative minimum is attributable to the law, not the truncation.  Both
+    precisions run the same recursion, ``series.graded_exp_log``; they differ
+    only in the scalar type (float or 40-digit ``mpmath.mpf``) and in the
+    tolerance, which only absorbs rounding noise.
     """
     if precision not in ("standard", "extended"):
         raise ValueError(f"precision must be 'standard' or 'extended', got {precision!r}")
@@ -317,18 +278,23 @@ def check_mvid(pmf, maxdeg, precision="standard", tolerance=None):
         )
     if tolerance is None:
         tolerance = 1e-8 if precision == "standard" else 1e-12
+    pgf = ts_from_joint_pmf(pmf, maxdeg)
     if precision == "extended":
-        min_coeff, witness = _min_log_coeff_extended(pmf, maxdeg)
+        import mpmath
+
+        with mpmath.workdps(40):
+            terms = np.array([mpmath.mpf(float(c)) for c in pgf.coeffs.ravel()], dtype=object)
+            logs = graded_exp_log(terms, n, maxdeg, log=mpmath.log)
     else:
-        log_series = ts_log(ts_from_joint_pmf(pmf, maxdeg))
-        deg = _degrees(n, maxdeg)
-        masked = np.where((deg >= 1) & (deg <= maxdeg), log_series.coeffs, np.inf)
-        witness = tuple(int(i) for i in np.unravel_index(masked.argmin(), masked.shape))
-        min_coeff = float(masked.min())
+        logs = ts_log(pgf).coeffs.ravel()
+    nonconstant = np.concatenate([level[0] for level in graded_order(n, maxdeg)[1:]])
+    best = nonconstant[np.argmin(logs[nonconstant])]  # the first minimum by degree
+    min_coeff = float(logs[best])
+    witness = tuple(int(i) for i in np.unravel_index(best, pgf.coeffs.shape))
     return VerifyReport(
         "mvid",
         max(0.0, -min_coeff),
-        tuple(witness),
+        witness,
         tolerance,
         extra={"min_coefficient": min_coeff, "precision": precision},
     )

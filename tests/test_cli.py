@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import misti
 from misti.cli import RunConfig, main, parse_config_lines
 
 
@@ -70,6 +75,25 @@ def test_simulate_continuous_time_change_points(tmp_path):
     assert times[0] == 0.0
     assert all(b > a for a, b in zip(times, times[1:]))
     assert all(abs(a - b) == 1 for a, b in zip(states, states[1:]))
+
+
+@pytest.mark.parametrize(
+    "process, params, mean, sd",
+    [
+        ("ct-poisson-bd", ["--theta", "400"], 400.0, 20.0),
+        ("ct-nb-bd", ["--alpha", "400", "--p", "0.5"], 400.0, 800.0**0.5),
+    ],
+)
+def test_simulate_continuous_time_start_is_stationary(tmp_path, process, params, mean, sd):
+    # the default start is a draw from the stationary law, which has most of
+    # its mass above 200 here; no fixed lattice bound may cut it
+    for seed in range(5):
+        out = tmp_path / f"path{seed}.csv"
+        argv = ["simulate", "--process", process, *params, "--lambda", "1",
+                "--horizon", "0.001", "--seed", str(seed), "--out", str(out)]
+        assert run(argv) == 0
+        first = int(out.read_text().splitlines()[1].split(",")[1])
+        assert abs(first - mean) <= 5 * sd
 
 
 def test_simulate_random_measure_times(tmp_path):
@@ -145,6 +169,14 @@ def test_verify_suites_match_expected_polarity(tmp_path, suite):
         byname = {r["name"]: r for r in reports}
         assert byname["markov-rm-nb"]["pass"] is False
         assert byname["markov-rm-poisson"]["pass"] is True
+
+
+def test_verify_theorem2_at_degree_12(tmp_path):
+    out = tmp_path / "reports.jsonl"
+    code = run(["verify", "--suite", "theorem2", "--k", "16", "--degree", "12", "--out", str(out)])
+    assert code == 0
+    reports = [json.loads(line) for line in out.read_text().splitlines()]
+    assert len(reports) == 3 and all(r["matched"] for r in reports)
 
 
 def test_verify_polarity_mismatch_exits_one(tmp_path):
@@ -286,3 +318,19 @@ def test_config_unknown_key_rejected(tmp_path):
 
 def test_unknown_flag_exits_two():
     assert run(["simulate", "--nonsense"]) == 2
+
+
+def test_cli_import_leaves_heavy_modules_unloaded():
+    # every CLI call pays for what `import misti.cli` loads; mpmath is loaded
+    # only by extended-precision checks
+    src = str(Path(misti.__file__).resolve().parent.parent)
+    path = [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    probe = (
+        "import sys, misti.cli; "
+        "print([m for m in ('scipy.stats', 'scipy.signal', 'mpmath') if m in sys.modules])"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]"

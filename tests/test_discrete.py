@@ -15,6 +15,7 @@ from misti.discrete import (
     beta_binomial_pmf,
     branching_step_nb,
     branching_step_poisson,
+    branching_nb_transition_matrix,
     cell_measures,
     cond_pgf_nb_thinning,
     misti_classify,
@@ -512,3 +513,44 @@ def test_process_specs_reject_degenerate_rho():
             BranchingPoisson(1.0, rho)
         with pytest.raises(ValueError):
             BranchingNB(1.0, 0.5, rho)
+
+
+def _nb_branching_rows(alpha, p, rho, kmax, binomial_pmf):
+    """NB branching rows built as the kernel defines them, around a given binomial pmf."""
+    succ = p / (1.0 - rho * (1.0 - p))
+    bprob = rho * succ
+    innovs = [id_pmf(NegBinomial(succ), alpha + y, kmax) for y in range(kmax + 1)]
+    rows = np.zeros((kmax + 1, kmax + 1))
+    for x in range(kmax + 1):
+        for y, weight in enumerate(binomial_pmf(x, bprob)):
+            rows[x, y:] += weight * innovs[y][: kmax + 1 - y]
+    return rows
+
+
+def _binomial_pmf_40_digits(x, prob):
+    import mpmath
+
+    with mpmath.workdps(40):
+        b = mpmath.mpf(prob)
+        return [float(mpmath.binomial(x, y) * b**y * (1 - b) ** (x - y)) for y in range(x + 1)]
+
+
+@pytest.mark.parametrize("rho", [1e-12, 0.5, 1.0 - 1e-9])
+@pytest.mark.parametrize("p", [0.05, 0.5, 0.95])
+def test_branching_nb_matrix_binomial_weights(p, rho):
+    from scipy.stats import binom
+
+    kmax = 60
+    got = branching_nb_transition_matrix(2.0, p, rho, kmax)
+    exact = _nb_branching_rows(2.0, p, rho, kmax, _binomial_pmf_40_digits)
+    with_scipy = _nb_branching_rows(
+        2.0, p, rho, kmax, lambda x, b: binom.pmf(np.arange(x + 1), x, b)
+    )
+    assert np.abs(got - exact).max() <= 1e-15
+    assert np.abs(got.sum(axis=1) - exact.sum(axis=1)).max() <= 1e-15
+    # scipy rounds 1 - b before raising it to the power x - y, which costs it
+    # up to 3.1e-15 at rho = 1e-12; elsewhere the two agree within 1e-15
+    scipy_error = np.abs(with_scipy - exact).max()
+    scipy_sum_error = np.abs(with_scipy.sum(axis=1) - exact.sum(axis=1)).max()
+    assert np.abs(got - with_scipy).max() <= 1e-15 + scipy_error
+    assert np.abs(got.sum(axis=1) - with_scipy.sum(axis=1)).max() <= 1e-15 + scipy_sum_error

@@ -2,12 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from misti.discrete import BranchingPoisson
+from misti.discrete import BranchingNB, BranchingPoisson, RandomMeasure, Thinning
 from misti.idlaw import NegBinomial, Poisson, id_pmf
 from misti.series import TruncSeries, ts_eval, ts_exp, ts_from_joint_pmf, ts_log, ts_mul
 from misti.tables import JointPMF
-from misti.verify import chain_joint_pmf
+from misti.verify import chain_joint_pmf, check_mvid
+
+# deterministic examples, so that tier-1 results never depend on the run
+PROPERTY = settings(derandomize=True, database=None, max_examples=40, deadline=None)
 
 
 def _random_series(rng, nvars, maxdeg):
@@ -149,3 +155,78 @@ def test_eval_at_ones_is_captured_mass():
 def test_eval_dimension_mismatch():
     with pytest.raises(ValueError):
         ts_eval(TruncSeries.const(2, 3, 1.0), (0.5,))
+
+
+@st.composite
+def _series(draw, elements, constant=None, shape=None):
+    """A series with n in {1,2,3} and degree <= 8 (or the given shape), whose
+    coefficients come from ``elements`` and constant term from ``constant``."""
+    nvars, maxdeg = shape or (draw(st.integers(1, 3)), draw(st.integers(0, 8)))
+    coeffs = draw(hnp.arrays(float, (maxdeg + 1,) * nvars, elements=elements))
+    if constant is not None:
+        coeffs[(0,) * nvars] = draw(constant)
+    return TruncSeries(nvars, maxdeg, coeffs)
+
+
+@PROPERTY
+@given(_series(st.floats(-1.0, 1.0)))
+def test_log_inverts_exp(a):
+    assert ts_log(ts_exp(a)).allclose(a, tol=1e-10)
+
+
+@PROPERTY
+@given(_series(st.floats(-0.5, 0.5), constant=st.floats(1.0, 2.0)))
+def test_exp_inverts_log(a):
+    # coefficients of log a grow like (sum |a_k| / a_0)^degree, so the
+    # round trip is held to a tolerance relative to that size
+    log_a = ts_log(a)
+    assert ts_exp(log_a).allclose(a, tol=1e-13 * max(1.0, np.abs(log_a.coeffs).max()))
+
+
+def _cauchy_product(a, b):
+    """Truncated product by brute force over {multi-index: coefficient} dicts."""
+
+    def terms(s):
+        return {i: s.coeffs[i] for i in np.ndindex(s.coeffs.shape) if sum(i) <= s.maxdeg}
+
+    out = {}
+    for i, x in terms(a).items():
+        for j, y in terms(b).items():
+            k = tuple(p + q for p, q in zip(i, j))
+            if sum(k) <= a.maxdeg:
+                out[k] = out.get(k, 0.0) + x * y
+    return TruncSeries.from_terms(a.nvars, a.maxdeg, out)
+
+
+@PROPERTY
+@given(st.data())
+def test_mul_is_the_cauchy_product(data):
+    # small-integer coefficients keep every partial sum exact in floats
+    nvars = data.draw(st.integers(1, 3))
+    shape = (nvars, data.draw(st.integers(0, 8 if nvars < 3 else 6)))
+    a, b = (data.draw(_series(st.integers(-3, 3).map(float), shape=shape)) for _ in range(2))
+    assert ts_mul(a, b).allclose(_cauchy_product(a, b), tol=0.0)
+
+
+@PROPERTY
+@given(
+    kind=st.sampled_from(["branching-nb", "thinning-nb", "random-measure-nb"]),
+    theta=st.floats(0.2, 3.0),
+    p=st.floats(0.2, 0.9),
+    rho=st.floats(0.1, 0.9),
+    degree=st.integers(2, 8),
+)
+def test_mvid_precisions_agree(kind, theta, p, rho, degree):
+    spec = {
+        "branching-nb": BranchingNB(theta, p, rho),
+        "thinning-nb": Thinning(NegBinomial(p), theta, rho),
+        "random-measure-nb": RandomMeasure(NegBinomial(p), theta, rho),
+    }[kind]
+    j3 = chain_joint_pmf(spec, (0, 1, 2), degree)
+    std, ext = check_mvid(j3, degree), check_mvid(j3, degree, precision="extended")
+    lo, hi = std.extra["min_coefficient"], ext.extra["min_coefficient"]
+    assert abs(lo - hi) <= max(1e-10 * abs(hi), 1e-15)
+    # a minimum at a coefficient that is 0 in exact arithmetic is rounding
+    # noise in both precisions, and so is where it sits; a negative one is not
+    if hi < -1e-12:
+        assert std.witness == ext.witness
