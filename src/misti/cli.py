@@ -122,9 +122,7 @@ def _parse_value(name, raw):
     if kind in ("float", "float | None"):
         return float(raw)
     if kind == "tuple | None":
-        if name == "times":
-            return tuple(int(v) for v in raw.split(","))
-        return tuple(float(v) for v in raw.split(","))
+        return _times_arg(raw) if name == "times" else _grid_arg(raw)
     return raw
 
 

@@ -6,6 +6,11 @@ births (birth rate lambda*(alpha+j)(1-p)/p, death rate lambda*j/p).  Both
 are time-reversible with autocorrelation exp(-lambda |s-t|), and sampled at
 integer times they reduce to the discrete branching chains with
 rho = exp(-lambda).
+
+Kernels exp(tQ) come from the generator, not that identity, which stays an
+independent check: uniformization over t/2^s <= 1/(largest exit rate), then
+s squarings, all in nonnegative matrices on a lattice whose top birth edge is
+dropped, so row deficits are the honest leakage out of the lattice.
 """
 
 from __future__ import annotations
@@ -15,7 +20,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import gammaln
+
+from .tables import stabilize
 
 __all__ = [
     "PoissonBD",
@@ -31,8 +37,18 @@ __all__ = [
 ]
 
 
+class _BirthDeath:
+    """Kernel protocol of the Markov specs (see ``discrete``); any gap t >= 0."""
+
+    def marginal(self, kmax):
+        return stationary_bd(self, kmax)
+
+    def kernel(self, gap, kmax):
+        return transition_uniformized(self, float(gap), kmax)
+
+
 @dataclass(frozen=True)
-class PoissonBD:
+class PoissonBD(_BirthDeath):
     """Birth-death chain with Poisson(theta) stationary law and time scale lambda."""
 
     theta: float
@@ -46,7 +62,7 @@ class PoissonBD:
 
 
 @dataclass(frozen=True)
-class NBBD:
+class NBBD(_BirthDeath):
     """Birth-death chain with NB(alpha, p) stationary law and time scale lambda."""
 
     alpha: float
@@ -113,12 +129,9 @@ class EventPath:
 
     def occupancy(self, kmax):
         """Fraction of time spent in each state of {0..kmax}."""
-        ends = np.append(self.times[1:], self.horizon)
-        durations = ends - self.times
-        out = np.zeros(kmax + 1)
-        for s, d in zip(self.states, durations):
-            if s <= kmax:
-                out[s] += d
+        durations = np.append(self.times[1:], self.horizon) - self.times
+        keep = self.states <= kmax
+        out = np.bincount(self.states[keep], durations[keep], minlength=kmax + 1)
         return out / (self.horizon - self.times[0])
 
 
@@ -147,31 +160,33 @@ def gillespie(model, x0, horizon, rng):
 def stationary_bd(model, kmax):
     """Stationary pmf on {0..kmax}.
 
-    Detailed balance gives pi_i proportional to prod_{j<i} birth_j / death_{j+1};
-    the normalizing constant sums the whole series (to float precision), so
-    the returned entries are the true stationary probabilities and
-    1 - sum(pi) is the (reported, never folded back) tail mass.
+    Detailed balance gives pi_i proportional to prod_{j<i} birth_j / death_{j+1},
+    summed as logs and exponentiated after subtracting their maximum, so large
+    theta or alpha cannot overflow.  The normalizing constant sums the whole
+    series until its terms fall below 1e-18 of the largest, so the returned
+    entries are the true stationary probabilities and 1 - sum(pi) is the
+    (reported, never folded back) tail mass.
     """
     if kmax < 0:
         raise ValueError(f"kmax must be >= 0, got {kmax}")
-    weights = [1.0]
-    total = 1.0
-    i = 0
-    while True:
-        birth, death = bd_rates(model, i)
-        _, death_next = bd_rates(model, i + 1)
-        nxt = weights[-1] * birth / death_next
-        weights.append(nxt)
-        total += nxt
-        i += 1
-        if i > kmax and (nxt <= total * 1e-18 or i > kmax + 10**6):
+    logw, top = [0.0], 0.0
+    for i in range(kmax + 10**6 + 1):
+        if i > kmax and logw[-1] <= top + math.log(1e-18):
             break
-    return np.array(weights[: kmax + 1]) / total
+        logw.append(logw[-1] + math.log(bd_rates(model, i)[0] / bd_rates(model, i + 1)[1]))
+        top = max(top, logw[-1])
+    weights = np.exp(np.array(logw) - top)
+    return weights[: kmax + 1] / weights.sum()
 
 
 class GeneratorResidual(NamedTuple):
     interior: float
     boundary: float
+
+
+def _rates(model, kmax):
+    """Arrays of the birth and the death rates out of the states 0..kmax."""
+    return np.array([bd_rates(model, j) for j in range(kmax + 1)]).T
 
 
 def generator_residual(model, pmf, kmax):
@@ -184,71 +199,68 @@ def generator_residual(model, pmf, kmax):
     pmf = np.asarray(pmf, dtype=float)
     if pmf.shape != (kmax + 1,):
         raise ValueError(f"pmf must have shape ({kmax + 1},), got {pmf.shape}")
-    births = np.array([bd_rates(model, j)[0] for j in range(kmax + 2)])
-    deaths = np.array([bd_rates(model, j)[1] for j in range(kmax + 2)])
-    resid = np.zeros(kmax + 1)
-    for j in range(kmax + 1):
-        acc = -pmf[j] * (births[j] + deaths[j])
-        if j > 0:
-            acc += pmf[j - 1] * births[j - 1]
-        if j < kmax:
-            acc += pmf[j + 1] * deaths[j + 1]
-        resid[j] = acc
+    births, deaths = _rates(model, kmax)
+    resid = -pmf * (births + deaths)
+    resid[1:] += pmf[:-1] * births[:-1]
+    resid[:-1] += pmf[1:] * deaths[1:]
     interior = float(np.max(np.abs(resid[:kmax]))) if kmax > 0 else 0.0
     return GeneratorResidual(interior, float(abs(resid[kmax])))
 
 
 def _uniformized_block(model, t, kint):
-    """exp(tQ) on {0..kint} by uniformization; the top birth edge is dropped
-    (kept in the diagonal exit rate) so lost mass shows up as row deficit."""
-    births = np.array([bd_rates(model, j)[0] for j in range(kint + 1)])
-    deaths = np.array([bd_rates(model, j)[1] for j in range(kint + 1)])
+    """exp(tQ) on {0..kint}; the top birth edge is dropped (kept in the
+    diagonal exit rate) so lost mass shows up as row deficit.
+
+    With M = I + Q/lam >= 0, exp(uQ) = sum_j Pois(j; lam u) M^j, and at
+    u = t/2^s <= 1/lam the weights fall below 1e-20 within about 20 terms.
+    The deficits 1 - M^j 1 = leak + M (1 - M^(j-1) 1) and, per squaring,
+    d + E d add nonnegative terms only; rows are rescaled to sum to 1 - d,
+    since the row sums of a 2^s-fold product carry 2^s-fold rounding, which
+    could pass for negative leakage.
+    """
+    births, deaths = _rates(model, kint)
     lam = float(np.max(births + deaths))
     n = kint + 1
     if lam == 0.0 or t == 0.0:
         return np.eye(n)
     m = np.eye(n) - np.diag(births + deaths) / lam
-    m += np.diag(births[:-1] / lam, k=1)
-    m += np.diag(deaths[1:] / lam, k=-1)
-    mu = lam * t
-    out = np.zeros((n, n))
-    term = np.eye(n)
-    logmu = math.log(mu)
+    m += np.diag(births[:-1] / lam, k=1) + np.diag(deaths[1:] / lam, k=-1)
+    leak = np.eye(n)[-1] * births[-1] / lam  # 1 - M 1: the dropped birth edge
+    squarings = max(0, math.ceil(math.log2(lam * t)))
+    mu = lam * t / 2.0**squarings
     weight = math.exp(-mu)
-    cumulative = weight
-    out += weight * term
+    term, term_deficit = np.eye(n), np.zeros(n)
+    out, deficit = weight * term, np.zeros(n)
     j = 0
-    while cumulative < 1.0 - 1e-12:
+    while weight > 1e-20:
         j += 1
-        term = term @ m
-        weight = math.exp(-mu + j * logmu - gammaln(j + 1))
+        weight *= mu / j
+        term, term_deficit = term @ m, leak + m @ term_deficit
         out += weight * term
-        cumulative += weight
-        if j > 10**6:
-            raise RuntimeError("uniformization series failed to converge")
+        deficit += weight * term_deficit
+    for i in range(squarings + 1):
+        sums = out.sum(axis=1)
+        out *= np.divide(np.maximum(1.0 - deficit, 0.0), sums, out=np.zeros(n), where=sums > 0.0)[:, None]
+        if i < squarings:
+            out, deficit = out @ out, deficit + out @ deficit
     return out
 
 
 def transition_uniformized(model, t, kmax, block_tol=1e-12):
     """Transition matrix exp(tQ) restricted to {0..kmax}.
 
-    The series is evaluated on a larger internal space, enlarged until the
-    returned block stops moving (so boundary truncation does not contaminate
-    it); row deficits 1 - row.sum() are the honest leakage to states > kmax.
+    Scaling and squaring of the uniformized chain (``_uniformized_block``) on
+    a larger lattice, grown by ``tables.stabilize`` until the returned block
+    stops moving, so boundary truncation does not contaminate it.  Every step
+    stays in nonnegative matrices, so the row deficits 1 - row.sum() are the
+    honest leakage to states > kmax.
     """
-    if t < 0.0:
+    if not t >= 0.0:
         raise ValueError(f"time must be >= 0, got {t}")
     if kmax < 0:
         raise ValueError(f"kmax must be >= 0, got {kmax}")
     if t == 0.0:
         return np.eye(kmax + 1)
-    buffer = max(8, kmax // 2)
-    block = _uniformized_block(model, t, kmax + buffer)[: kmax + 1, : kmax + 1]
-    while True:
-        buffer *= 2
-        bigger = _uniformized_block(model, t, kmax + buffer)[: kmax + 1, : kmax + 1]
-        if np.max(np.abs(bigger - block)) <= block_tol:
-            return bigger
-        block = bigger
-        if buffer > 4096:
-            raise RuntimeError("state-space buffer failed to converge")
+    return stabilize(
+        lambda k: _uniformized_block(model, t, k)[: kmax + 1, : kmax + 1], kmax, block_tol
+    )

@@ -10,6 +10,11 @@ autocorrelation rho^|s-t|:
 * the branching families (Poisson and negative binomial), the only
   nondegenerate chains that are simultaneously Markov, stationary,
   time-reversible and jointly infinitely divisible.
+
+Every Markov spec (the chains here and the birth-death chains of ``ctmc``)
+owns its stationary pmf ``marginal(kmax)`` and its transition matrix
+``kernel(gap, kmax)`` on {0..kmax}; discrete chains take positive integer
+gaps only.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from .idlaw import (
     id_sample,
     levy_masses,
 )
-from .tables import JointPMF
+from .tables import JointPMF, stabilize
 
 __all__ = [
     "Thinning",
@@ -88,8 +93,19 @@ def _check_prob(name, value):
         raise ValueError(f"{name} must lie in (0,1), got {value}")
 
 
+def _integer_gap(gap):
+    if not (gap > 0 and float(gap).is_integer()):
+        raise ValueError(f"discrete chains need positive integer gaps, got {gap}")
+    return int(gap)
+
+
+class _LawMarginal:
+    def marginal(self, kmax):
+        return id_pmf(self.law, self.theta, kmax)
+
+
 @dataclass(frozen=True)
-class Thinning:
+class Thinning(_LawMarginal):
     """Thinning chain over an ID semigroup: marginal mu^theta, lag-1 overlap rho."""
 
     law: IDLaw
@@ -99,6 +115,17 @@ class Thinning:
     def __post_init__(self):
         _check_positive("theta", self.theta)
         _check_rho(self.rho)
+
+    def kernel(self, gap, kmax):
+        """Poisson thinning is binomial thinning, which composes with rho^gap;
+        general thinning kernels do not compose within their family, so their
+        powers are taken on a buffered lattice."""
+        gap = _integer_gap(gap)
+        if gap == 1 or isinstance(self.law, Poisson):
+            return thinning_transition_matrix(self.law, self.theta, self.rho**gap, kmax)
+        one_step = lambda k: thinning_transition_matrix(self.law, self.theta, self.rho, k)
+        power = lambda k: np.linalg.matrix_power(one_step(k), gap)[: kmax + 1, : kmax + 1]
+        return stabilize(power, kmax, 1e-13)
 
 
 @dataclass(frozen=True)
@@ -116,7 +143,9 @@ class RandomMeasure:
 
 @dataclass(frozen=True)
 class BranchingPoisson:
-    """Branching chain with Poisson(theta) marginal and autocorrelation rho."""
+    """Branching chain with Poisson(theta) marginal and autocorrelation rho.  The
+    branching kernels embed in the continuous-time chains, so they compose in
+    rho: the gap-d kernel is the one-step kernel at rho^d, exactly."""
 
     theta: float
     rho: float
@@ -125,10 +154,17 @@ class BranchingPoisson:
         _check_positive("theta", self.theta)
         _check_rho(self.rho)
 
+    def marginal(self, kmax):
+        return id_pmf(Poisson(), self.theta, kmax)
+
+    def kernel(self, gap, kmax):
+        return thinning_transition_matrix(Poisson(), self.theta, self.rho ** _integer_gap(gap), kmax)
+
 
 @dataclass(frozen=True)
 class BranchingNB:
-    """Branching chain with NB(alpha, p) marginal and autocorrelation rho."""
+    """Branching chain with NB(alpha, p) marginal and autocorrelation rho;
+    its gap-d kernel is the one-step kernel at rho^d, as for BranchingPoisson."""
 
     alpha: float
     p: float
@@ -139,9 +175,15 @@ class BranchingNB:
         _check_prob("p", self.p)
         _check_rho(self.rho)
 
+    def marginal(self, kmax):
+        return id_pmf(NegBinomial(self.p), self.alpha, kmax)
+
+    def kernel(self, gap, kmax):
+        return branching_nb_transition_matrix(self.alpha, self.p, self.rho ** _integer_gap(gap), kmax)
+
 
 @dataclass(frozen=True)
-class Constant:
+class Constant(_LawMarginal):
     """Degenerate case X_t identically equal to one draw from mu^theta."""
 
     law: IDLaw
@@ -150,9 +192,13 @@ class Constant:
     def __post_init__(self):
         _check_positive("theta", self.theta)
 
+    def kernel(self, gap, kmax):
+        _integer_gap(gap)
+        return np.eye(kmax + 1)
+
 
 @dataclass(frozen=True)
-class IID:
+class IID(_LawMarginal):
     """Degenerate case of independent draws from mu^theta."""
 
     law: IDLaw
@@ -160,6 +206,10 @@ class IID:
 
     def __post_init__(self):
         _check_positive("theta", self.theta)
+
+    def kernel(self, gap, kmax):
+        _integer_gap(gap)
+        return np.tile(self.marginal(kmax), (kmax + 1, 1))
 
 
 ProcessSpec = Thinning | RandomMeasure | BranchingPoisson | BranchingNB | Constant | IID

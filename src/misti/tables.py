@@ -1,4 +1,5 @@
-"""Exact joint probability tables on truncated integer lattices."""
+"""Exact joint probability tables on truncated integer lattices, and the
+buffer-growing loop that keeps lattice truncation out of them."""
 
 from __future__ import annotations
 
@@ -51,3 +52,16 @@ class JointPMF:
     def reorder(self, perm):
         """Table with time axes permuted (e.g. reversed for reflection checks)."""
         return np.transpose(self.table, perm)
+
+
+def stabilize(build, kmax, block_tol):
+    """build(k) cut to {0..kmax}, with k = kmax + buffer and the buffer doubled until
+    the result stops moving, so boundary truncation cannot pass for a property of the law."""
+    buffer, block = max(8, kmax // 2), None
+    while True:
+        big = build(kmax + buffer)
+        if block is not None and np.max(np.abs(big - block)) <= block_tol:
+            return big
+        if buffer > 4096:
+            raise RuntimeError("state-space buffer failed to converge")
+        block, buffer = big, buffer * 2

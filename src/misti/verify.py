@@ -14,21 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ctmc import BDModel, NBBD, PoissonBD, stationary_bd, transition_uniformized
-from .discrete import (
-    BranchingNB,
-    BranchingPoisson,
-    Constant,
-    IID,
-    RandomMeasure,
-    Thinning,
-    branching_nb_transition_matrix,
-    rm_joint_pmf,
-    thinning_transition_matrix,
-)
-from .idlaw import NegBinomial, Poisson, id_pmf
+from .discrete import RandomMeasure, rm_joint_pmf
 from .series import graded_exp_log, graded_order, ts_from_joint_pmf, ts_log
-from .tables import JointPMF
+from .tables import JointPMF, stabilize
 
 __all__ = [
     "VerifyReport",
@@ -73,90 +61,28 @@ class VerifyReport:
 # exact joint tables for every construction
 # ---------------------------------------------------------------------------
 
-def _stationary_marginal(spec, kmax):
-    if isinstance(spec, (Thinning, RandomMeasure, IID, Constant)):
-        return id_pmf(spec.law, spec.theta, kmax)
-    if isinstance(spec, BranchingPoisson):
-        return id_pmf(Poisson(), spec.theta, kmax)
-    if isinstance(spec, BranchingNB):
-        return id_pmf(NegBinomial(spec.p), spec.alpha, kmax)
-    if isinstance(spec, BDModel):
-        return stationary_bd(spec, kmax)
-    raise TypeError(f"no stationary marginal for {spec!r}")
-
-
-def _stabilize(build, kmax, block_tol=1e-13):
-    """build(k) cut to {0..kmax}, with k = kmax + buffer and the buffer doubled until
-    the result stops moving, so boundary truncation cannot pass for a property of the law."""
-    buffer, block = max(8, kmax // 2), None
-    while True:
-        big = build(kmax + buffer)
-        if block is not None and np.max(np.abs(big - block)) <= block_tol:
-            return big
-        if buffer > 4096:
-            raise RuntimeError("state-space buffer failed to converge")
-        block, buffer = big, buffer * 2
-
-
-def _transition(spec, gap, kmax):
-    """Transition matrix across a (possibly multi-step) gap.
-
-    The branching kernels form a composition semigroup in rho (they embed in
-    the continuous-time chains), so their gap-d transition is the one-step
-    kernel with rho^d, exactly.  General thinning kernels do not compose
-    within their family, so multi-step thinning gaps multiply one-step
-    matrices on a buffered state space instead.
-    """
-    if not gap > 0:
-        raise ValueError(f"gap must be positive, got {gap}")
-    if isinstance(spec, BDModel):
-        return transition_uniformized(spec, float(gap), kmax)
-    if int(gap) != gap:
-        raise ValueError(f"discrete chains need integer gaps, got {gap}")
-    gap = int(gap)
-    if isinstance(spec, Thinning):
-        if gap == 1 or isinstance(spec.law, Poisson):
-            # Poisson thinning is binomial thinning, which does compose.
-            return thinning_transition_matrix(spec.law, spec.theta, spec.rho**gap, kmax)
-        return _stabilize(
-            lambda k: np.linalg.matrix_power(
-                thinning_transition_matrix(spec.law, spec.theta, spec.rho, k), gap
-            )[: kmax + 1, : kmax + 1],
-            kmax,
-        )
-    if isinstance(spec, BranchingPoisson):
-        return thinning_transition_matrix(Poisson(), spec.theta, spec.rho**gap, kmax)
-    if isinstance(spec, BranchingNB):
-        return branching_nb_transition_matrix(spec.alpha, spec.p, spec.rho**gap, kmax)
-    if isinstance(spec, Constant):
-        return np.eye(kmax + 1)
-    if isinstance(spec, IID):
-        return np.tile(id_pmf(spec.law, spec.theta, kmax), (kmax + 1, 1))
-    raise TypeError(f"no transition kernel for {spec!r}")
-
-
 def _evolved_marginal(spec, initial, gap, kmax):
     """Distribution after a gap, computed on a buffered lattice."""
 
     def evolved(k):
         if initial is None:
-            start = _stationary_marginal(spec, k)
+            start = spec.marginal(k)
         else:
             start = np.zeros(k + 1)
             start[: len(initial)] = initial
-        return (start @ _transition(spec, gap, k))[: kmax + 1]
+        return (start @ spec.kernel(gap, k))[: kmax + 1]
 
-    return _stabilize(evolved, kmax)
+    return stabilize(evolved, kmax, 1e-13)
 
 
 def chain_joint_pmf(spec, times, kmax, initial=None, origin=None):
     """Exact joint table of the process at the given times on {0..kmax}^n.
 
-    Markov constructions use forward products marginal x transition rows;
-    the random-measure construction convolves its cell variables.  With
-    ``initial`` (a pmf vector) and ``origin`` the chain is started from that
-    distribution at time ``origin`` instead of from stationarity, which is
-    how non-stationary starts are probed.
+    Markov constructions use forward products of ``spec.marginal`` and
+    ``spec.kernel`` rows; the random-measure construction convolves its cell
+    variables.  With ``initial`` (a pmf vector) and ``origin`` the chain is
+    started from that distribution at time ``origin`` instead of from
+    stationarity, which is how non-stationary starts are probed.
     """
     times = tuple(times)
     if isinstance(spec, RandomMeasure):
@@ -170,10 +96,10 @@ def chain_joint_pmf(spec, times, kmax, initial=None, origin=None):
     elif initial is not None:
         marg = np.asarray(initial, dtype=float)
     else:
-        marg = _stationary_marginal(spec, kmax)
+        marg = spec.marginal(kmax)
     table = marg
     for t_prev, t_next in zip(times, times[1:]):
-        table = table[..., None] * _transition(spec, t_next - t_prev, kmax)
+        table = table[..., None] * spec.kernel(t_next - t_prev, kmax)
     return JointPMF(times, kmax, table)
 
 
@@ -222,8 +148,7 @@ def check_reversibility(spec, kmax, tolerance=1e-10):
         diff = np.abs(j3.table - j3.reorder((2, 1, 0)))
         witness = tuple(int(i) for i in np.unravel_index(diff.argmax(), diff.shape))
         return VerifyReport("reversibility", float(diff.max()), witness, tolerance)
-    marg = _stationary_marginal(spec, kmax)
-    violation, witness = reversibility_violation(marg, _transition(spec, 1, kmax))
+    violation, witness = reversibility_violation(spec.marginal(kmax), spec.kernel(1, kmax))
     return VerifyReport("reversibility", violation, witness, tolerance)
 
 

@@ -1,9 +1,16 @@
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from _helpers import chi2_gof_pvalue
 
+import misti
 from misti.ctmc import (
     NBBD,
     PoissonBD,
@@ -188,3 +195,64 @@ def test_nb_converges_to_poisson():
         if tv_prev is not None:
             assert tv < tv_prev
         tv_prev = tv
+
+
+def _generator(model, kmax):
+    """Generator on {0..kmax} with the top birth edge dropped from the
+    off-diagonal and kept in the exit rate, as the kernels truncate it."""
+    births = np.array([bd_rates(model, j)[0] for j in range(kmax + 1)])
+    deaths = np.array([bd_rates(model, j)[1] for j in range(kmax + 1)])
+    return -np.diag(births + deaths) + np.diag(births[:-1], 1) + np.diag(deaths[1:], -1)
+
+
+@pytest.mark.parametrize(
+    "model, t, kmax",
+    [(NBBD(0.3, 0.1, 1.0), 0.1, 40), (NBBD(2.0, 0.5, 1.0), 1.0, 30), (PoissonBD(50.0, 2.0), 3.0, 80)],
+)
+def test_uniformized_matches_expm_of_the_generator(model, t, kmax):
+    from scipy.linalg import expm
+
+    big = 4 * kmax + 100
+    want = expm(t * _generator(model, big))[: kmax + 1, : kmax + 1]
+    assert np.max(np.abs(transition_uniformized(model, t, kmax) - want)) <= 1e-13
+
+
+def test_uniformized_leaves_scipy_linalg_unloaded():
+    # scipy.linalg adds ~5 MB to every process that computes a kernel
+    src = str(Path(misti.__file__).resolve().parent.parent)
+    path = [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    probe = (
+        "import sys, misti; "
+        "misti.transition_uniformized(misti.NBBD(2.0, 0.5, 1.0), 1.0, 30); "
+        "print('scipy.linalg' in sys.modules)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "False"
+
+
+def _pmf_40_digits(log_term, kmax):
+    with mpmath.workdps(40):
+        return np.array([float(mpmath.exp(log_term(mpmath.mpf(i)))) for i in range(kmax + 1)])
+
+
+@pytest.mark.parametrize(
+    "model, kmax",
+    [(PoissonBD(800.0, 1.0), 850), (PoissonBD(2000.0, 1.0), 2100), (NBBD(2000.0, 0.5, 1.0), 2050)],
+)
+def test_stationary_bd_large_scale_does_not_overflow(model, kmax):
+    if isinstance(model, PoissonBD):
+        theta = mpmath.mpf(model.theta)
+        log_term = lambda i: i * mpmath.log(theta) - theta - mpmath.loggamma(i + 1)
+    else:
+        alpha, p = mpmath.mpf(model.alpha), mpmath.mpf(model.p)
+        log_term = lambda i: (
+            mpmath.loggamma(alpha + i) - mpmath.loggamma(alpha) - mpmath.loggamma(i + 1)
+            + alpha * mpmath.log(p) + i * mpmath.log(1 - p)
+        )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = stationary_bd(model, kmax)
+    assert np.max(np.abs(got - _pmf_40_digits(log_term, kmax))) <= 1e-14
