@@ -35,14 +35,18 @@ from .discrete import (
 from .idlaw import id_pmf
 from .verify import chain_joint_pmf, check_markov_triple, check_mvid, VerifyReport
 
-DISCRETE_PROCESSES = (
-    "thinning",
-    "random-measure",
-    "branching-poisson",
-    "branching-nb",
-    "iid",
-    "constant",
-)
+# process -> (spec class, takes a --law marginal, the settings that follow it)
+PROCESSES = {
+    "thinning": (Thinning, True, ("rho",)),
+    "random-measure": (RandomMeasure, True, ("rho",)),
+    "branching-poisson": (BranchingPoisson, False, ("theta", "rho")),
+    "branching-nb": (BranchingNB, False, ("alpha", "p", "rho")),
+    "iid": (IID, True, ()),
+    "constant": (Constant, True, ()),
+    "ct-poisson-bd": (PoissonBD, False, ("theta", "lam")),
+    "ct-nb-bd": (NBBD, False, ("alpha", "p", "lam")),
+}
+FAMILIES = {cls: name for name, (cls, _, _) in PROCESSES.items()}
 CT_PROCESSES = ("ct-poisson-bd", "ct-nb-bd")
 SUITES = ("theorem2", "theorem3", "poisson-coincidence")
 LAWS = ("poisson", "nb")
@@ -51,7 +55,7 @@ FORMATS = ("csv", "jsonl")
 # Settings that may come from a flag or from a --config file, so they are
 # checked after the merge rather than by argparse.
 CHOICES = {
-    "process": DISCRETE_PROCESSES + CT_PROCESSES,
+    "process": tuple(PROCESSES),
     "suite": SUITES,
     "law": LAWS,
     "format": FORMATS,
@@ -169,7 +173,7 @@ def build_parser():
 
     sim = sub.add_parser("simulate", help="simulate one trajectory")
     add_common(sim)
-    sim.add_argument("--process", choices=DISCRETE_PROCESSES + CT_PROCESSES, help="process to simulate (required)")
+    sim.add_argument("--process", choices=tuple(PROCESSES), help="process to simulate (required)")
     sim.add_argument("--law", choices=LAWS, help="marginal family for thinning/random-measure/iid/constant")
     sim.add_argument("--theta", type=float)
     sim.add_argument("--alpha", type=float)
@@ -272,33 +276,10 @@ def _marginal_law(cfg):
 
 
 def _build_spec(cfg):
-    if cfg.process == "thinning":
-        law, theta = _marginal_law(cfg)
-        _require(cfg, "rho")
-        return Thinning(law, theta, cfg.rho)
-    if cfg.process == "random-measure":
-        law, theta = _marginal_law(cfg)
-        _require(cfg, "rho")
-        return RandomMeasure(law, theta, cfg.rho)
-    if cfg.process == "branching-poisson":
-        _require(cfg, "theta", "rho")
-        return BranchingPoisson(cfg.theta, cfg.rho)
-    if cfg.process == "branching-nb":
-        _require(cfg, "alpha", "p", "rho")
-        return BranchingNB(cfg.alpha, cfg.p, cfg.rho)
-    if cfg.process == "iid":
-        law, theta = _marginal_law(cfg)
-        return IID(law, theta)
-    if cfg.process == "constant":
-        law, theta = _marginal_law(cfg)
-        return Constant(law, theta)
-    if cfg.process == "ct-poisson-bd":
-        _require(cfg, "theta", "lam")
-        return PoissonBD(cfg.theta, cfg.lam)
-    if cfg.process == "ct-nb-bd":
-        _require(cfg, "alpha", "p", "lam")
-        return NBBD(cfg.alpha, cfg.p, cfg.lam)
-    raise ValueError(f"unknown process {cfg.process!r}")
+    cls, takes_law, names = PROCESSES[cfg.process]
+    lead = _marginal_law(cfg) if takes_law else ()
+    _require(cfg, *names)
+    return cls(*lead, *(getattr(cfg, name) for name in names))
 
 
 def cmd_simulate(cfg):
@@ -438,7 +419,7 @@ def _suite_checks(cfg):
         return [
             ("tables-coincide-poisson", coincide, True),
             ("markov-rm-poisson", check_markov_triple(rand), True),
-            ("mvid-rm-poisson", check_mvid(rand, min(cfg.degree, k)), True),
+            ("mvid-rm-poisson", check_mvid(rand, d), True),
         ]
     raise ValueError(f"unknown suite {cfg.suite!r}")
 
@@ -474,25 +455,11 @@ def cmd_verify(cfg):
 
 def cmd_classify(cfg):
     spec = misti_classify(cfg.r0, cfg.r1, cfg.r2, cfg.theta1)
-    if isinstance(spec, Constant):
-        payload = {"family": "constant", "theta1": cfg.theta1}
-    elif isinstance(spec, IID):
-        payload = {"family": "iid", "theta1": cfg.theta1}
-    elif isinstance(spec, BranchingPoisson):
-        payload = {"family": "branching-poisson", "theta": spec.theta, "rho": spec.rho}
-    else:
-        payload = {
-            "family": "branching-nb",
-            "alpha": spec.alpha,
-            "p": spec.p,
-            "rho": spec.rho,
-        }
-    stream, owned = _open_out(cfg)
-    try:
-        stream.write(json.dumps(payload) + "\n")
-    finally:
-        if owned:
-            stream.close()
+    family = FAMILIES[type(spec)]
+    _, takes_law, names = PROCESSES[family]
+    # a degenerate family's law is the canonical Poisson of mean theta1
+    fields = {"theta1": spec.theta} if takes_law else {name: getattr(spec, name) for name in names}
+    _write_rows(cfg, ("family", *fields), [(family, *fields.values())], default_format="jsonl")
     return 0
 
 

@@ -21,6 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .discrete import _check_nonneg, _check_positive, _check_prob
 from .tables import stabilize
 
 __all__ = [
@@ -55,10 +56,13 @@ class PoissonBD(_BirthDeath):
     lam: float
 
     def __post_init__(self):
-        if not self.theta > 0.0:
-            raise ValueError(f"theta must be positive, got {self.theta}")
-        if not self.lam >= 0.0:
-            raise ValueError(f"lambda must be >= 0, got {self.lam}")
+        _check_positive("theta", self.theta)
+        _check_nonneg("lambda", self.lam)
+
+    def rates(self, j):
+        """(birth rate, death rate) out of the state(s) j; 0 j broadcasts the
+        constant immigration rate over an array of states."""
+        return self.lam * self.theta + 0.0 * j, self.lam * j
 
 
 @dataclass(frozen=True)
@@ -70,12 +74,13 @@ class NBBD(_BirthDeath):
     lam: float
 
     def __post_init__(self):
-        if not self.alpha > 0.0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if not 0.0 < self.p < 1.0:
-            raise ValueError(f"p must lie in (0,1), got {self.p}")
-        if not self.lam >= 0.0:
-            raise ValueError(f"lambda must be >= 0, got {self.lam}")
+        _check_positive("alpha", self.alpha)
+        _check_prob("p", self.p)
+        _check_nonneg("lambda", self.lam)
+
+    def rates(self, j):
+        """(birth rate, death rate) out of the state(s) j."""
+        return self.lam * (self.alpha + j) * (1.0 - self.p) / self.p, self.lam * j / self.p
 
 
 BDModel = PoissonBD | NBBD
@@ -85,14 +90,7 @@ def bd_rates(model, j):
     """(birth rate, death rate) out of state j."""
     if j < 0 or int(j) != j:
         raise ValueError(f"state must be a nonnegative integer, got {j}")
-    if isinstance(model, PoissonBD):
-        return model.lam * model.theta, model.lam * j
-    if isinstance(model, NBBD):
-        return (
-            model.lam * (model.alpha + j) * (1.0 - model.p) / model.p,
-            model.lam * j / model.p,
-        )
-    raise TypeError(f"not a birth-death model: {model!r}")
+    return model.rates(j)
 
 
 @dataclass(frozen=True)
@@ -184,11 +182,6 @@ class GeneratorResidual(NamedTuple):
     boundary: float
 
 
-def _rates(model, kmax):
-    """Arrays of the birth and the death rates out of the states 0..kmax."""
-    return np.array([bd_rates(model, j) for j in range(kmax + 1)]).T
-
-
 def generator_residual(model, pmf, kmax):
     """Max |sum_i pi_i Q_ij| of the truncated balance equations.
 
@@ -199,7 +192,7 @@ def generator_residual(model, pmf, kmax):
     pmf = np.asarray(pmf, dtype=float)
     if pmf.shape != (kmax + 1,):
         raise ValueError(f"pmf must have shape ({kmax + 1},), got {pmf.shape}")
-    births, deaths = _rates(model, kmax)
+    births, deaths = model.rates(np.arange(kmax + 1.0))
     resid = -pmf * (births + deaths)
     resid[1:] += pmf[:-1] * births[:-1]
     resid[:-1] += pmf[1:] * deaths[1:]
@@ -218,7 +211,7 @@ def _uniformized_block(model, t, kint):
     since the row sums of a 2^s-fold product carry 2^s-fold rounding, which
     could pass for negative leakage.
     """
-    births, deaths = _rates(model, kint)
+    births, deaths = model.rates(np.arange(kint + 1.0))
     lam = float(np.max(births + deaths))
     n = kint + 1
     if lam == 0.0 or t == 0.0:
@@ -246,14 +239,14 @@ def _uniformized_block(model, t, kint):
     return out
 
 
-def transition_uniformized(model, t, kmax, block_tol=1e-12):
+def transition_uniformized(model, t, kmax):
     """Transition matrix exp(tQ) restricted to {0..kmax}.
 
     Scaling and squaring of the uniformized chain (``_uniformized_block``) on
     a larger lattice, grown by ``tables.stabilize`` until the returned block
-    stops moving, so boundary truncation does not contaminate it.  Every step
-    stays in nonnegative matrices, so the row deficits 1 - row.sum() are the
-    honest leakage to states > kmax.
+    moves by at most 1e-12, so boundary truncation does not contaminate it.
+    Every step stays in nonnegative matrices, so the row deficits
+    1 - row.sum() are the honest leakage to states > kmax.
     """
     if not t >= 0.0:
         raise ValueError(f"time must be >= 0, got {t}")
@@ -262,5 +255,5 @@ def transition_uniformized(model, t, kmax, block_tol=1e-12):
     if t == 0.0:
         return np.eye(kmax + 1)
     return stabilize(
-        lambda k: _uniformized_block(model, t, k)[: kmax + 1, : kmax + 1], kmax, block_tol
+        lambda k: _uniformized_block(model, t, k)[: kmax + 1, : kmax + 1], kmax, 1e-12
     )

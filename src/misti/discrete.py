@@ -14,7 +14,11 @@ autocorrelation rho^|s-t|:
 Every Markov spec (the chains here and the birth-death chains of ``ctmc``)
 owns its stationary pmf ``marginal(kmax)`` and its transition matrix
 ``kernel(gap, kmax)`` on {0..kmax}; discrete chains take positive integer
-gaps only.
+gaps only, and each also owns its stationary sampler
+``sample_path(t0, n, rng)``.  The Poisson branching chain is the Poisson
+thinning chain (binomial survivors plus Poisson immigrants), so
+``BranchingPoisson`` only fixes the law of a thinning chain and shares its
+kernel and sampler.
 """
 
 from __future__ import annotations
@@ -104,13 +108,9 @@ class _LawMarginal:
         return id_pmf(self.law, self.theta, kmax)
 
 
-@dataclass(frozen=True)
-class Thinning(_LawMarginal):
-    """Thinning chain over an ID semigroup: marginal mu^theta, lag-1 overlap rho."""
-
-    law: IDLaw
-    theta: float
-    rho: float
+class _ThinningChain(_LawMarginal):
+    """Validation, kernel and sampler of the thinning chains; subclasses give
+    ``law``, ``theta`` and ``rho``."""
 
     def __post_init__(self):
         _check_positive("theta", self.theta)
@@ -127,6 +127,18 @@ class Thinning(_LawMarginal):
         power = lambda k: np.linalg.matrix_power(one_step(k), gap)[: kmax + 1, : kmax + 1]
         return stabilize(power, kmax, 1e-13)
 
+    def sample_path(self, t0, n, rng):
+        return simulate_thinning(self.law, self.theta, self.rho, t0, n, rng)
+
+
+@dataclass(frozen=True)
+class Thinning(_ThinningChain):
+    """Thinning chain over an ID semigroup: marginal mu^theta, lag-1 overlap rho."""
+
+    law: IDLaw
+    theta: float
+    rho: float
+
 
 @dataclass(frozen=True)
 class RandomMeasure:
@@ -142,23 +154,14 @@ class RandomMeasure:
 
 
 @dataclass(frozen=True)
-class BranchingPoisson:
-    """Branching chain with Poisson(theta) marginal and autocorrelation rho.  The
-    branching kernels embed in the continuous-time chains, so they compose in
-    rho: the gap-d kernel is the one-step kernel at rho^d, exactly."""
+class BranchingPoisson(_ThinningChain):
+    """Branching chain with Poisson(theta) marginal and autocorrelation rho:
+    the Poisson thinning chain, whose gap-d kernel is the one-step kernel at
+    rho^d, exactly."""
 
+    law = Poisson()  # a class attribute, not a field
     theta: float
     rho: float
-
-    def __post_init__(self):
-        _check_positive("theta", self.theta)
-        _check_rho(self.rho)
-
-    def marginal(self, kmax):
-        return id_pmf(Poisson(), self.theta, kmax)
-
-    def kernel(self, gap, kmax):
-        return thinning_transition_matrix(Poisson(), self.theta, self.rho ** _integer_gap(gap), kmax)
 
 
 @dataclass(frozen=True)
@@ -181,6 +184,13 @@ class BranchingNB:
     def kernel(self, gap, kmax):
         return branching_nb_transition_matrix(self.alpha, self.p, self.rho ** _integer_gap(gap), kmax)
 
+    def sample_path(self, t0, n, rng):
+        values = np.zeros(n, dtype=np.int64)
+        values[0] = rng.negative_binomial(self.alpha, self.p)
+        for i in range(1, n):
+            values[i] = branching_step_nb(int(values[i - 1]), self.alpha, self.p, self.rho, rng)
+        return Trajectory(t0, values)
+
 
 @dataclass(frozen=True)
 class Constant(_LawMarginal):
@@ -196,6 +206,9 @@ class Constant(_LawMarginal):
         _integer_gap(gap)
         return np.eye(kmax + 1)
 
+    def sample_path(self, t0, n, rng):
+        return Trajectory(t0, np.full(n, id_sample(self.law, self.theta, rng), dtype=np.int64))
+
 
 @dataclass(frozen=True)
 class IID(_LawMarginal):
@@ -210,6 +223,9 @@ class IID(_LawMarginal):
     def kernel(self, gap, kmax):
         _integer_gap(gap)
         return np.tile(self.marginal(kmax), (kmax + 1, 1))
+
+    def sample_path(self, t0, n, rng):
+        return Trajectory(t0, id_sample(self.law, self.theta, rng, size=n))
 
 
 ProcessSpec = Thinning | RandomMeasure | BranchingPoisson | BranchingNB | Constant | IID
@@ -492,24 +508,7 @@ def simulate_chain(spec, t0, n, rng):
     """Simulate n steps of any of the Markov constructions from stationarity."""
     if n < 1:
         raise ValueError(f"need at least one step, got {n}")
-    if isinstance(spec, Thinning):
-        return simulate_thinning(spec.law, spec.theta, spec.rho, t0, n, rng)
-    values = np.zeros(n, dtype=np.int64)
-    if isinstance(spec, BranchingPoisson):
-        values[0] = rng.poisson(spec.theta)
-        for i in range(1, n):
-            values[i] = branching_step_poisson(int(values[i - 1]), spec.theta, spec.rho, rng)
-    elif isinstance(spec, BranchingNB):
-        values[0] = rng.negative_binomial(spec.alpha, spec.p)
-        for i in range(1, n):
-            values[i] = branching_step_nb(int(values[i - 1]), spec.alpha, spec.p, spec.rho, rng)
-    elif isinstance(spec, IID):
-        values[:] = id_sample(spec.law, spec.theta, rng, size=n)
-    elif isinstance(spec, Constant):
-        values[:] = id_sample(spec.law, spec.theta, rng)
-    else:
-        raise TypeError(f"not a Markov chain spec: {spec!r}")
-    return Trajectory(t0, values)
+    return spec.sample_path(t0, n, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -609,7 +608,7 @@ def negtrinomial_pmf(i, j, alpha, q):
 # classification by the jump-direction sequence
 # ---------------------------------------------------------------------------
 
-def misti_classify(r0, r1, r2, theta1, tol=1e-9):
+def misti_classify(r0, r1, r2, theta1):
     """Identify the unique jointly-ID reversible chain with the given data.
 
     (r0, r1, r2) are the first offspring probabilities (the coefficients of
@@ -622,7 +621,9 @@ def misti_classify(r0, r1, r2, theta1, tol=1e-9):
 
     Degenerate families are returned with a canonical Poisson marginal of
     mean theta1 (the inputs do not constrain jump masses beyond size 1).
+    The identities above are checked to within 1e-9.
     """
+    tol = 1e-9
     for name, val in (("r0", r0), ("r1", r1), ("r2", r2)):
         if val < 0.0:
             raise ValueError(f"{name} must be >= 0, got {val}")

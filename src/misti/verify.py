@@ -107,8 +107,8 @@ def chain_joint_pmf(spec, times, kmax, initial=None, origin=None):
 # the checks
 # ---------------------------------------------------------------------------
 
-def check_stationarity(spec, window, kmax, tolerance=1e-9, shifts=(1, 2), initial=None):
-    """Compare the window-joint law with its time shifts.
+def check_stationarity(spec, window, kmax, initial=None):
+    """Compare the window-joint law with its shifts by 1 and 2 (tolerance 1e-9).
 
     Both tables start from the same reference distribution at time 0 (the
     stationary marginal unless ``initial`` overrides it) and are evolved to
@@ -119,7 +119,7 @@ def check_stationarity(spec, window, kmax, tolerance=1e-9, shifts=(1, 2), initia
         raise ValueError(f"window must be >= 1, got {window}")
     base = chain_joint_pmf(spec, tuple(range(window)), kmax, initial=initial, origin=0)
     worst, witness, worst_shift = 0.0, None, None
-    for s in shifts:
+    for s in (1, 2):
         shifted = chain_joint_pmf(
             spec, tuple(range(s, s + window)), kmax, initial=initial, origin=0
         )
@@ -129,7 +129,7 @@ def check_stationarity(spec, window, kmax, tolerance=1e-9, shifts=(1, 2), initia
             witness = tuple(int(i) for i in np.unravel_index(diff.argmax(), diff.shape))
             worst_shift = s
     return VerifyReport(
-        "stationarity", worst, witness, tolerance, extra={"shift": worst_shift}
+        "stationarity", worst, witness, 1e-9, extra={"shift": worst_shift}
     )
 
 
@@ -141,8 +141,10 @@ def reversibility_violation(pmf, trans):
     return float(diff.max()), witness
 
 
-def check_reversibility(spec, kmax, tolerance=1e-10):
-    """Detailed balance for chains; reflection symmetry of triples otherwise."""
+def check_reversibility(spec, kmax):
+    """Detailed balance for chains; reflection symmetry of triples otherwise
+    (tolerance 1e-10)."""
+    tolerance = 1e-10
     if isinstance(spec, RandomMeasure):
         j3 = chain_joint_pmf(spec, (0, 1, 2), kmax)
         diff = np.abs(j3.table - j3.reorder((2, 1, 0)))
@@ -152,19 +154,19 @@ def check_reversibility(spec, kmax, tolerance=1e-10):
     return VerifyReport("reversibility", violation, witness, tolerance)
 
 
-def check_markov_triple(j3, tolerance=1e-9, row_floor=1e-12):
+def check_markov_triple(j3):
     """Conditional independence of the outer times given the middle one.
 
     Violation is the worst |P[a,c|b] - P[a|b] P[c|b]| over middle values b
-    with P[b] >= row_floor (thinner rows are skipped and counted, never
-    divided through).
+    with P[b] >= 1e-12 (thinner rows are skipped and counted, never divided
+    through); the tolerance is 1e-9.
     """
     if j3.ntimes != 3:
         raise ValueError(f"need a table over exactly 3 times, got {j3.ntimes}")
     mid = j3.table.sum(axis=(0, 2))
     worst, witness, skipped = 0.0, None, 0
     for b in range(j3.k + 1):
-        if mid[b] < row_floor:
+        if mid[b] < 1e-12:
             skipped += 1
             continue
         joint = j3.table[:, b, :] / mid[b]
@@ -175,11 +177,11 @@ def check_markov_triple(j3, tolerance=1e-9, row_floor=1e-12):
             a, c = np.unravel_index(diff.argmax(), diff.shape)
             witness = (int(a), int(b), int(c))
     return VerifyReport(
-        "markov-triple", worst, witness, tolerance, extra={"skipped_rows": skipped}
+        "markov-triple", worst, witness, 1e-9, extra={"skipped_rows": skipped}
     )
 
 
-def check_mvid(pmf, maxdeg, precision="standard", tolerance=None):
+def check_mvid(pmf, maxdeg, precision="standard"):
     """Joint infinite divisibility test: all non-constant log-pgf coefficients >= 0.
 
     Coefficients up to total degree ``maxdeg`` are determined by the exact
@@ -187,9 +189,10 @@ def check_mvid(pmf, maxdeg, precision="standard", tolerance=None):
     negative minimum is attributable to the law, not the truncation.  Both
     precisions run the same recursion, ``series.graded_exp_log``; they differ
     only in the scalar type (float or 40-digit ``mpmath.mpf``) and in the
-    tolerance, which only absorbs rounding noise.
+    tolerance (1e-8 or 1e-12), which only absorbs rounding noise.
     """
-    if precision not in ("standard", "extended"):
+    tolerance = {"standard": 1e-8, "extended": 1e-12}.get(precision)
+    if tolerance is None:
         raise ValueError(f"precision must be 'standard' or 'extended', got {precision!r}")
     n = pmf.ntimes
     if pmf.table[(0,) * n] <= 0.0:
@@ -201,8 +204,6 @@ def check_mvid(pmf, maxdeg, precision="standard", tolerance=None):
             f"degree bound {maxdeg} exceeds lattice bound {pmf.k}; "
             "coefficients would depend on missing entries"
         )
-    if tolerance is None:
-        tolerance = 1e-8 if precision == "standard" else 1e-12
     pgf = ts_from_joint_pmf(pmf, maxdeg)
     if precision == "extended":
         import mpmath

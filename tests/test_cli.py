@@ -179,6 +179,13 @@ def test_verify_theorem2_at_degree_12(tmp_path):
     assert len(reports) == 3 and all(r["matched"] for r in reports)
 
 
+def test_verify_degree_above_lattice_bound_is_config_error(capsys):
+    # every suite refuses log-pgf coefficients that depend on missing entries
+    for suite in ("theorem2", "poisson-coincidence"):
+        assert run(["verify", "--suite", suite, "--k", "6", "--degree", "9"]) == 2
+        assert "degree bound 9 exceeds lattice bound 6" in capsys.readouterr().err
+
+
 def test_verify_polarity_mismatch_exits_one(tmp_path):
     # a nearly-degenerate thinning chain has no detectable divisibility
     # violation, so the expected-failure check lands on the wrong side
@@ -211,6 +218,17 @@ def test_classify_output(tmp_path):
     assert payload["family"] == "branching-nb"
     assert payload["alpha"] == pytest.approx(1.0)
     assert payload["rho"] == pytest.approx(0.625)
+
+
+def test_classify_csv_format(tmp_path):
+    out = tmp_path / "family.csv"
+    code = run(
+        ["classify", "--r0", "0.6", "--r1", "0.4", "--r2", "0", "--theta1", "1.5",
+         "--format", "csv", "--out", str(out)]
+    )
+    assert code == 0
+    lines = out.read_text().splitlines()
+    assert lines == ["family,theta,rho", "branching-poisson,1.5,0.40000000000000002"]
 
 
 def test_classify_infeasible_is_config_error():

@@ -51,6 +51,23 @@ def test_model_validation():
         PoissonBD(1.0, -0.1)
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda v: PoissonBD(v, 1.0),
+        lambda v: PoissonBD(1.0, v),
+        lambda v: NBBD(v, 0.5, 1.0),
+        lambda v: NBBD(1.0, v, 1.0),
+        lambda v: NBBD(1.0, 0.5, v),
+    ],
+    ids=["poisson-theta", "poisson-lambda", "nb-alpha", "nb-p", "nb-lambda"],
+)
+def test_model_rejects_infinite_and_nan_parameters(build, bad):
+    with pytest.raises(ValueError):
+        build(bad)
+
+
 def test_stationary_poisson_exact():
     got = stationary_bd(PoissonBD(1.0, LAM), 30)
     assert np.max(np.abs(got - id_pmf(Poisson(), 1.0, 30))) <= 1e-12

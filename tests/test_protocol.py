@@ -1,5 +1,6 @@
-"""The kernel protocol of the Markov specs: ``marginal(kmax)`` and
-``kernel(gap, kmax)`` on every chain, discrete and continuous-time."""
+"""The protocol of the Markov specs: ``marginal(kmax)`` and
+``kernel(gap, kmax)`` on every chain, discrete and continuous-time, and
+``sample_path(t0, n, rng)`` on the discrete ones."""
 
 import dataclasses
 
@@ -18,6 +19,7 @@ from misti.discrete import (
     misti_classify,
     r_sequence,
     rm_joint_pmf,
+    simulate_chain,
 )
 from misti.idlaw import GenericLevy, NegBinomial, Poisson
 from misti.verify import chain_joint_pmf, reversibility_violation
@@ -98,6 +100,20 @@ def test_poisson_random_measure_is_poisson_thinning(theta, rho, times, kmax):
     measure = rm_joint_pmf(Poisson(), theta, rho, times, kmax).table
     thinning = chain_joint_pmf(Thinning(Poisson(), theta, rho), times, kmax).table
     assert np.max(np.abs(measure - thinning)) <= 1e-12
+
+
+@pytest.mark.parametrize("theta, rho", [(0.5, 0.2), (2.0, 0.6), (7.0, 0.9)])
+def test_poisson_branching_is_poisson_thinning(theta, rho):
+    # the paper's identity, on both layers: same kernels and, seed for seed,
+    # the same paths
+    branching, thinning = BranchingPoisson(theta, rho), Thinning(Poisson(), theta, rho)
+    for gap in (1, 2, 3):
+        assert np.array_equal(branching.kernel(gap, 15), thinning.kernel(gap, 15))
+    for seed in range(20):
+        a = simulate_chain(branching, 3, 200, np.random.default_rng(seed))
+        b = simulate_chain(thinning, 3, 200, np.random.default_rng(seed))
+        assert a.t0 == b.t0 == 3
+        assert np.array_equal(a.values, b.values)
 
 
 DISCRETE = [
