@@ -163,7 +163,9 @@ def stationary_bd(model, kmax):
     theta or alpha cannot overflow.  The normalizing constant sums the whole
     series until its terms fall below 1e-18 of the largest, so the returned
     entries are the true stationary probabilities and 1 - sum(pi) is the
-    (reported, never folded back) tail mass.
+    (reported, never folded back) tail mass; if that takes more than
+    kmax + 10**6 terms it raises ``ValueError`` rather than normalize a
+    truncated series.
     """
     if kmax < 0:
         raise ValueError(f"kmax must be >= 0, got {kmax}")
@@ -173,6 +175,11 @@ def stationary_bd(model, kmax):
             break
         logw.append(logw[-1] + math.log(bd_rates(model, i)[0] / bd_rates(model, i + 1)[1]))
         top = max(top, logw[-1])
+    else:
+        raise ValueError(
+            f"stationary weights of {model!r} are still above 1e-18 of the largest "
+            f"at the cap of kmax + 10**6 = {kmax + 10**6} terms"
+        )
     weights = np.exp(np.array(logw) - top)
     return weights[: kmax + 1] / weights.sum()
 

@@ -27,13 +27,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, xlog1py, xlogy
 
 from .idlaw import (
     GenericLevy,
     IDLaw,
     NegBinomial,
     Poisson,
+    _ratio_pmf,
     id_pmf,
     id_sample,
     levy_masses,
@@ -103,6 +103,14 @@ def _integer_gap(gap):
     return int(gap)
 
 
+def _iid_kernel(spec, kmax):
+    """Every row the marginal.  It is also the gap kernel of a thinning or
+    branching chain whose rho^gap underflows: from x the surviving component
+    has mean rho^gap x, so it is nonzero with a probability below float
+    resolution on any lattice."""
+    return np.tile(spec.marginal(kmax), (kmax + 1, 1))
+
+
 class _LawMarginal:
     def marginal(self, kmax):
         return id_pmf(self.law, self.theta, kmax)
@@ -121,8 +129,11 @@ class _ThinningChain(_LawMarginal):
         general thinning kernels do not compose within their family, so their
         powers are taken on a buffered lattice."""
         gap = _integer_gap(gap)
+        rho = self.rho**gap
+        if rho == 0.0:
+            return _iid_kernel(self, kmax)
         if gap == 1 or isinstance(self.law, Poisson):
-            return thinning_transition_matrix(self.law, self.theta, self.rho**gap, kmax)
+            return thinning_transition_matrix(self.law, self.theta, rho, kmax)
         one_step = lambda k: thinning_transition_matrix(self.law, self.theta, self.rho, k)
         power = lambda k: np.linalg.matrix_power(one_step(k), gap)[: kmax + 1, : kmax + 1]
         return stabilize(power, kmax, 1e-13)
@@ -182,7 +193,10 @@ class BranchingNB:
         return id_pmf(NegBinomial(self.p), self.alpha, kmax)
 
     def kernel(self, gap, kmax):
-        return branching_nb_transition_matrix(self.alpha, self.p, self.rho ** _integer_gap(gap), kmax)
+        rho = self.rho ** _integer_gap(gap)
+        if rho == 0.0:
+            return _iid_kernel(self, kmax)
+        return branching_nb_transition_matrix(self.alpha, self.p, rho, kmax)
 
     def sample_path(self, t0, n, rng):
         values = np.zeros(n, dtype=np.int64)
@@ -222,7 +236,7 @@ class IID(_LawMarginal):
 
     def kernel(self, gap, kmax):
         _integer_gap(gap)
-        return np.tile(self.marginal(kmax), (kmax + 1, 1))
+        return _iid_kernel(self, kmax)
 
     def sample_path(self, t0, n, rng):
         return Trajectory(t0, id_sample(self.law, self.theta, rng, size=n))
@@ -336,22 +350,13 @@ def simulate_thinning(law, theta, rho, t0, n, rng):
 
 
 def beta_binomial_pmf(x, a, b):
-    """Beta-binomial pmf vector on {0..x}, computed with log-gamma for stability."""
+    """Beta-binomial pmf vector on {0..x}, from its ratio recursion in logs:
+    P(0) = prod_{i<x} (b+i)/(a+b+i) and P(k+1)/P(k) = (x-k)(a+k)/((k+1)(b+x-k-1))."""
     if x < 0 or int(x) != x:
         raise ValueError(f"count must be a nonnegative integer, got {x}")
-    k = np.arange(int(x) + 1)
-    logp = (
-        gammaln(x + 1)
-        - gammaln(k + 1)
-        - gammaln(x - k + 1)
-        + gammaln(k + a)
-        + gammaln(x - k + b)
-        - gammaln(x + a + b)
-        + gammaln(a + b)
-        - gammaln(a)
-        - gammaln(b)
-    )
-    return np.exp(logp)
+    k = np.arange(int(x))
+    log_p0 = np.sum(np.log((b + k) / (a + b + k)))
+    return _ratio_pmf(log_p0, np.log((x - k) * (a + k) / ((k + 1) * (b + x - k - 1))))
 
 
 # ---------------------------------------------------------------------------
@@ -474,14 +479,14 @@ def branching_step_nb(x, alpha, p, rho, rng):
 
 
 def _binomial_pmf(x, prob):
-    """Binomial(x, prob) pmf on {0..x}, from the log of the exact integer
-    coefficient (``gammaln`` differences lose ~1e-14 to cancellation), with
-    log1p keeping (1 - prob)^(x - y) accurate for tiny prob.  The entries sum
-    to 1 by the binomial theorem, so normalising removes their common
-    rounding bias: within 6.2e-16 of 40-digit values for x <= 60."""
+    """Binomial(x, prob) pmf on {0..x} for 0 < prob < 1, from the log of the
+    exact integer coefficient, with log1p keeping (1 - prob)^(x - y) accurate
+    for tiny prob.  The entries sum to 1 by the binomial theorem, so
+    normalising removes their common rounding bias: within 6.2e-16 of
+    40-digit values for x <= 60."""
     y = np.arange(x + 1)
     log_coeff = np.array([math.log(math.comb(x, k)) for k in range(x + 1)])
-    pmf = np.exp(log_coeff + xlogy(y, prob) + xlog1py(x - y, -prob))
+    pmf = np.exp(log_coeff + y * math.log(prob) + (x - y) * math.log1p(-prob))
     return pmf / pmf.sum()
 
 
@@ -598,7 +603,9 @@ def negtrinomial_pmf(i, j, alpha, q):
     if i < 0 or j < 0:
         raise ValueError("states must be nonnegative")
     return float(
-        math.exp(gammaln(alpha + i + j) - gammaln(alpha) - gammaln(i + 1) - gammaln(j + 1))
+        math.exp(
+            math.lgamma(alpha + i + j) - math.lgamma(alpha) - math.lgamma(i + 1) - math.lgamma(j + 1)
+        )
         * ((1.0 - q) / (1.0 + q)) ** alpha
         * (q / (1.0 + q)) ** (i + j)
     )

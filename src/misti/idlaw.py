@@ -5,6 +5,12 @@ mu^{t1} * mu^{t2} = mu^{t1+t2}, described by its jump-mass sequence
 nu_j >= 0 (j >= 1): the scale-theta member has probability generating
 function exp{ sum_j (z^j - 1) theta nu_j }.  The scale theta is passed per
 call so the semigroup structure stays explicit.
+
+The Poisson and negative binomial pmfs follow first-order ratio recursions
+(Panjer's (a, b, 0) class): P(k+1)/P(k) = theta/(k+1) for Poisson and
+(theta+k) q/(k+1) for NB(theta, p), q = 1 - p.  ``id_pmf`` exponentiates the
+running sums of the log ratios anchored at the exact log P(0) =
+-levy_total(law, theta), i.e. -theta and theta log p.
 """
 
 from __future__ import annotations
@@ -13,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 __all__ = [
     "Poisson",
@@ -136,6 +141,11 @@ def pmf_from_levy(masses, total, kmax):
     return p
 
 
+def _ratio_pmf(log_p0, log_ratios):
+    """pmf on {0..len(log_ratios)} from log P(0) and log P(k+1)/P(k), k >= 0."""
+    return np.exp(log_p0 + np.concatenate(([0.0], np.cumsum(log_ratios))))
+
+
 def id_pmf(law, theta, kmax):
     """pmf of the scale-theta member on {0..kmax}."""
     _check_theta(theta)
@@ -145,18 +155,11 @@ def id_pmf(law, theta, kmax):
         out = np.zeros(kmax + 1)
         out[0] = 1.0
         return out
-    k = np.arange(kmax + 1)
+    k = np.arange(kmax)
     if isinstance(law, Poisson):
-        return np.exp(k * math.log(theta) - theta - gammaln(k + 1))
+        return _ratio_pmf(-levy_total(law, theta), np.log(theta / (k + 1)))
     if isinstance(law, NegBinomial):
-        q = 1.0 - law.p
-        return np.exp(
-            gammaln(theta + k)
-            - gammaln(theta)
-            - gammaln(k + 1)
-            + theta * math.log(law.p)
-            + k * math.log(q)
-        )
+        return _ratio_pmf(-levy_total(law, theta), np.log((theta + k) * (1.0 - law.p) / (k + 1)))
     if isinstance(law, GenericLevy):
         nu = levy_masses(law, theta, max(kmax, 1))
         return pmf_from_levy(nu, levy_total(law, theta), kmax)

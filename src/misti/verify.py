@@ -189,7 +189,9 @@ def check_mvid(pmf, maxdeg, precision="standard"):
     negative minimum is attributable to the law, not the truncation.  Both
     precisions run the same recursion, ``series.graded_exp_log``; they differ
     only in the scalar type (float or 40-digit ``mpmath.mpf``) and in the
-    tolerance (1e-8 or 1e-12), which only absorbs rounding noise.
+    tolerance (1e-8 or 1e-12), which only absorbs rounding noise.  A passing
+    report carries no witness: its minimum is that noise, at a coefficient
+    that is 0 in exact arithmetic, and where it sits says nothing of the law.
     """
     tolerance = {"standard": 1e-8, "extended": 1e-12}.get(precision)
     if tolerance is None:
@@ -216,7 +218,9 @@ def check_mvid(pmf, maxdeg, precision="standard"):
     nonconstant = np.concatenate([level[0] for level in graded_order(n, maxdeg)[1:]])
     best = nonconstant[np.argmin(logs[nonconstant])]  # the first minimum by degree
     min_coeff = float(logs[best])
-    witness = tuple(int(i) for i in np.unravel_index(best, pgf.coeffs.shape))
+    witness = None
+    if -min_coeff > tolerance:
+        witness = tuple(int(i) for i in np.unravel_index(best, pgf.coeffs.shape))
     return VerifyReport(
         "mvid",
         max(0.0, -min_coeff),

@@ -177,6 +177,8 @@ def test_verify_theorem2_at_degree_12(tmp_path):
     assert code == 0
     reports = [json.loads(line) for line in out.read_text().splitlines()]
     assert len(reports) == 3 and all(r["matched"] for r in reports)
+    # the passing branching checks name no witness; the failing thinning one does
+    assert [r["witness"] is None for r in reports] == [r["pass"] for r in reports]
 
 
 def test_verify_degree_above_lattice_bound_is_config_error(capsys):
@@ -339,16 +341,17 @@ def test_unknown_flag_exits_two():
 
 
 def test_cli_import_leaves_heavy_modules_unloaded():
-    # every CLI call pays for what `import misti.cli` loads; mpmath is loaded
-    # only by extended-precision checks
+    # every CLI call pays for what `import misti.cli` loads; scipy is only a
+    # test dependency, and mpmath is loaded only by extended-precision checks
     src = str(Path(misti.__file__).resolve().parent.parent)
     path = [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    probe = (
-        "import sys, misti.cli; "
-        "print([m for m in ('scipy.stats', 'scipy.signal', 'mpmath') if m in sys.modules])"
-    )
-    done = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
-    )
-    assert done.stdout.strip() == "[]"
+    for module in ("misti", "misti.cli"):
+        probe = (
+            f"import sys, {module}; "
+            "print([m for m in sys.modules if m == 'mpmath' or m.split('.')[0] == 'scipy'])"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        )
+        assert done.stdout.strip() == "[]", module

@@ -273,3 +273,10 @@ def test_stationary_bd_large_scale_does_not_overflow(model, kmax):
         warnings.simplefilter("error")
         got = stationary_bd(model, kmax)
     assert np.max(np.abs(got - _pmf_40_digits(log_term, kmax))) <= 1e-14
+
+
+def test_stationary_bd_fails_loudly_past_the_term_cap():
+    # NB(1, 1e-6) needs ~4e7 terms to reach its 1e-18 tail; normalising the
+    # first 10**6 would give 1.58e-6 per state where the pmf is 1.0e-6
+    with pytest.raises(ValueError, match=r"kmax \+ 10\*\*6"):
+        NBBD(1.0, 1e-6, 1.0).marginal(5)

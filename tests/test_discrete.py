@@ -515,6 +515,16 @@ def test_process_specs_reject_degenerate_rho():
             BranchingNB(1.0, 0.5, rho)
 
 
+@pytest.mark.parametrize(
+    "spec", [BranchingPoisson(1.0, 0.05), BranchingNB(1.0, 0.5, 0.05), Thinning(NB, 1.0, 0.05)]
+)
+def test_kernel_at_underflowing_rho_power_is_iid(spec):
+    # 0.05**300 underflows to 0.0; the kernel is then the iid kernel
+    want = spec.marginal(5)
+    for kernel in (spec.kernel(300, 5), chain_joint_pmf(spec, (0, 300), 5).table / want[:, None]):
+        assert np.abs(kernel - want).max() <= 1e-15
+
+
 def _nb_branching_rows(alpha, p, rho, kmax, binomial_pmf):
     """NB branching rows built as the kernel defines them, around a given binomial pmf."""
     succ = p / (1.0 - rho * (1.0 - p))

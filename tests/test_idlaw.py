@@ -157,3 +157,55 @@ def test_id_sample_matches_pmf():
     from _helpers import chi2_gof_pvalue
 
     assert chi2_gof_pvalue(draws, pmf) > 0.001
+
+
+def _pmf_40_digits(law, theta, kmax):
+    import mpmath
+
+    with mpmath.workdps(40):
+        t, k = mpmath.mpf(theta), range(kmax + 1)
+        if isinstance(law, Poisson):
+            logs = (j * mpmath.log(t) - t - mpmath.loggamma(j + 1) for j in k)
+        else:
+            p = mpmath.mpf(law.p)
+            logs = (
+                mpmath.loggamma(t + j) - mpmath.loggamma(t) - mpmath.loggamma(j + 1)
+                + t * mpmath.log(p) + j * mpmath.log(1 - p)
+                for j in k
+            )
+        return np.array([float(mpmath.exp(v)) for v in logs])
+
+
+# (law, theta, bound): about twice the max |error| over k measured for the
+# ratio recursion; scipy's gammaln differences were 7.2e-16, 4.2e-14 and
+# 1.2e-13 off on the NB cases at (2, 0.02), (2000, 0.5) and (2000, 0.98).
+# theta = 1e-12 catches the NB ratio evaluated as ((theta + k) - 1) q / k,
+# which loses theta to rounding at k = 1
+ACCURACY_CASES = [
+    (Poisson(), 0.01, 2.2e-16),
+    (Poisson(), 2.0, 5.6e-17),
+    (Poisson(), 50.0, 1.3e-15),
+    (Poisson(), 400.0, 9.6e-15),
+    (Poisson(), 2000.0, 6.2e-14),
+    (NegBinomial(0.5), 1e-12, 1e-27),
+    (NegBinomial(0.5), 0.01, 5.6e-17),
+    (NegBinomial(0.5), 0.5, 5.6e-17),
+    (NegBinomial(0.5), 2.0, 5.6e-17),
+    (NegBinomial(0.02), 2.0, 3.4e-17),
+    (NegBinomial(0.98), 2.0, 1.4e-17),
+    (NegBinomial(0.5), 2000.0, 1.5e-14),
+    (NegBinomial(0.98), 2000.0, 9e-16),
+]
+
+
+@pytest.mark.parametrize(
+    "law, theta, bound", ACCURACY_CASES, ids=[f"{law!r}-{theta:g}" for law, theta, _ in ACCURACY_CASES]
+)
+def test_id_pmf_matches_40_digit_values(law, theta, bound):
+    mean, var = theta, theta
+    if isinstance(law, NegBinomial):
+        mean = theta * (1.0 - law.p) / law.p
+        var = mean / law.p
+    kmax = int(mean + 12.0 * math.sqrt(var)) + 40
+    err = np.max(np.abs(id_pmf(law, theta, kmax) - _pmf_40_digits(law, theta, kmax)))
+    assert err <= bound

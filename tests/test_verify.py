@@ -203,6 +203,7 @@ def test_mvid_branching_families_pass():
         report = check_mvid(j3, 8)
         assert report.passed
         assert report.extra["min_coefficient"] >= -1e-10
+        assert report.witness is None
 
 
 def test_mvid_thinning_nb_fails():
