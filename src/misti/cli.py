@@ -115,6 +115,9 @@ class RunConfig:
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
 
 
+_ROW_CHUNK = 1 << 16
+
+
 def _fmt(x):
     return f"{x:.17g}" if isinstance(x, float) else str(x)
 
@@ -242,17 +245,24 @@ def _open_out(cfg):
     return open(cfg.out, "w", encoding="utf-8", newline="\n"), True
 
 
-def _write_rows(cfg, header, rows, default_format="csv"):
+def _write_rows(cfg, header, columns, default_format="csv"):
+    """Write the rows whose columns are given, one homogeneous sequence (ints,
+    floats or strings) per header name, ``_ROW_CHUNK`` rows at a time.  CSV
+    cells follow ``_fmt``: ``.17g`` for float columns, ``str`` otherwise."""
     fmt = cfg.format or default_format
+    columns = [np.asarray(column) for column in columns]
+    formats = ["%.17g".__mod__ if column.dtype.kind == "f" else str for column in columns]
     stream, owned = _open_out(cfg)
     try:
         if fmt == "csv":
             stream.write(",".join(header) + "\n")
-            for row in rows:
-                stream.write(",".join(_fmt(v) for v in row) + "\n")
-        else:
-            for row in rows:
-                stream.write(json.dumps(dict(zip(header, row))) + "\n")
+        for start in range(0, len(columns[0]), _ROW_CHUNK):
+            chunk = [column[start : start + _ROW_CHUNK].tolist() for column in columns]
+            if fmt == "csv":
+                lines = map(",".join, zip(*(map(f, values) for f, values in zip(formats, chunk))))
+            else:
+                lines = (json.dumps(dict(zip(header, row))) for row in zip(*chunk))
+            stream.write("\n".join(lines) + "\n")
     finally:
         if owned:
             stream.close()
@@ -287,15 +297,9 @@ def cmd_simulate(cfg):
     spec = _build_spec(cfg)
     if cfg.process in CT_PROCESSES:
         _require(cfg, "horizon")
-        if cfg.x0 is not None:
-            x0 = cfg.x0
-        elif isinstance(spec, PoissonBD):
-            x0 = int(rng.poisson(spec.theta))
-        else:
-            x0 = int(rng.negative_binomial(spec.alpha, spec.p))
+        x0 = cfg.x0 if cfg.x0 is not None else spec.stationary_draw(rng)
         path = gillespie(spec, x0, cfg.horizon, rng)
-        rows = [(float(t), int(s)) for t, s in zip(path.times, path.states)]
-        _write_rows(cfg, ("time", "state"), rows)
+        _write_rows(cfg, ("time", "state"), (path.times, path.states))
         return 0
     if cfg.process == "random-measure":
         if cfg.times is not None:
@@ -304,16 +308,15 @@ def cmd_simulate(cfg):
             _require(cfg, "steps")
             if cfg.steps < 1:
                 raise ValueError("--steps must be >= 1")
-            times = tuple(range(cfg.t0, cfg.t0 + cfg.steps))
-        values = rm_simulate(spec.law, spec.theta, spec.rho, times, rng)
-        rows = list(zip(times, (int(v) for v in values)))
+            times = range(cfg.t0, cfg.t0 + cfg.steps)
+        columns = (times, rm_simulate(spec.law, spec.theta, spec.rho, times, rng))
     else:
         _require(cfg, "steps")
         if cfg.steps < 1:
             raise ValueError("--steps must be >= 1")
         traj = simulate_chain(spec, cfg.t0, cfg.steps, rng)
-        rows = [(traj.t0 + i, int(v)) for i, v in enumerate(traj.values)]
-    _write_rows(cfg, ("t", "x"), rows)
+        columns = (np.arange(traj.t0, traj.t0 + len(traj)), traj.values)
+    _write_rows(cfg, ("t", "x"), columns)
     return 0
 
 
@@ -359,7 +362,7 @@ def cmd_table(cfg):
         "rm_enum",
         "rm_dev",
     )
-    _write_rows(cfg, header, rows)
+    _write_rows(cfg, header, tuple(zip(*rows)))
     return 0
 
 
@@ -459,7 +462,8 @@ def cmd_classify(cfg):
     _, takes_law, names = PROCESSES[family]
     # a degenerate family's law is the canonical Poisson of mean theta1
     fields = {"theta1": spec.theta} if takes_law else {name: getattr(spec, name) for name in names}
-    _write_rows(cfg, ("family", *fields), [(family, *fields.values())], default_format="jsonl")
+    columns = [[value] for value in (family, *fields.values())]
+    _write_rows(cfg, ("family", *fields), columns, default_format="jsonl")
     return 0
 
 

@@ -64,6 +64,10 @@ class PoissonBD(_BirthDeath):
         constant immigration rate over an array of states."""
         return self.lam * self.theta + 0.0 * j, self.lam * j
 
+    def stationary_draw(self, rng):
+        """One draw from the stationary Poisson(theta) law."""
+        return int(rng.poisson(self.theta))
+
 
 @dataclass(frozen=True)
 class NBBD(_BirthDeath):
@@ -81,6 +85,10 @@ class NBBD(_BirthDeath):
     def rates(self, j):
         """(birth rate, death rate) out of the state(s) j."""
         return self.lam * (self.alpha + j) * (1.0 - self.p) / self.p, self.lam * j / self.p
+
+    def stationary_draw(self, rng):
+        """One draw from the stationary NB(alpha, p) law."""
+        return int(rng.negative_binomial(self.alpha, self.p))
 
 
 BDModel = PoissonBD | NBBD
@@ -133,6 +141,12 @@ class EventPath:
         return out / (self.horizon - self.times[0])
 
 
+def _exponential_uniform_pairs(rng, block=4096):
+    """Endless (standard exponential, uniform) pairs, drawn a block at a time."""
+    while True:
+        yield from zip(rng.standard_exponential(block).tolist(), rng.random(block).tolist())
+
+
 def gillespie(model, x0, horizon, rng):
     """Event-driven simulation of the chain on [0, horizon] from state x0."""
     if not horizon > 0.0:
@@ -141,15 +155,16 @@ def gillespie(model, x0, horizon, rng):
         raise ValueError(f"initial state must be a nonnegative integer, got {x0}")
     t, x = 0.0, int(x0)
     times, states = [0.0], [x]
-    while True:
-        birth, death = bd_rates(model, x)
+    rates = model.rates
+    for wait, u in _exponential_uniform_pairs(rng):
+        birth, death = rates(x)
         rate = birth + death
         if rate == 0.0:
             break
-        t += rng.exponential(1.0 / rate)
+        t += wait / rate
         if t >= horizon:
             break
-        x = x + 1 if rng.random() < birth / rate else x - 1
+        x = x + 1 if u < birth / rate else x - 1
         times.append(t)
         states.append(x)
     return EventPath(np.array(times), np.array(states), float(horizon))
@@ -165,22 +180,32 @@ def stationary_bd(model, kmax):
     entries are the true stationary probabilities and 1 - sum(pi) is the
     (reported, never folded back) tail mass; if that takes more than
     kmax + 10**6 terms it raises ``ValueError`` rather than normalize a
-    truncated series.
+    truncated series.  The log weights come from the broadcasting
+    ``model.rates`` over doubling ranges of states.
     """
     if kmax < 0:
         raise ValueError(f"kmax must be >= 0, got {kmax}")
-    logw, top = [0.0], 0.0
-    for i in range(kmax + 10**6 + 1):
-        if i > kmax and logw[-1] <= top + math.log(1e-18):
+    cap = kmax + 10**6
+    size = kmax + 32
+    while True:
+        size = min(2 * size, cap)
+        births, deaths = model.rates(np.arange(size + 1.0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            logw = np.concatenate(([0.0], np.cumsum(np.log(births[:-1] / deaths[1:]))))
+        if np.isnan(logw).any():
+            raise ValueError(f"detailed balance does not fix the weights of {model!r}")
+        # the first state past kmax whose weight is below 1e-18 of the largest so far
+        tail = logw <= np.maximum.accumulate(logw) + math.log(1e-18)
+        tail[: kmax + 1] = False
+        if tail.any():
             break
-        logw.append(logw[-1] + math.log(bd_rates(model, i)[0] / bd_rates(model, i + 1)[1]))
-        top = max(top, logw[-1])
-    else:
-        raise ValueError(
-            f"stationary weights of {model!r} are still above 1e-18 of the largest "
-            f"at the cap of kmax + 10**6 = {kmax + 10**6} terms"
-        )
-    weights = np.exp(np.array(logw) - top)
+        if size == cap:
+            raise ValueError(
+                f"stationary weights of {model!r} are still above 1e-18 of the largest "
+                f"at the cap of kmax + 10**6 = {kmax + 10**6} terms"
+            )
+    logw = logw[: np.argmax(tail) + 1]
+    weights = np.exp(logw - logw.max())
     return weights[: kmax + 1] / weights.sum()
 
 

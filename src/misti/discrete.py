@@ -6,7 +6,9 @@ autocorrelation rho^|s-t|:
 * thinning chains: consecutive states share a common component drawn from
   the scale-(rho theta) member of an ID semigroup;
 * random-measure processes: states are sums of independent ID variables
-  attached to the interval cells cut out by overlapping "tent" sets;
+  attached to the interval cells cut out by overlapping "tent" sets, i.e. a
+  compound-Poisson random measure, sampled atom by atom in O(n + atoms)
+  (Wolpert & Ickstadt, "Simulation of Levy random fields", 1998);
 * the branching families (Poisson and negative binomial), the only
   nondegenerate chains that are simultaneously Markov, stationary,
   time-reversible and jointly infinitely divisible.
@@ -15,14 +17,16 @@ Every Markov spec (the chains here and the birth-death chains of ``ctmc``)
 owns its stationary pmf ``marginal(kmax)`` and its transition matrix
 ``kernel(gap, kmax)`` on {0..kmax}; discrete chains take positive integer
 gaps only, and each also owns its stationary sampler
-``sample_path(t0, n, rng)``.  The Poisson branching chain is the Poisson
-thinning chain (binomial survivors plus Poisson immigrants), so
-``BranchingPoisson`` only fixes the law of a thinning chain and shares its
-kernel and sampler.
+``sample_path(t0, n, rng)``, which draws all state-independent randomness
+in one call each, so a step costs at most two scalar draws.  The Poisson
+branching chain is the Poisson thinning chain (binomial survivors plus
+Poisson immigrants), so ``BranchingPoisson`` only fixes the law of a
+thinning chain and shares its kernel and sampler.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -37,6 +41,7 @@ from .idlaw import (
     id_pmf,
     id_sample,
     levy_masses,
+    levy_total,
 )
 from .tables import JointPMF, stabilize
 
@@ -199,10 +204,17 @@ class BranchingNB:
         return branching_nb_transition_matrix(self.alpha, self.p, rho, kmax)
 
     def sample_path(self, t0, n, rng):
-        values = np.zeros(n, dtype=np.int64)
-        values[0] = rng.negative_binomial(self.alpha, self.p)
-        for i in range(1, n):
-            values[i] = branching_step_nb(int(values[i - 1]), self.alpha, self.p, self.rho, rng)
+        """NB(alpha + y, s) = NB(alpha, s) + NB(y, s), so the NB(alpha, s)
+        parts of all steps come from one call; a step draws its survivors y
+        and, when there are any, their NB(y, s) share."""
+        keep, succ = _nb_branching_probs(self.p, self.rho)
+        binomial, negative_binomial = rng.binomial, rng.negative_binomial
+        x = negative_binomial(self.alpha, self.p)
+        values = [x]
+        for base in negative_binomial(self.alpha, succ, n - 1).tolist():
+            y = binomial(x, keep) if x else 0
+            x = y + base + (negative_binomial(y, succ) if y else 0)
+            values.append(x)
         return Trajectory(t0, values)
 
 
@@ -323,29 +335,48 @@ def thinning_transition_matrix(law, theta, rho, kmax):
     return rows
 
 
-def _sample_thinning_component(law, theta, rho, x, rng):
-    if x == 0:
-        return 0
+def _thinning_keeper(law, theta, rho, size, rng):
+    """keep(x, i): the shared component of step i from a state x >= 1.  The
+    draws that do not depend on x are made here, one call for all steps."""
+    binomial = rng.binomial
     if isinstance(law, Poisson):
-        return int(rng.binomial(x, rho))
+        return lambda x, i: binomial(x, rho)
     if isinstance(law, NegBinomial):
         # beta-binomial mixture, sampled exactly as binomial with beta prob
-        return int(rng.binomial(x, rng.beta(theta * rho, theta * (1.0 - rho))))
-    cond = thinning_conditional(law, theta, rho, x)
-    return int(np.searchsorted(np.cumsum(cond), rng.random()))
+        probs = rng.beta(theta * rho, theta * (1.0 - rho), size).tolist()
+        return lambda x, i: binomial(x, probs[i])
+    uniforms = rng.random(size).tolist()
+    cdfs = {}
+
+    def keep(x, i):
+        if x not in cdfs:
+            cdfs[x] = np.cumsum(thinning_conditional(law, theta, rho, x)).tolist()
+        # a uniform above the rounded top of the CDF row keeps all x
+        return min(bisect.bisect_left(cdfs[x], uniforms[i]), x)
+
+    return keep
 
 
 def simulate_thinning(law, theta, rho, t0, n, rng):
-    """Simulate n steps of the stationary thinning chain starting at time t0."""
+    """Simulate n steps of the stationary thinning chain starting at time t0.
+
+    The innovations come from one ``id_sample`` call and the state-free part
+    of the shared components from another (``_thinning_keeper``); a generic
+    law's conditional CDF rows are cached by state.
+    """
     _check_nonneg("theta", theta)
     _check_rho(rho)
     if n < 1:
         raise ValueError(f"need at least one step, got {n}")
-    values = np.zeros(n, dtype=np.int64)
-    values[0] = id_sample(law, theta, rng)
-    for i in range(1, n):
-        shared = _sample_thinning_component(law, theta, rho, int(values[i - 1]), rng)
-        values[i] = shared + id_sample(law, (1.0 - rho) * theta, rng)
+    if theta == 0.0:  # the point mass at 0; rng.beta rejects a zero parameter
+        return Trajectory(t0, np.zeros(n, dtype=np.int64))
+    x = int(id_sample(law, theta, rng))
+    innovations = id_sample(law, (1.0 - rho) * theta, rng, size=n - 1).tolist()
+    keep = _thinning_keeper(law, theta, rho, n - 1, rng)
+    values = [x]
+    for i, z in enumerate(innovations):
+        x = (keep(x, i) if x else 0) + z
+        values.append(x)
     return Trajectory(t0, values)
 
 
@@ -381,6 +412,21 @@ class CellDecomposition:
         return self.areas[(i, j)]
 
 
+def _boundary_factors(times, theta, rho):
+    """Validated times and the boundary factors a_i = 1 - rho^(t_i - t_{i-1}),
+    b_j = 1 - rho^(t_{j+1} - t_j) (1 at the ends) of the cell areas
+    theta rho^(t_j - t_i) a_i b_j."""
+    _check_positive("theta", theta)
+    _check_rho(rho)
+    times = tuple(times)
+    if len(times) < 1:
+        raise ValueError("need at least one time")
+    if any(b <= a for a, b in zip(times, times[1:])):
+        raise ValueError(f"times must be strictly increasing, got {times}")
+    inner = [1.0 - rho ** (b - a) for a, b in zip(times, times[1:])]
+    return times, [1.0, *inner], [*inner, 1.0]
+
+
 def cell_measures(times, theta, rho):
     """Cell areas for strictly increasing times.
 
@@ -389,35 +435,47 @@ def cell_measures(times, theta, rho):
     explicit; per-time sums telescope to theta and pairwise sums to
     theta rho^(t - s).
     """
-    _check_positive("theta", theta)
-    _check_rho(rho)
-    times = tuple(times)
-    if len(times) < 1:
-        raise ValueError("need at least one time")
-    if any(b <= a for a, b in zip(times, times[1:])):
-        raise ValueError(f"times must be strictly increasing, got {times}")
+    times, a, b = _boundary_factors(times, theta, rho)
     n = len(times)
     areas = {}
     for i in range(n):
         for j in range(i, n):
-            a = theta * rho ** (times[j] - times[i])
-            if i > 0:
-                a *= 1.0 - rho ** (times[i] - times[i - 1])
-            if j < n - 1:
-                a *= 1.0 - rho ** (times[j + 1] - times[j])
-            areas[(i, j)] = a
+            areas[(i, j)] = theta * rho ** (times[j] - times[i]) * a[i] * b[j]
     return CellDecomposition(times, theta, rho, areas)
 
 
 def rm_simulate(law, theta, rho, times, rng):
-    """One exact draw of the random-measure process at the given times."""
-    cells = cell_measures(times, theta, rho)
-    n = len(cells.times)
-    out = np.zeros(n, dtype=np.int64)
-    for (i, j), area in cells.areas.items():
-        z = id_sample(law, area, rng)
-        out[i : j + 1] += z
-    return out
+    """One exact draw of the random-measure process at the given times.
+
+    The cell variables are the restrictions of one compound-Poisson random
+    measure, so it is sampled atom by atom (Wolpert & Ickstadt, "Simulation
+    of Levy random fields", 1998) without building the n(n+1)/2 cells.  The
+    cell (i, j) has area theta a_i rho^(t_j - t_i) b_j, and the areas of the
+    cells that start at i sum to theta a_i (the b_j telescope), so:
+
+    * Poisson(theta sum(a) levy_total(law, 1)) atoms;
+    * each atom's first time i with probability proportional to a_i;
+    * its reach t_i + E / log(1/rho), E standard exponential, which passes
+      t_j with probability rho^(t_j - t_i), so its last time is j with
+      probability rho^(t_j - t_i) b_j; no rho^(-t) is formed;
+    * its size from ``law.jumps``, added to the states i..j through a
+      difference array.
+
+    The cost is O(n + atoms) in a fixed number of numpy calls.
+    """
+    times, a, _ = _boundary_factors(times, theta, rho)
+    times, n = np.asarray(times), len(times)
+    mass = np.cumsum(a)
+    atoms = rng.poisson(theta * mass[-1] * levy_total(law, 1.0))
+    first = np.searchsorted(mass, rng.random(atoms) * mass[-1], side="right")
+    first = np.minimum(first, n - 1)  # u * mass[-1] may round up to mass[-1]
+    reach = times[first] + rng.standard_exponential(atoms) / -math.log(rho)
+    last = np.searchsorted(times, reach, side="right") - 1
+    sizes = law.jumps(rng, atoms)
+    diff = np.zeros(n + 1, dtype=np.int64)
+    np.add.at(diff, first, sizes)
+    np.add.at(diff, last + 1, -sizes)
+    return np.cumsum(diff[:-1])
 
 
 def rm_joint_pmf(law, theta, rho, times, kmax, budget=2 * 10**8):
@@ -464,6 +522,13 @@ def branching_step_poisson(x, theta, rho, rng):
     return int(rng.binomial(x, rho) + rng.poisson(theta * (1.0 - rho)))
 
 
+def _nb_branching_probs(p, rho):
+    """(survival probability rho p / (1 - rho q), offspring success
+    probability p / (1 - rho q)) of the NB branching chain, q = 1 - p."""
+    q = 1.0 - p
+    return rho * p / (1.0 - rho * q), p / (1.0 - rho * q)
+
+
 def branching_step_nb(x, alpha, p, rho, rng):
     """One transition of the negative binomial branching chain from state x.
 
@@ -473,9 +538,9 @@ def branching_step_nb(x, alpha, p, rho, rng):
     _check_positive("alpha", alpha)
     _check_prob("p", p)
     _check_rho(rho)
-    q = 1.0 - p
-    y = int(rng.binomial(x, rho * p / (1.0 - rho * q)))
-    return y + int(rng.negative_binomial(alpha + y, p / (1.0 - rho * q)))
+    keep, succ = _nb_branching_probs(p, rho)
+    y = int(rng.binomial(x, keep))
+    return y + int(rng.negative_binomial(alpha + y, succ))
 
 
 def _binomial_pmf(x, prob):
@@ -495,9 +560,7 @@ def branching_nb_transition_matrix(alpha, p, rho, kmax):
     _check_positive("alpha", alpha)
     _check_prob("p", p)
     _check_rho(rho)
-    q = 1.0 - p
-    bprob = rho * p / (1.0 - rho * q)
-    succ = p / (1.0 - rho * q)
+    bprob, succ = _nb_branching_probs(p, rho)
     rows = np.zeros((kmax + 1, kmax + 1))
     innovs = [id_pmf(NegBinomial(succ), alpha + y, kmax) for y in range(kmax + 1)]
     for x in range(kmax + 1):

@@ -11,6 +11,9 @@ The Poisson and negative binomial pmfs follow first-order ratio recursions
 (theta+k) q/(k+1) for NB(theta, p), q = 1 - p.  ``id_pmf`` exponentiates the
 running sums of the log ratios anchored at the exact log P(0) =
 -levy_total(law, theta), i.e. -theta and theta log p.
+
+Every member is compound Poisson: Poisson(levy_total(law, theta)) jumps,
+each drawn by ``law.jumps(rng, size)`` from the normalised jump masses.
 """
 
 from __future__ import annotations
@@ -38,6 +41,10 @@ __all__ = [
 class Poisson:
     """Poisson family: scale theta is the mean; all jump mass sits at size 1."""
 
+    def jumps(self, rng, size):
+        """``size`` jump sizes from the normalised jump masses: all ones."""
+        return np.ones(size, dtype=np.int64)
+
 
 @dataclass(frozen=True)
 class NegBinomial:
@@ -52,6 +59,11 @@ class NegBinomial:
     def __post_init__(self):
         if not 0.0 < self.p < 1.0:
             raise ValueError(f"success probability must lie in (0,1), got {self.p}")
+
+    def jumps(self, rng, size):
+        """``size`` jump sizes from the normalised jump masses q^j / (j log(1/p)):
+        the logarithmic law with parameter q = 1 - p."""
+        return rng.logseries(1.0 - self.p, size)
 
 
 @dataclass(frozen=True)
@@ -79,6 +91,13 @@ class GenericLevy:
         if clean and clean[0][0] != 1:
             raise ValueError("a nonzero jump-mass table needs positive mass at jump size 1")
         object.__setattr__(self, "nu", tuple(clean))
+
+    def jumps(self, rng, size):
+        """``size`` jump sizes from the normalised jump masses."""
+        if not self.nu:
+            return np.zeros(size, dtype=np.int64)
+        sizes, masses = np.array(self.nu).T
+        return rng.choice(sizes.astype(np.int64), size=size, p=masses / masses.sum())
 
 
 IDLaw = Poisson | NegBinomial | GenericLevy
@@ -197,18 +216,11 @@ def id_sample(law, theta, rng, size=None):
     if isinstance(law, NegBinomial):
         return rng.negative_binomial(theta, law.p, size)
     if isinstance(law, GenericLevy):
-        if not law.nu:
-            return 0 if size is None else np.zeros(size, dtype=np.int64)
-        jumps = np.array([j for j, _ in law.nu], dtype=np.int64)
-        w = np.array([m for _, m in law.nu])
-        counts = rng.poisson(theta * w.sum(), size)
-        draws = rng.choice(jumps, size=int(np.sum(counts)), p=w / w.sum())
+        counts = rng.poisson(levy_total(law, theta), size)
+        draws = law.jumps(rng, int(np.sum(counts)))
         if size is None:
             return int(draws.sum())
-        out = np.zeros(np.shape(counts), dtype=np.int64).reshape(-1)
-        stops = np.cumsum(np.asarray(counts).reshape(-1))
-        starts = stops - np.asarray(counts).reshape(-1)
-        for i in range(out.size):
-            out[i] = draws[starts[i] : stops[i]].sum()
-        return out.reshape(np.shape(counts))
+        owner = np.repeat(np.arange(np.size(counts)), np.ravel(counts))
+        sums = np.bincount(owner, weights=draws, minlength=np.size(counts))
+        return sums.astype(np.int64).reshape(np.shape(counts))
     raise TypeError(f"not an ID law: {law!r}")

@@ -1,13 +1,16 @@
 import json
+import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import misti
-from misti.cli import RunConfig, main, parse_config_lines
+from misti.cli import RunConfig, _fmt, _write_rows, main, parse_config_lines
 
 
 def run(args):
@@ -109,6 +112,47 @@ def test_simulate_random_measure_times(tmp_path):
     lines = out.read_text().splitlines()
     assert len(lines) == 4
     assert [l.split(",")[0] for l in lines[1:]] == ["0", "2", "5"]
+
+
+def test_simulate_random_measure_10000_steps_in_seconds(tmp_path):
+    # NB(2, 1/2) marginal: mean 2, variance 4; autocorrelation rho^|h|
+    out = tmp_path / "rm.csv"
+    start = time.perf_counter()
+    code = run(
+        [
+            "simulate", "--process", "random-measure", "--law", "nb", "--theta", "2",
+            "--p", "0.5", "--rho", "0.6", "--steps", "10000", "--seed", "5",
+            "--out", str(out),
+        ]
+    )
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert elapsed < 5.0
+    lines = out.read_text().splitlines()
+    assert lines[0] == "t,x" and len(lines) == 10001
+    x = np.array([int(line.split(",")[1]) for line in lines[1:]], dtype=float)
+    n, rho = x.size, 0.6
+    centred = x - x.mean()
+    r1 = float(centred[:-1] @ centred[1:]) / float(centred @ centred)
+    # the benchmark's path gate: 5 standard errors, twice Bartlett's for r1
+    assert abs(x.mean() - 2.0) <= 5 * math.sqrt(4.0 / n * (1 + rho) / (1 - rho))
+    assert abs(r1 - rho) <= 5 * 2 * math.sqrt((1 - rho**2) / n)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_write_rows_matches_the_row_by_row_writer(tmp_path, monkeypatch, fmt):
+    # chunks of 7 rows; reference: one _fmt-formatted line (or JSON object) per row
+    monkeypatch.setattr(misti.cli, "_ROW_CHUNK", 7)
+    times = np.array([0.0, 1e-300, 0.1, 2.5, 123456789.125, 1 / 3, float("inf")] * 3)
+    states = np.arange(21) * 10**12
+    out = tmp_path / f"rows.{fmt}"
+    _write_rows(RunConfig(command="simulate", out=str(out), format=fmt), ("time", "state"), (times, states))
+    rows = list(zip(times.tolist(), states.tolist()))
+    if fmt == "csv":
+        want = "time,state\n" + "".join(f"{_fmt(t)},{_fmt(s)}\n" for t, s in rows)
+    else:
+        want = "".join(json.dumps({"time": t, "state": s}) + "\n" for t, s in rows)
+    assert out.read_text() == want
 
 
 def test_table_grid_point(tmp_path):

@@ -280,3 +280,38 @@ def test_stationary_bd_fails_loudly_past_the_term_cap():
     # first 10**6 would give 1.58e-6 per state where the pmf is 1.0e-6
     with pytest.raises(ValueError, match=r"kmax \+ 10\*\*6"):
         NBBD(1.0, 1e-6, 1.0).marginal(5)
+
+
+def _stationary_term_by_term(model, kmax):
+    # detailed balance one state at a time, as a reference for the chunked sum
+    logw, top, i = [0.0], 0.0, 0
+    while i <= kmax or logw[-1] > top + math.log(1e-18):
+        birth, death = bd_rates(model, i)[0], bd_rates(model, i + 1)[1]
+        logw.append(logw[-1] + math.log(birth / death))
+        top, i = max(top, logw[-1]), i + 1
+    weights = np.exp(np.array(logw) - top)
+    return weights[: kmax + 1] / weights.sum()
+
+
+@pytest.mark.parametrize(
+    "model",
+    [PoissonBD(1.0, 1.0), PoissonBD(400.0, 0.5), NBBD(2.0, 0.5, 3.0), NBBD(0.3, 0.05, 1.0), NBBD(1e4, 0.5, 1.0)],
+)
+def test_stationary_bd_matches_the_term_by_term_series(model):
+    for kmax in (0, 7, 60):
+        got = stationary_bd(model, kmax)
+        assert np.max(np.abs(got - _stationary_term_by_term(model, kmax))) <= 1e-15
+
+
+def test_stationary_bd_of_a_frozen_chain_fails_loudly():
+    # lambda = 0: every state is absorbing, so detailed balance fixes nothing
+    with pytest.raises(ValueError, match="detailed balance"):
+        PoissonBD(1.0, 0.0).marginal(5)
+
+
+@pytest.mark.parametrize("model", [PoissonBD(3.0, 1.0), NBBD(2.0, 0.4, 1.0)])
+def test_stationary_draw_follows_the_marginal(model):
+    rng = np.random.default_rng(64)
+    draws = [model.stationary_draw(rng) for _ in range(20000)]
+    assert all(type(x) is int for x in draws[:10])
+    assert chi2_gof_pvalue(draws, model.marginal(40)) > 0.001

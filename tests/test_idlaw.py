@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from _helpers import chi2_gof_pvalue
 
 from misti.idlaw import (
     GenericLevy,
@@ -154,9 +155,35 @@ def test_id_sample_matches_pmf():
     law = GenericLevy({1: 0.6, 2: 0.4})
     draws = id_sample(law, 1.2, rng, size=20000)
     pmf = id_pmf(law, 1.2, 20)
-    from _helpers import chi2_gof_pvalue
-
     assert chi2_gof_pvalue(draws, pmf) > 0.001
+
+
+@pytest.mark.parametrize("law", LAWS)
+def test_jumps_follow_the_normalised_jump_masses(law):
+    # jump sizes above 40 share the last bin; Poisson jumps are all ones
+    draws = np.minimum(law.jumps(np.random.default_rng(19), 20000), 40)
+    masses = levy_masses(law, 1.0, 40) / levy_total(law, 1.0)
+    support = np.flatnonzero(masses > 0.0)
+    assert np.all(masses[draws - 1] > 0.0)
+    if support.size > 1:
+        assert chi2_gof_pvalue(np.searchsorted(support, draws - 1), masses[support]) > 0.001
+
+
+def test_generic_levy_batched_draws_sum_their_own_jumps():
+    # reference: the per-draw loop over the same Poisson counts and jumps
+    law, theta = GenericLevy({1: 0.7, 3: 0.2}), 1.5
+    got = id_sample(law, theta, np.random.default_rng(3), size=(40, 5))
+    rng = np.random.default_rng(3)
+    counts = rng.poisson(levy_total(law, theta), (40, 5)).ravel()
+    jumps = law.jumps(rng, int(counts.sum()))
+    stops = np.cumsum(counts)
+    want = [int(jumps[stop - count : stop].sum()) for count, stop in zip(counts, stops)]
+    assert got.dtype == np.int64 and got.shape == (40, 5)
+    assert got.ravel().tolist() == want
+
+
+def test_jumps_of_the_empty_table_are_zero_sized():
+    assert np.array_equal(GenericLevy(()).jumps(np.random.default_rng(0), 3), np.zeros(3))
 
 
 def _pmf_40_digits(law, theta, kmax):
