@@ -15,6 +15,7 @@ dropped, so row deficits are the honest leakage out of the lattice.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -36,6 +37,9 @@ __all__ = [
     "generator_residual",
     "transition_uniformized",
 ]
+
+# gillespie's draws per numpy call; its time to horizon 20000 is flat from 256 to 16384
+_BLOCK = 1024
 
 
 class _BirthDeath:
@@ -141,12 +145,6 @@ class EventPath:
         return out / (self.horizon - self.times[0])
 
 
-def _exponential_uniform_pairs(rng, block=4096):
-    """Endless (standard exponential, uniform) pairs, drawn a block at a time."""
-    while True:
-        yield from zip(rng.standard_exponential(block).tolist(), rng.random(block).tolist())
-
-
 def gillespie(model, x0, horizon, rng):
     """Event-driven simulation of the chain on [0, horizon] from state x0."""
     if not horizon > 0.0:
@@ -156,7 +154,12 @@ def gillespie(model, x0, horizon, rng):
     t, x = 0.0, int(x0)
     times, states = [0.0], [x]
     rates = model.rates
-    for wait, u in _exponential_uniform_pairs(rng):
+    # exponentials and uniforms a block at a time; the rest of the last block is unused
+    draws = itertools.chain.from_iterable(
+        zip(rng.standard_exponential(_BLOCK).tolist(), rng.random(_BLOCK).tolist())
+        for _ in itertools.count()
+    )
+    for wait, u in draws:
         birth, death = rates(x)
         rate = birth + death
         if rate == 0.0:

@@ -455,22 +455,32 @@ def rm_simulate(law, theta, rho, times, rng):
 
     * Poisson(theta sum(a) levy_total(law, 1)) atoms;
     * each atom's first time i with probability proportional to a_i;
-    * its reach t_i + E / log(1/rho), E standard exponential, which passes
-      t_j with probability rho^(t_j - t_i), so its last time is j with
-      probability rho^(t_j - t_i) b_j; no rho^(-t) is formed;
+    * its reach E / log(1/rho), E standard exponential, which covers the
+      lag t_j - t_i with probability rho^(t_j - t_i), so its last time is j
+      with probability rho^(t_j - t_i) b_j; no rho^(-t) is formed;
     * its size from ``law.jumps``, added to the states i..j through a
       difference array.
 
-    The cost is O(n + atoms) in a fixed number of numpy calls.
+    The times must be integers.  Lags are compared in exact integer offsets
+    from the first time (int64, or Python ints past its range), so time
+    indices of any size keep their law.  The cost is O(n + atoms) in a
+    fixed number of numpy calls.
     """
     times, a, _ = _boundary_factors(times, theta, rho)
-    times, n = np.asarray(times), len(times)
+    if any(int(t) != t for t in times):
+        raise ValueError(f"times must be integers, got {times}")
+    offsets = np.array([int(t) - int(times[0]) for t in times])
+    n = len(times)
     mass = np.cumsum(a)
     atoms = rng.poisson(theta * mass[-1] * levy_total(law, 1.0))
     first = np.searchsorted(mass, rng.random(atoms) * mass[-1], side="right")
     first = np.minimum(first, n - 1)  # u * mass[-1] may round up to mass[-1]
-    reach = times[first] + rng.standard_exponential(atoms) / -math.log(rho)
-    last = np.searchsorted(times, reach, side="right") - 1
+    # an integer lag is covered iff it is at most floor(reach), capped at 2^62
+    # for int64 and at the rest of the span to keep the sum inside the offsets
+    reach = rng.standard_exponential(atoms) / -math.log(rho)
+    lag = np.minimum(np.floor(reach), 2.0**62).astype(np.int64)
+    start = offsets[first]
+    last = np.searchsorted(offsets, start + np.minimum(lag, offsets[-1] - start), side="right") - 1
     sizes = law.jumps(rng, atoms)
     diff = np.zeros(n + 1, dtype=np.int64)
     np.add.at(diff, first, sizes)

@@ -139,6 +139,25 @@ def test_simulate_random_measure_10000_steps_in_seconds(tmp_path):
     assert abs(r1 - rho) <= 5 * 2 * math.sqrt((1 - rho**2) / n)
 
 
+def test_simulate_random_measure_at_a_large_t0_shifts_only_the_times(tmp_path):
+    # the law and the draw stream depend on the lags only, so the states at
+    # t0 = 10**16 (where float64 cannot tell t from t + 1) equal those at t0 = 0
+    rows = {}
+    for t0 in (0, 10**16):
+        out = tmp_path / f"rm{t0}.csv"
+        code = run(
+            [
+                "simulate", "--process", "random-measure", "--law", "nb", "--theta", "2",
+                "--p", "0.5", "--rho", "0.6", "--steps", "2000", "--t0", str(t0),
+                "--seed", "5", "--out", str(out),
+            ]
+        )
+        assert code == 0
+        rows[t0] = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [t for t, _ in rows[10**16]] == [str(10**16 + k) for k in range(2000)]
+    assert [x for _, x in rows[10**16]] == [x for _, x in rows[0]]
+
+
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
 def test_write_rows_matches_the_row_by_row_writer(tmp_path, monkeypatch, fmt):
     # chunks of 7 rows; reference: one _fmt-formatted line (or JSON object) per row

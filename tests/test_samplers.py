@@ -71,6 +71,21 @@ def test_rm_simulate_long_path_windows_match_rm_joint_pmf():
     assert joint_gof_pvalue(draws, rm_joint_pmf(law, theta, rho, (0, 1, 2), 14)) > 0.001
 
 
+@pytest.mark.parametrize("start", [10**16, 2**70], ids=["1e16", "2^70"])
+def test_rm_simulate_triples_at_large_time_indices(start):
+    # float64 cannot tell start from start + 1; the law depends on the lags only
+    law, theta, rho = NegBinomial(0.5), 1.0, 0.5
+    times = (start, start + 1, start + 3)
+    rng = np.random.default_rng(6)
+    draws = [rm_simulate(law, theta, rho, times, rng) for _ in range(10000)]
+    assert joint_gof_pvalue(draws, rm_joint_pmf(law, theta, rho, times, 12)) > 0.001
+
+
+def test_rm_simulate_rejects_fractional_times():
+    with pytest.raises(ValueError, match="integers"):
+        rm_simulate(Poisson(), 1.0, 0.5, (0, 0.5), np.random.default_rng(0))
+
+
 def test_rm_simulate_across_an_underflowing_gap():
     # rho^300 underflows to 0: the first time is independent of the other two
     law, theta, rho, times = NegBinomial(0.5), 1.0, 0.05, (0, 300, 301)
