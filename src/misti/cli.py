@@ -49,7 +49,8 @@ PROCESSES = {
 FAMILIES = {cls: name for name, (cls, _, _) in PROCESSES.items()}
 CT_PROCESSES = ("ct-poisson-bd", "ct-nb-bd")
 SUITES = ("theorem2", "theorem3", "poisson-coincidence")
-LAWS = ("poisson", "nb")
+# --law -> (law class, the settings that build it); theta follows as the scale
+LAWS = {"poisson": (Poisson, ()), "nb": (NegBinomial, ("p",))}
 FORMATS = ("csv", "jsonl")
 
 # Settings that may come from a flag or from a --config file, so they are
@@ -57,7 +58,7 @@ FORMATS = ("csv", "jsonl")
 CHOICES = {
     "process": tuple(PROCESSES),
     "suite": SUITES,
-    "law": LAWS,
+    "law": tuple(LAWS),
     "format": FORMATS,
 }
 REQUIRED = {
@@ -177,7 +178,7 @@ def build_parser():
     sim = sub.add_parser("simulate", help="simulate one trajectory")
     add_common(sim)
     sim.add_argument("--process", choices=tuple(PROCESSES), help="process to simulate (required)")
-    sim.add_argument("--law", choices=LAWS, help="marginal family for thinning/random-measure/iid/constant")
+    sim.add_argument("--law", choices=tuple(LAWS), help="marginal family for thinning/random-measure/iid/constant")
     sim.add_argument("--theta", type=float)
     sim.add_argument("--alpha", type=float)
     sim.add_argument("--p", type=float)
@@ -276,13 +277,9 @@ def _require(cfg, *names):
 
 def _marginal_law(cfg):
     _require(cfg, "law")
-    if cfg.law == "poisson":
-        _require(cfg, "theta")
-        return Poisson(), cfg.theta
-    if cfg.law == "nb":
-        _require(cfg, "theta", "p")
-        return NegBinomial(cfg.p), cfg.theta
-    raise ValueError("--law must be 'poisson' or 'nb' for this process")
+    cls, names = LAWS[cfg.law]
+    _require(cfg, "theta", *names)
+    return cls(*(getattr(cfg, name) for name in names)), cfg.theta
 
 
 def _build_spec(cfg):

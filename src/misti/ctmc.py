@@ -137,13 +137,6 @@ class EventPath:
         out = self.states[idx]
         return int(out) if out.ndim == 0 else out
 
-    def occupancy(self, kmax):
-        """Fraction of time spent in each state of {0..kmax}."""
-        durations = np.append(self.times[1:], self.horizon) - self.times
-        keep = self.states <= kmax
-        out = np.bincount(self.states[keep], durations[keep], minlength=kmax + 1)
-        return out / (self.horizon - self.times[0])
-
 
 def gillespie(model, x0, horizon, rng):
     """Event-driven simulation of the chain on [0, horizon] from state x0."""

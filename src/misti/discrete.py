@@ -26,22 +26,23 @@ thinning chain and shares its kernel and sampler.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .idlaw import (
-    GenericLevy,
     IDLaw,
     NegBinomial,
     Poisson,
+    _check_nonneg,
+    _check_rho,
     _ratio_pmf,
     id_pmf,
     id_sample,
     levy_masses,
     levy_total,
+    thinning_conditional,
 )
 from .tables import JointPMF, stabilize
 
@@ -79,22 +80,9 @@ __all__ = [
 ]
 
 
-def _check_rho(rho):
-    if not 0.0 < rho < 1.0:
-        raise ValueError(
-            f"rho must lie strictly in (0,1), got {rho}; "
-            "rho=0 is the iid case and rho=1 the constant case"
-        )
-
-
 def _check_positive(name, value):
     if not (value > 0.0 and math.isfinite(value)):
         raise ValueError(f"{name} must be positive and finite, got {value}")
-
-
-def _check_nonneg(name, value):
-    if not (value >= 0.0 and math.isfinite(value)):
-        raise ValueError(f"{name} must be >= 0 and finite, got {value}")
 
 
 def _check_prob(name, value):
@@ -279,30 +267,6 @@ class Trajectory:
 # thinning construction
 # ---------------------------------------------------------------------------
 
-def thinning_conditional(law, theta, rho, x):
-    """Conditional pmf on {0..x} of the shared component given state x.
-
-    Entry xi is mu^{rho theta}(xi) mu^{(1-rho) theta}(x - xi) / mu^theta(x).
-    The normaliser is the sum of the numerators over {0..x}, which equals
-    mu^theta(x) by the convolution identity mu^theta = mu^{rho theta} *
-    mu^{(1-rho) theta}; summing them makes the row total 1 to rounding
-    (x = 0 gives exactly [1.0]) where dividing by a separately computed
-    mu^theta(x) would leave it off by a few ulps.
-    """
-    _check_nonneg("theta", theta)
-    _check_rho(rho)
-    if x < 0 or int(x) != x:
-        raise ValueError(f"conditioning value must be a nonnegative integer, got {x}")
-    x = int(x)
-    shared = id_pmf(law, rho * theta, x)
-    rest = id_pmf(law, (1.0 - rho) * theta, x)
-    joint = shared * rest[::-1]
-    px = joint.sum()
-    if not px > 0.0:
-        raise ValueError(f"conditioning value {x} has zero probability")
-    return joint / px
-
-
 def thinning_transition(law, theta, rho, x, y):
     """One-step transition probability q(y | x) of the thinning chain."""
     if y < 0 or int(y) != y:
@@ -317,8 +281,10 @@ def thinning_transition(law, theta, rho, x, y):
 def thinning_transition_matrix(law, theta, rho, kmax):
     """Transition rows q(y | x) for x, y in {0..kmax} (exact finite sums).
 
-    Rows for states with zero marginal probability (possible only for the
-    degenerate empty-jump law) are set to stay put.
+    Rows for states with zero marginal probability are set to stay put when
+    the law has no jumps at this scale (then every x > 0 has probability 0);
+    for any other law the probability has underflowed, and a stay-put row
+    would be a wrong answer, so that raises.
     """
     _check_nonneg("theta", theta)
     _check_rho(rho)
@@ -330,39 +296,18 @@ def thinning_transition_matrix(law, theta, rho, kmax):
         px = joint.sum()  # = mu^theta(x), as in thinning_conditional
         if px > 0.0:
             rows[x] = np.convolve(joint / px, innov)[: kmax + 1]
-        else:
+        elif levy_total(law, theta) == 0.0:
             rows[x, x] = 1.0
+        else:
+            raise ValueError(f"state {x} underflows to probability 0 at theta={theta}, rho={rho}")
     return rows
-
-
-def _thinning_keeper(law, theta, rho, size, rng):
-    """keep(x, i): the shared component of step i from a state x >= 1.  The
-    draws that do not depend on x are made here, one call for all steps."""
-    binomial = rng.binomial
-    if isinstance(law, Poisson):
-        return lambda x, i: binomial(x, rho)
-    if isinstance(law, NegBinomial):
-        # beta-binomial mixture, sampled exactly as binomial with beta prob
-        probs = rng.beta(theta * rho, theta * (1.0 - rho), size).tolist()
-        return lambda x, i: binomial(x, probs[i])
-    uniforms = rng.random(size).tolist()
-    cdfs = {}
-
-    def keep(x, i):
-        if x not in cdfs:
-            cdfs[x] = np.cumsum(thinning_conditional(law, theta, rho, x)).tolist()
-        # a uniform above the rounded top of the CDF row keeps all x
-        return min(bisect.bisect_left(cdfs[x], uniforms[i]), x)
-
-    return keep
 
 
 def simulate_thinning(law, theta, rho, t0, n, rng):
     """Simulate n steps of the stationary thinning chain starting at time t0.
 
     The innovations come from one ``id_sample`` call and the state-free part
-    of the shared components from another (``_thinning_keeper``); a generic
-    law's conditional CDF rows are cached by state.
+    of the shared components from another, made by ``law.keeper``.
     """
     _check_nonneg("theta", theta)
     _check_rho(rho)
@@ -372,7 +317,7 @@ def simulate_thinning(law, theta, rho, t0, n, rng):
         return Trajectory(t0, np.zeros(n, dtype=np.int64))
     x = int(id_sample(law, theta, rng))
     innovations = id_sample(law, (1.0 - rho) * theta, rng, size=n - 1).tolist()
-    keep = _thinning_keeper(law, theta, rho, n - 1, rng)
+    keep = law.keeper(theta, rho, n - 1, rng)
     values = [x]
     for i, z in enumerate(innovations):
         x = (keep(x, i) if x else 0) + z
@@ -572,7 +517,9 @@ def branching_nb_transition_matrix(alpha, p, rho, kmax):
     _check_rho(rho)
     bprob, succ = _nb_branching_probs(p, rho)
     rows = np.zeros((kmax + 1, kmax + 1))
-    innovs = [id_pmf(NegBinomial(succ), alpha + y, kmax) for y in range(kmax + 1)]
+    # for rho near 1, p / (1 - rho q) can round to 1: the innovation is then the point mass at 0
+    point = np.eye(kmax + 1)[0]
+    innovs = [id_pmf(NegBinomial(succ), alpha + y, kmax) if succ < 1.0 else point for y in range(kmax + 1)]
     for x in range(kmax + 1):
         binpmf = _binomial_pmf(x, bprob)
         for y in range(x + 1):

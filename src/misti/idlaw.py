@@ -14,10 +14,20 @@ running sums of the log ratios anchored at the exact log P(0) =
 
 Every member is compound Poisson: Poisson(levy_total(law, theta)) jumps,
 each drawn by ``law.jumps(rng, size)`` from the normalised jump masses.
+
+Each law class owns its formulas for arguments already checked: ``levy``,
+``total``, ``pmf``, ``pgf`` and ``sample`` of the scale-theta member, and
+``keeper(theta, rho, size, rng)``, its split mu^theta = mu^{rho theta} *
+mu^{(1-rho) theta} for the thinning chains: it makes the draws of ``size``
+steps that do not depend on the state, one call for all, and returns
+keep(x, i), the shared component of step i from a state x >= 1.  The module
+functions check their arguments, take the theta = 0 shortcuts and call the
+method.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -41,6 +51,29 @@ __all__ = [
 class Poisson:
     """Poisson family: scale theta is the mean; all jump mass sits at size 1."""
 
+    def levy(self, theta, jmax):
+        out = np.zeros(jmax)
+        out[0] = theta
+        return out
+
+    def total(self, theta):
+        return float(theta)
+
+    def pmf(self, theta, kmax):
+        k = np.arange(kmax)
+        return _ratio_pmf(-self.total(theta), np.log(theta / (k + 1)))
+
+    def pgf(self, theta, z):
+        return np.exp(theta * (z - 1.0))
+
+    def sample(self, theta, rng, size):
+        return rng.poisson(theta, size)
+
+    def keeper(self, theta, rho, size, rng):
+        """The shared part given x is Binomial(x, rho), with no state-free draws."""
+        binomial = rng.binomial
+        return lambda x, i: binomial(x, rho)
+
     def jumps(self, rng, size):
         """``size`` jump sizes from the normalised jump masses: all ones."""
         return np.ones(size, dtype=np.int64)
@@ -59,6 +92,31 @@ class NegBinomial:
     def __post_init__(self):
         if not 0.0 < self.p < 1.0:
             raise ValueError(f"success probability must lie in (0,1), got {self.p}")
+
+    def levy(self, theta, jmax):
+        j = np.arange(1, jmax + 1)
+        return theta * (1.0 - self.p) ** j / j
+
+    def total(self, theta):
+        return -theta * math.log(self.p)
+
+    def pmf(self, theta, kmax):
+        k = np.arange(kmax)
+        return _ratio_pmf(-self.total(theta), np.log((theta + k) * (1.0 - self.p) / (k + 1)))
+
+    def pgf(self, theta, z):
+        q = 1.0 - self.p
+        return np.exp(theta * (math.log(self.p) - np.log1p(-q * z)))
+
+    def sample(self, theta, rng, size):
+        return rng.negative_binomial(theta, self.p, size)
+
+    def keeper(self, theta, rho, size, rng):
+        """The shared part given x is beta-binomial, sampled exactly as
+        Binomial(x, B) with B ~ Beta(rho theta, (1 - rho) theta), one B per step."""
+        binomial = rng.binomial
+        probs = rng.beta(theta * rho, theta * (1.0 - rho), size).tolist()
+        return lambda x, i: binomial(x, probs[i])
 
     def jumps(self, rng, size):
         """``size`` jump sizes from the normalised jump masses q^j / (j log(1/p)):
@@ -92,6 +150,48 @@ class GenericLevy:
             raise ValueError("a nonzero jump-mass table needs positive mass at jump size 1")
         object.__setattr__(self, "nu", tuple(clean))
 
+    def levy(self, theta, jmax):
+        out = np.zeros(jmax)
+        for j, mass in self.nu:
+            if j <= jmax:
+                out[j - 1] = theta * mass
+        return out
+
+    def total(self, theta):
+        return theta * sum(m for _, m in self.nu)
+
+    def pmf(self, theta, kmax):
+        return pmf_from_levy(self.levy(theta, max(kmax, 1)), self.total(theta), kmax)
+
+    def pgf(self, theta, z):
+        expo = np.zeros_like(z)
+        for j, mass in self.nu:
+            expo = expo + theta * mass * (z**j - 1.0)
+        return np.exp(expo)
+
+    def sample(self, theta, rng, size):
+        counts = rng.poisson(self.total(theta), size)
+        draws = self.jumps(rng, int(np.sum(counts)))
+        if size is None:
+            return int(draws.sum())
+        owner = np.repeat(np.arange(np.size(counts)), np.ravel(counts))
+        sums = np.bincount(owner, weights=draws, minlength=np.size(counts))
+        return sums.astype(np.int64).reshape(np.shape(counts))
+
+    def keeper(self, theta, rho, size, rng):
+        """The shared part given x by inversion of one uniform per step; the
+        CDF rows of ``thinning_conditional`` are cached by state."""
+        uniforms = rng.random(size).tolist()
+        cdfs = {}
+
+        def keep(x, i):
+            if x not in cdfs:
+                cdfs[x] = np.cumsum(thinning_conditional(self, theta, rho, x)).tolist()
+            # a uniform above the rounded top of the CDF row keeps all x
+            return min(bisect.bisect_left(cdfs[x], uniforms[i]), x)
+
+        return keep
+
     def jumps(self, rng, size):
         """``size`` jump sizes from the normalised jump masses."""
         if not self.nu:
@@ -103,42 +203,31 @@ class GenericLevy:
 IDLaw = Poisson | NegBinomial | GenericLevy
 
 
-def _check_theta(theta):
-    if not (theta >= 0.0 and math.isfinite(theta)):
-        raise ValueError(f"semigroup scale must be finite and >= 0, got {theta}")
+def _check_nonneg(name, value):
+    if not (value >= 0.0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be >= 0 and finite, got {value}")
+
+
+def _check_rho(rho):
+    if not 0.0 < rho < 1.0:
+        raise ValueError(
+            f"rho must lie strictly in (0,1), got {rho}; "
+            "rho=0 is the iid case and rho=1 the constant case"
+        )
 
 
 def levy_masses(law, theta, jmax):
     """Jump masses (nu_1, ..., nu_jmax) of the scale-theta member."""
-    _check_theta(theta)
+    _check_nonneg("theta", theta)
     if jmax < 1:
         raise ValueError(f"jmax must be >= 1, got {jmax}")
-    if isinstance(law, Poisson):
-        out = np.zeros(jmax)
-        out[0] = theta
-        return out
-    if isinstance(law, NegBinomial):
-        j = np.arange(1, jmax + 1)
-        return theta * (1.0 - law.p) ** j / j
-    if isinstance(law, GenericLevy):
-        out = np.zeros(jmax)
-        for j, mass in law.nu:
-            if j <= jmax:
-                out[j - 1] = theta * mass
-        return out
-    raise TypeError(f"not an ID law: {law!r}")
+    return law.levy(theta, jmax)
 
 
 def levy_total(law, theta):
     """Total jump mass of the scale-theta member (exact, no truncation)."""
-    _check_theta(theta)
-    if isinstance(law, Poisson):
-        return float(theta)
-    if isinstance(law, NegBinomial):
-        return -theta * math.log(law.p)
-    if isinstance(law, GenericLevy):
-        return theta * sum(m for _, m in law.nu)
-    raise TypeError(f"not an ID law: {law!r}")
+    _check_nonneg("theta", theta)
+    return law.total(theta)
 
 
 def pmf_from_levy(masses, total, kmax):
@@ -167,60 +256,53 @@ def _ratio_pmf(log_p0, log_ratios):
 
 def id_pmf(law, theta, kmax):
     """pmf of the scale-theta member on {0..kmax}."""
-    _check_theta(theta)
+    _check_nonneg("theta", theta)
     if kmax < 0:
         raise ValueError(f"kmax must be >= 0, got {kmax}")
     if theta == 0.0:
         out = np.zeros(kmax + 1)
         out[0] = 1.0
         return out
-    k = np.arange(kmax)
-    if isinstance(law, Poisson):
-        return _ratio_pmf(-levy_total(law, theta), np.log(theta / (k + 1)))
-    if isinstance(law, NegBinomial):
-        return _ratio_pmf(-levy_total(law, theta), np.log((theta + k) * (1.0 - law.p) / (k + 1)))
-    if isinstance(law, GenericLevy):
-        nu = levy_masses(law, theta, max(kmax, 1))
-        return pmf_from_levy(nu, levy_total(law, theta), kmax)
-    raise TypeError(f"not an ID law: {law!r}")
+    return law.pmf(theta, kmax)
 
 
 def id_pgf(law, theta, z):
     """Probability generating function of the scale-theta member at z in [0,1]."""
-    _check_theta(theta)
+    _check_nonneg("theta", theta)
     z = np.asarray(z, dtype=float)
     if np.any(z < 0.0) or np.any(z > 1.0):
         raise ValueError("pgf argument must lie in [0,1]")
-    if isinstance(law, Poisson):
-        val = np.exp(theta * (z - 1.0))
-    elif isinstance(law, NegBinomial):
-        q = 1.0 - law.p
-        val = np.exp(theta * (math.log(law.p) - np.log1p(-q * z)))
-    elif isinstance(law, GenericLevy):
-        expo = np.zeros_like(z)
-        for j, mass in law.nu:
-            expo = expo + theta * mass * (z**j - 1.0)
-        val = np.exp(expo)
-    else:
-        raise TypeError(f"not an ID law: {law!r}")
+    val = law.pgf(theta, z)
     return float(val) if val.ndim == 0 else val
 
 
 def id_sample(law, theta, rng, size=None):
     """Draw from the scale-theta member using a caller-owned numpy Generator."""
-    _check_theta(theta)
+    _check_nonneg("theta", theta)
     if theta == 0.0:
         return 0 if size is None else np.zeros(size, dtype=np.int64)
-    if isinstance(law, Poisson):
-        return rng.poisson(theta, size)
-    if isinstance(law, NegBinomial):
-        return rng.negative_binomial(theta, law.p, size)
-    if isinstance(law, GenericLevy):
-        counts = rng.poisson(levy_total(law, theta), size)
-        draws = law.jumps(rng, int(np.sum(counts)))
-        if size is None:
-            return int(draws.sum())
-        owner = np.repeat(np.arange(np.size(counts)), np.ravel(counts))
-        sums = np.bincount(owner, weights=draws, minlength=np.size(counts))
-        return sums.astype(np.int64).reshape(np.shape(counts))
-    raise TypeError(f"not an ID law: {law!r}")
+    return law.sample(theta, rng, size)
+
+
+def thinning_conditional(law, theta, rho, x):
+    """Conditional pmf on {0..x} of the shared component given state x.
+
+    Entry xi is mu^{rho theta}(xi) mu^{(1-rho) theta}(x - xi) / mu^theta(x).
+    The normaliser is the sum of the numerators over {0..x}, which equals
+    mu^theta(x) by the convolution identity mu^theta = mu^{rho theta} *
+    mu^{(1-rho) theta}; summing them makes the row total 1 to rounding
+    (x = 0 gives exactly [1.0]) where dividing by a separately computed
+    mu^theta(x) would leave it off by a few ulps.
+    """
+    _check_nonneg("theta", theta)
+    _check_rho(rho)
+    if x < 0 or int(x) != x:
+        raise ValueError(f"conditioning value must be a nonnegative integer, got {x}")
+    x = int(x)
+    shared = id_pmf(law, rho * theta, x)
+    rest = id_pmf(law, (1.0 - rho) * theta, x)
+    joint = shared * rest[::-1]
+    px = joint.sum()
+    if not px > 0.0:
+        raise ValueError(f"conditioning value {x} has zero probability")
+    return joint / px

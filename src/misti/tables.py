@@ -60,8 +60,12 @@ def stabilize(build, kmax, block_tol):
     buffer, block = max(8, kmax // 2), None
     while True:
         big = build(kmax + buffer)
-        if block is not None and np.max(np.abs(big - block)) <= block_tol:
+        change = np.inf if block is None else np.max(np.abs(big - block))
+        if change <= block_tol:
             return big
         if buffer > 4096:
-            raise RuntimeError("state-space buffer failed to converge")
+            raise RuntimeError(
+                f"state-space buffer failed to converge for kmax={kmax}: at lattice bound "
+                f"{kmax + buffer} the block still moved by {change:.3g} (tolerance {block_tol:.3g})"
+            )
         block, buffer = big, buffer * 2

@@ -34,7 +34,7 @@ from misti.discrete import (
     thinning_transition_matrix,
 )
 from misti.idlaw import GenericLevy, NegBinomial, Poisson, id_pmf, id_sample
-from misti.verify import autocorr_mc, chain_joint_pmf
+from misti.verify import autocorr_mc, chain_joint_pmf, reversibility_violation
 
 NB = NegBinomial(0.5)
 
@@ -72,6 +72,20 @@ def test_thinning_conditional_sums_to_one():
 def test_thinning_conditional_rejects_zero_probability_value():
     with pytest.raises(ValueError):
         thinning_conditional(GenericLevy({}), 1.0, 0.5, 2)
+
+
+@pytest.mark.parametrize(
+    "law, theta, rho, kmax, x", [(Poisson(), 1000.0, 0.99, 20, 0), (NB, 2.0, 0.6, 1200, 1076)]
+)
+def test_thinning_rows_whose_normaliser_underflows_raise(law, theta, rho, kmax, x):
+    # a stay-put row would claim P(x | x) = 1: for the Poisson one the true
+    # P(5 | 5) is 6.7e-5, and the NB rows underflow from x = 1076 on
+    with pytest.raises(ValueError, match=rf"state {x} .* theta={theta}, rho={rho}"):
+        Thinning(law, theta, rho).kernel(1, kmax)
+
+
+def test_thinning_rows_of_the_law_without_jumps_stay_put():
+    assert np.array_equal(Thinning(GenericLevy(()), 1.0, 0.5).kernel(1, 4), np.eye(5))
 
 
 def test_thinning_transition_matrix_matches_pointwise_kernel():
@@ -523,6 +537,19 @@ def test_kernel_at_underflowing_rho_power_is_iid(spec):
     want = spec.marginal(5)
     for kernel in (spec.kernel(300, 5), chain_joint_pmf(spec, (0, 300), 5).table / want[:, None]):
         assert np.abs(kernel - want).max() <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "p, rho", [(0.5, 1 - 2**-53), (0.9, 1 - 2**-53), (0.99, 1 - 2**-53), (0.99, 1 - 1e-15)]
+)
+def test_branching_nb_kernel_at_rho_near_one(p, rho):
+    # p / (1 - rho q) rounds to 1.0, so the innovation is the point mass at 0;
+    # the exact kernel is within (x + alpha + y)(1 - rho)/p of the identity
+    spec = BranchingNB(2.0, p, rho)
+    kernel = spec.kernel(1, 20)
+    assert np.abs(kernel - np.eye(21)).max() <= 1e-13
+    violation, _ = reversibility_violation(spec.marginal(20), kernel)
+    assert violation <= 1e-12
 
 
 def _nb_branching_rows(alpha, p, rho, kmax, binomial_pmf):

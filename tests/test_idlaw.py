@@ -14,6 +14,7 @@ from misti.idlaw import (
     levy_masses,
     levy_total,
     pmf_from_levy,
+    thinning_conditional,
 )
 
 LAWS = [Poisson(), NegBinomial(0.5), NegBinomial(0.8), GenericLevy({1: 0.7, 3: 0.2})]
@@ -150,12 +151,20 @@ def test_id_sample_generic_levy_mean():
     assert abs(draws.mean() - mean) <= 3 * draws.std() / math.sqrt(draws.size)
 
 
-def test_id_sample_matches_pmf():
+@pytest.mark.parametrize("law", [*LAWS, GenericLevy({1: 0.6, 2: 0.4})])
+def test_id_sample_matches_pmf(law):
     rng = np.random.default_rng(5)
-    law = GenericLevy({1: 0.6, 2: 0.4})
     draws = id_sample(law, 1.2, rng, size=20000)
     pmf = id_pmf(law, 1.2, 20)
     assert chi2_gof_pvalue(draws, pmf) > 0.001
+
+
+@pytest.mark.parametrize("law", LAWS)
+def test_keeper_draws_from_the_thinning_conditional(law):
+    # the state-free draws of 20000 steps, each step then kept from x = 6
+    keep = law.keeper(1.5, 0.6, 20000, np.random.default_rng(13))
+    draws = [keep(6, i) for i in range(20000)]
+    assert chi2_gof_pvalue(draws, thinning_conditional(law, 1.5, 0.6, 6)) > 0.001
 
 
 @pytest.mark.parametrize("law", LAWS)

@@ -20,6 +20,7 @@ from misti.discrete import (
 )
 from misti.idlaw import GenericLevy, NegBinomial, Poisson, id_pmf, levy_masses
 from misti.series import ts_eval, ts_from_joint_pmf
+from misti.tables import stabilize
 from misti.verify import (
     VerifyReport,
     autocorr_exact,
@@ -97,6 +98,13 @@ def test_chain_joint_pmf_ct_restriction():
     ct = chain_joint_pmf(PoissonBD(1.0, LAM), (0, 1, 2), 20)
     disc = chain_joint_pmf(BranchingPoisson(1.0, 0.5), (0, 1, 2), 20)
     assert np.max(np.abs(ct.table - disc.table)) <= 1e-9
+
+
+def test_stabilize_failure_names_its_last_round():
+    # the block is the lattice bound itself, so it moves by the last doubling
+    want = r"kmax=3: at lattice bound 8195 the block still moved by 4.1e\+03 \(tolerance 1e-13\)"
+    with pytest.raises(RuntimeError, match=want):
+        stabilize(lambda k: np.full((1, 1), float(k)), 3, 1e-13)
 
 
 # ---------------------------------------------------------------------------
