@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -33,7 +34,7 @@ from .discrete import (
     simulate_chain,
 )
 from .idlaw import id_pmf
-from .verify import chain_joint_pmf, check_markov_triple, check_mvid, VerifyReport
+from .verify import VerifyReport, _worst, chain_joint_pmf, check_markov_triple, check_mvid
 
 # process -> (spec class, takes a --law marginal, the settings that follow it)
 PROCESSES = {
@@ -48,16 +49,53 @@ PROCESSES = {
 }
 FAMILIES = {cls: name for name, (cls, _, _) in PROCESSES.items()}
 CT_PROCESSES = ("ct-poisson-bd", "ct-nb-bd")
-SUITES = ("theorem2", "theorem3", "poisson-coincidence")
 # --law -> (law class, the settings that build it); theta follows as the scale
 LAWS = {"poisson": (Poisson, ()), "nb": (NegBinomial, ("p",))}
+
+
+def _mvid(degree, table):
+    return check_mvid(table, degree)
+
+
+def _markov(degree, table):
+    return check_markov_triple(table)
+
+
+def _coincide(degree, a, b):
+    return VerifyReport("tables-coincide-poisson", *_worst(np.abs(a.table - b.table)), 1e-10)
+
+
+# suite -> rows (label, check, the specs whose (0, 1, 2) tables it reads, as a
+# function of (theta, p, rho), expected pass)
+SUITES = {
+    "theorem2": (
+        ("mvid-thinning-nb", _mvid, lambda t, p, r: [Thinning(NegBinomial(p), t, r)], False),
+        ("mvid-branching-nb", _mvid, lambda t, p, r: [BranchingNB(t, p, r)], True),
+        ("mvid-branching-poisson", _mvid, lambda t, p, r: [BranchingPoisson(t, r)], True),
+    ),
+    "theorem3": (
+        ("markov-rm-nb", _markov, lambda t, p, r: [RandomMeasure(NegBinomial(p), t, r)], False),
+        ("markov-rm-poisson", _markov, lambda t, p, r: [RandomMeasure(Poisson(), t, r)], True),
+        ("markov-thinning-nb", _markov, lambda t, p, r: [Thinning(NegBinomial(p), t, r)], True),
+    ),
+    "poisson-coincidence": (
+        (
+            "tables-coincide-poisson",
+            _coincide,
+            lambda t, p, r: [Thinning(Poisson(), t, r), RandomMeasure(Poisson(), t, r)],
+            True,
+        ),
+        ("markov-rm-poisson", _markov, lambda t, p, r: [RandomMeasure(Poisson(), t, r)], True),
+        ("mvid-rm-poisson", _mvid, lambda t, p, r: [RandomMeasure(Poisson(), t, r)], True),
+    ),
+}
 FORMATS = ("csv", "jsonl")
 
 # Settings that may come from a flag or from a --config file, so they are
 # checked after the merge rather than by argparse.
 CHOICES = {
     "process": tuple(PROCESSES),
-    "suite": SUITES,
+    "suite": tuple(SUITES),
     "law": tuple(LAWS),
     "format": FORMATS,
 }
@@ -198,7 +236,7 @@ def build_parser():
 
     ver = sub.add_parser("verify", help="run a named check suite with expected polarities")
     add_common(ver)
-    ver.add_argument("--suite", choices=SUITES, help="check suite to run (required)")
+    ver.add_argument("--suite", choices=tuple(SUITES), help="check suite to run (required)")
     ver.add_argument("--theta", type=float)
     ver.add_argument("--p", type=float)
     ver.add_argument("--rho", type=float)
@@ -289,7 +327,18 @@ def _build_spec(cfg):
     return cls(*lead, *(getattr(cfg, name) for name in names))
 
 
+def _refuse(cfg, *names):
+    """Reject the named settings where they differ from their defaults."""
+    for name in names:
+        if getattr(cfg, name) != getattr(RunConfig, name):
+            raise ValueError(f"--{name} does not apply to --process {cfg.process}")
+
+
 def cmd_simulate(cfg):
+    if cfg.process in CT_PROCESSES:
+        _refuse(cfg, "steps", "times", "t0")
+    else:
+        _refuse(cfg, "x0", "horizon", *(() if cfg.process == "random-measure" else ("times",)))
     rng = np.random.default_rng(cfg.seed)
     spec = _build_spec(cfg)
     if cfg.process in CT_PROCESSES:
@@ -364,64 +413,16 @@ def cmd_table(cfg):
 
 
 def _suite_checks(cfg):
-    """(label, report, expected_pass) triples for the named suite."""
+    """(label, report, expected_pass) triples for the named suite; each joint
+    table is built once, however many checks read it."""
     theta = cfg.theta if cfg.theta is not None else 1.0
     p = cfg.p if cfg.p is not None else 0.5
     rho = cfg.rho if cfg.rho is not None else 0.5
-    k, d = cfg.k, cfg.degree
-    times = (0, 1, 2)
-    if cfg.suite == "theorem2":
-        nb = NegBinomial(p)
-        return [
-            (
-                "mvid-thinning-nb",
-                check_mvid(chain_joint_pmf(Thinning(nb, theta, rho), times, k), d),
-                False,
-            ),
-            (
-                "mvid-branching-nb",
-                check_mvid(chain_joint_pmf(BranchingNB(theta, p, rho), times, k), d),
-                True,
-            ),
-            (
-                "mvid-branching-poisson",
-                check_mvid(chain_joint_pmf(BranchingPoisson(theta, rho), times, k), d),
-                True,
-            ),
-        ]
-    if cfg.suite == "theorem3":
-        nb = NegBinomial(p)
-        return [
-            (
-                "markov-rm-nb",
-                check_markov_triple(chain_joint_pmf(RandomMeasure(nb, theta, rho), times, k)),
-                False,
-            ),
-            (
-                "markov-rm-poisson",
-                check_markov_triple(
-                    chain_joint_pmf(RandomMeasure(Poisson(), theta, rho), times, k)
-                ),
-                True,
-            ),
-            (
-                "markov-thinning-nb",
-                check_markov_triple(chain_joint_pmf(Thinning(nb, theta, rho), times, k)),
-                True,
-            ),
-        ]
-    if cfg.suite == "poisson-coincidence":
-        thin = chain_joint_pmf(Thinning(Poisson(), theta, rho), times, k)
-        rand = chain_joint_pmf(RandomMeasure(Poisson(), theta, rho), times, k)
-        diff = np.abs(thin.table - rand.table)
-        witness = tuple(int(i) for i in np.unravel_index(diff.argmax(), diff.shape))
-        coincide = VerifyReport("tables-coincide-poisson", float(diff.max()), witness, 1e-10)
-        return [
-            ("tables-coincide-poisson", coincide, True),
-            ("markov-rm-poisson", check_markov_triple(rand), True),
-            ("mvid-rm-poisson", check_mvid(rand, d), True),
-        ]
-    raise ValueError(f"unknown suite {cfg.suite!r}")
+    table = functools.cache(lambda spec: chain_joint_pmf(spec, (0, 1, 2), cfg.k))
+    return [
+        (label, check(cfg.degree, *map(table, specs(theta, p, rho))), expected)
+        for label, check, specs, expected in SUITES[cfg.suite]
+    ]
 
 
 def cmd_verify(cfg):

@@ -37,7 +37,8 @@ from .idlaw import (
     Poisson,
     _check_nonneg,
     _check_rho,
-    _ratio_pmf,
+    _ratio_log_pmf,
+    _thinning_split,
     id_pmf,
     id_sample,
     levy_masses,
@@ -278,29 +279,34 @@ def thinning_transition(law, theta, rho, x, y):
     return float(np.dot(cond[: m + 1], innov[y - np.arange(m + 1)]))
 
 
+def _survivors_then_additions(survivors, additions):
+    """Kernel rows sum_s survivors[x, s] additions[s, y - s] on {0..kmax}: s
+    units of state x survive, then a draw from the pmf additions[s] (one row
+    per s, or one pmf for every s) joins them."""
+    n = len(survivors)
+    lag = np.arange(n) - np.arange(n)[:, None]  # y - s
+    added = np.broadcast_to(additions, (n, n))[np.arange(n)[:, None], np.maximum(lag, 0)]
+    return survivors @ np.where(lag >= 0, added, 0.0)
+
+
 def thinning_transition_matrix(law, theta, rho, kmax):
-    """Transition rows q(y | x) for x, y in {0..kmax} (exact finite sums).
+    """Transition rows q(y | x) for x, y in {0..kmax} (exact finite sums): the
+    rows of the thinning split, then the innovation.
 
     Rows for states with zero marginal probability are set to stay put when
     the law has no jumps at this scale (then every x > 0 has probability 0);
-    for any other law the probability has underflowed, and a stay-put row
+    for any other law a pmf of the split has underflowed, and a stay-put row
     would be a wrong answer, so that raises.
     """
     _check_nonneg("theta", theta)
     _check_rho(rho)
-    shared = id_pmf(law, rho * theta, kmax)
-    innov = id_pmf(law, (1.0 - rho) * theta, kmax)
-    rows = np.zeros((kmax + 1, kmax + 1))
-    for x in range(kmax + 1):
-        joint = shared[: x + 1] * innov[x :: -1]
-        px = joint.sum()  # = mu^theta(x), as in thinning_conditional
-        if px > 0.0:
-            rows[x] = np.convolve(joint / px, innov)[: kmax + 1]
-        elif levy_total(law, theta) == 0.0:
-            rows[x, x] = 1.0
-        else:
-            raise ValueError(f"state {x} underflows to probability 0 at theta={theta}, rho={rho}")
-    return rows
+    split = _thinning_split(law, theta, rho, kmax)
+    zero = np.isnan(split[:, 0])
+    if zero.any() and levy_total(law, theta) > 0.0:
+        x = int(np.argmax(zero))
+        raise ValueError(f"state {x} underflows to probability 0 at theta={theta}, rho={rho}")
+    split[zero] = np.eye(kmax + 1)[zero]
+    return _survivors_then_additions(split, id_pmf(law, (1.0 - rho) * theta, kmax))
 
 
 def simulate_thinning(law, theta, rho, t0, n, rng):
@@ -332,7 +338,7 @@ def beta_binomial_pmf(x, a, b):
         raise ValueError(f"count must be a nonnegative integer, got {x}")
     k = np.arange(int(x))
     log_p0 = np.sum(np.log((b + k) / (a + b + k)))
-    return _ratio_pmf(log_p0, np.log((x - k) * (a + k) / ((k + 1) * (b + x - k - 1))))
+    return np.exp(_ratio_log_pmf(log_p0, np.log((x - k) * (a + k) / ((k + 1) * (b + x - k - 1)))))
 
 
 # ---------------------------------------------------------------------------
@@ -516,17 +522,14 @@ def branching_nb_transition_matrix(alpha, p, rho, kmax):
     _check_prob("p", p)
     _check_rho(rho)
     bprob, succ = _nb_branching_probs(p, rho)
-    rows = np.zeros((kmax + 1, kmax + 1))
-    # for rho near 1, p / (1 - rho q) can round to 1: the innovation is then the point mass at 0
-    point = np.eye(kmax + 1)[0]
-    innovs = [id_pmf(NegBinomial(succ), alpha + y, kmax) if succ < 1.0 else point for y in range(kmax + 1)]
+    survivors = np.zeros((kmax + 1, kmax + 1))
     for x in range(kmax + 1):
-        binpmf = _binomial_pmf(x, bprob)
-        for y in range(x + 1):
-            if binpmf[y] == 0.0:
-                continue
-            rows[x, y:] += binpmf[y] * innovs[y][: kmax + 1 - y]
-    return rows
+        survivors[x, : x + 1] = _binomial_pmf(x, bprob)
+    # for rho near 1, p / (1 - rho q) can round to 1: the innovation is then the point mass at 0
+    if succ >= 1.0:
+        return _survivors_then_additions(survivors, np.eye(kmax + 1)[0])
+    innovs = [id_pmf(NegBinomial(succ), alpha + y, kmax) for y in range(kmax + 1)]
+    return _survivors_then_additions(survivors, np.array(innovs))
 
 
 def simulate_chain(spec, t0, n, rng):

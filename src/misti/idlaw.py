@@ -8,21 +8,25 @@ call so the semigroup structure stays explicit.
 
 The Poisson and negative binomial pmfs follow first-order ratio recursions
 (Panjer's (a, b, 0) class): P(k+1)/P(k) = theta/(k+1) for Poisson and
-(theta+k) q/(k+1) for NB(theta, p), q = 1 - p.  ``id_pmf`` exponentiates the
+(theta+k) q/(k+1) for NB(theta, p), q = 1 - p.  Their ``log_pmf`` is the
 running sums of the log ratios anchored at the exact log P(0) =
--levy_total(law, theta), i.e. -theta and theta log p.
+-levy_total(law, theta), i.e. -theta and theta log p, and ``pmf`` its exp.
 
 Every member is compound Poisson: Poisson(levy_total(law, theta)) jumps,
 each drawn by ``law.jumps(rng, size)`` from the normalised jump masses.
 
 Each law class owns its formulas for arguments already checked: ``levy``,
-``total``, ``pmf``, ``pgf`` and ``sample`` of the scale-theta member, and
+``total``, ``pmf``, ``log_pmf``, ``pgf`` and ``sample`` of the scale-theta
+member, and
 ``keeper(theta, rho, size, rng)``, its split mu^theta = mu^{rho theta} *
 mu^{(1-rho) theta} for the thinning chains: it makes the draws of ``size``
 steps that do not depend on the state, one call for all, and returns
 keep(x, i), the shared component of step i from a state x >= 1.  The module
 functions check their arguments, take the theta = 0 shortcuts and call the
-method.
+method.  The conditional pmfs of the split given the state, which the
+thinning kernels and ``thinning_conditional`` read, come from one routine
+over the ``log_pmf`` of the two scales, so they stay representable where
+mu^theta(x) underflows.
 """
 
 from __future__ import annotations
@@ -59,9 +63,12 @@ class Poisson:
     def total(self, theta):
         return float(theta)
 
-    def pmf(self, theta, kmax):
+    def log_pmf(self, theta, kmax):
         k = np.arange(kmax)
-        return _ratio_pmf(-self.total(theta), np.log(theta / (k + 1)))
+        return _ratio_log_pmf(-self.total(theta), np.log(theta / (k + 1)))
+
+    def pmf(self, theta, kmax):
+        return np.exp(self.log_pmf(theta, kmax))
 
     def pgf(self, theta, z):
         return np.exp(theta * (z - 1.0))
@@ -100,9 +107,12 @@ class NegBinomial:
     def total(self, theta):
         return -theta * math.log(self.p)
 
-    def pmf(self, theta, kmax):
+    def log_pmf(self, theta, kmax):
         k = np.arange(kmax)
-        return _ratio_pmf(-self.total(theta), np.log((theta + k) * (1.0 - self.p) / (k + 1)))
+        return _ratio_log_pmf(-self.total(theta), np.log((theta + k) * (1.0 - self.p) / (k + 1)))
+
+    def pmf(self, theta, kmax):
+        return np.exp(self.log_pmf(theta, kmax))
 
     def pgf(self, theta, z):
         q = 1.0 - self.p
@@ -162,6 +172,10 @@ class GenericLevy:
 
     def pmf(self, theta, kmax):
         return pmf_from_levy(self.levy(theta, max(kmax, 1)), self.total(theta), kmax)
+
+    def log_pmf(self, theta, kmax):
+        with np.errstate(divide="ignore"):
+            return np.log(self.pmf(theta, kmax))
 
     def pgf(self, theta, z):
         expo = np.zeros_like(z)
@@ -249,9 +263,9 @@ def pmf_from_levy(masses, total, kmax):
     return p
 
 
-def _ratio_pmf(log_p0, log_ratios):
-    """pmf on {0..len(log_ratios)} from log P(0) and log P(k+1)/P(k), k >= 0."""
-    return np.exp(log_p0 + np.concatenate(([0.0], np.cumsum(log_ratios))))
+def _ratio_log_pmf(log_p0, log_ratios):
+    """log pmf on {0..len(log_ratios)} from log P(0) and log P(k+1)/P(k), k >= 0."""
+    return log_p0 + np.concatenate(([0.0], np.cumsum(log_ratios)))
 
 
 def id_pmf(law, theta, kmax):
@@ -284,25 +298,36 @@ def id_sample(law, theta, rng, size=None):
     return law.sample(theta, rng, size)
 
 
-def thinning_conditional(law, theta, rho, x):
-    """Conditional pmf on {0..x} of the shared component given state x.
+def _thinning_split(law, theta, rho, kmax, first=0):
+    """Rows x = first..kmax of the thinning split, on {0..kmax}: entry xi <= x
+    is mu^{rho theta}(xi) mu^{(1-rho) theta}(x - xi) / mu^theta(x), entries
+    past x are 0, and the row of a state of probability 0 is NaN.
 
-    Entry xi is mu^{rho theta}(xi) mu^{(1-rho) theta}(x - xi) / mu^theta(x).
-    The normaliser is the sum of the numerators over {0..x}, which equals
+    The numerators are formed from log pmfs and scaled by their largest one
+    before exponentiating, and the normaliser is their sum, which equals
     mu^theta(x) by the convolution identity mu^theta = mu^{rho theta} *
-    mu^{(1-rho) theta}; summing them makes the row total 1 to rounding
-    (x = 0 gives exactly [1.0]) where dividing by a separately computed
-    mu^theta(x) would leave it off by a few ulps.
+    mu^{(1-rho) theta}.  So a row is representable whenever the split is,
+    even where mu^theta(x) itself underflows, and it sums to 1 to rounding
+    (x = 0 gives exactly [1.0]).
     """
+    x = np.arange(first, kmax + 1)[:, None]
+    xi = np.arange(kmax + 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        shared = law.log_pmf(rho * theta, kmax)
+        rest = law.log_pmf((1.0 - rho) * theta, kmax)
+        logs = np.where(xi <= x, shared + rest[x - xi], -np.inf)
+        joint = np.exp(logs - logs.max(axis=1, keepdims=True))
+        return joint / joint.sum(axis=1, keepdims=True)
+
+
+def thinning_conditional(law, theta, rho, x):
+    """Conditional pmf on {0..x} of the shared component given state x: the
+    row x of the thinning split."""
     _check_nonneg("theta", theta)
     _check_rho(rho)
     if x < 0 or int(x) != x:
         raise ValueError(f"conditioning value must be a nonnegative integer, got {x}")
-    x = int(x)
-    shared = id_pmf(law, rho * theta, x)
-    rest = id_pmf(law, (1.0 - rho) * theta, x)
-    joint = shared * rest[::-1]
-    px = joint.sum()
-    if not px > 0.0:
+    row = _thinning_split(law, theta, rho, int(x), first=int(x))[0]
+    if np.isnan(row[0]):
         raise ValueError(f"conditioning value {x} has zero probability")
-    return joint / px
+    return row

@@ -2,8 +2,9 @@
 
 Every check reduces a distributional property (stationarity, reversibility,
 the Markov factorization, joint infinite divisibility) to a worst-case
-violation over a truncated lattice, reported with its witness point.  Checks
-are pure functions of their inputs and reproducible bit for bit.
+violation over a truncated lattice, reported with its witness point when the
+check fails.  Checks are pure functions of their inputs and reproducible bit
+for bit.
 """
 
 from __future__ import annotations
@@ -33,7 +34,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class VerifyReport:
-    """Outcome of one check: passes iff violation <= tolerance."""
+    """Outcome of one check: passes iff violation <= tolerance.
+
+    A passing report carries no witness: its worst point is rounding noise,
+    and where it sits says nothing of the law.
+    """
 
     name: str
     violation: float
@@ -44,6 +49,8 @@ class VerifyReport:
 
     def __post_init__(self):
         object.__setattr__(self, "passed", bool(self.violation <= self.tolerance))
+        if self.passed:
+            object.__setattr__(self, "witness", None)
 
     def to_json(self):
         payload = {
@@ -62,17 +69,12 @@ class VerifyReport:
 # ---------------------------------------------------------------------------
 
 def _evolved_marginal(spec, initial, gap, kmax):
-    """Distribution after a gap, computed on a buffered lattice."""
-
-    def evolved(k):
-        if initial is None:
-            start = spec.marginal(k)
-        else:
-            start = np.zeros(k + 1)
-            start[: len(initial)] = initial
-        return (start @ spec.kernel(gap, k))[: kmax + 1]
-
-    return stabilize(evolved, kmax, 1e-13)
+    """Distribution after a gap on {0..kmax}.  A given start has no mass past
+    kmax, so its product with the kernel block is exact; the stationary start
+    is evolved on a buffered lattice."""
+    if initial is not None:
+        return np.asarray(initial, dtype=float) @ spec.kernel(gap, kmax)
+    return stabilize(lambda k: (spec.marginal(k) @ spec.kernel(gap, k))[: kmax + 1], kmax, 1e-13)
 
 
 def chain_joint_pmf(spec, times, kmax, initial=None, origin=None):
@@ -107,6 +109,11 @@ def chain_joint_pmf(spec, times, kmax, initial=None, origin=None):
 # the checks
 # ---------------------------------------------------------------------------
 
+def _worst(diff):
+    """The largest entry of an array of violations and the index where it sits."""
+    return float(diff.max()), tuple(int(i) for i in np.unravel_index(diff.argmax(), diff.shape))
+
+
 def check_stationarity(spec, window, kmax, initial=None):
     """Compare the window-joint law with its shifts by 1 and 2 (tolerance 1e-9).
 
@@ -123,11 +130,9 @@ def check_stationarity(spec, window, kmax, initial=None):
         shifted = chain_joint_pmf(
             spec, tuple(range(s, s + window)), kmax, initial=initial, origin=0
         )
-        diff = np.abs(base.table - shifted.table)
-        if diff.max() > worst:
-            worst = float(diff.max())
-            witness = tuple(int(i) for i in np.unravel_index(diff.argmax(), diff.shape))
-            worst_shift = s
+        violation, at = _worst(np.abs(base.table - shifted.table))
+        if violation > worst:
+            worst, witness, worst_shift = violation, at, s
     return VerifyReport(
         "stationarity", worst, witness, 1e-9, extra={"shift": worst_shift}
     )
@@ -136,22 +141,18 @@ def check_stationarity(spec, window, kmax, initial=None):
 def reversibility_violation(pmf, trans):
     """sup |pi_x q(y|x) - pi_y q(x|y)| and its witness for explicit (pi, Q)."""
     flux = np.asarray(pmf)[:, None] * np.asarray(trans)
-    diff = np.abs(flux - flux.T)
-    witness = tuple(int(i) for i in np.unravel_index(diff.argmax(), diff.shape))
-    return float(diff.max()), witness
+    return _worst(np.abs(flux - flux.T))
 
 
 def check_reversibility(spec, kmax):
     """Detailed balance for chains; reflection symmetry of triples otherwise
     (tolerance 1e-10)."""
-    tolerance = 1e-10
     if isinstance(spec, RandomMeasure):
         j3 = chain_joint_pmf(spec, (0, 1, 2), kmax)
-        diff = np.abs(j3.table - j3.reorder((2, 1, 0)))
-        witness = tuple(int(i) for i in np.unravel_index(diff.argmax(), diff.shape))
-        return VerifyReport("reversibility", float(diff.max()), witness, tolerance)
-    violation, witness = reversibility_violation(spec.marginal(kmax), spec.kernel(1, kmax))
-    return VerifyReport("reversibility", violation, witness, tolerance)
+        violation, witness = _worst(np.abs(j3.table - j3.reorder((2, 1, 0))))
+    else:
+        violation, witness = reversibility_violation(spec.marginal(kmax), spec.kernel(1, kmax))
+    return VerifyReport("reversibility", violation, witness, 1e-10)
 
 
 def check_markov_triple(j3):
@@ -170,12 +171,9 @@ def check_markov_triple(j3):
             skipped += 1
             continue
         joint = j3.table[:, b, :] / mid[b]
-        outer = np.outer(joint.sum(axis=1), joint.sum(axis=0))
-        diff = np.abs(joint - outer)
-        if diff.max() > worst:
-            worst = float(diff.max())
-            a, c = np.unravel_index(diff.argmax(), diff.shape)
-            witness = (int(a), int(b), int(c))
+        violation, (a, c) = _worst(np.abs(joint - np.outer(joint.sum(axis=1), joint.sum(axis=0))))
+        if violation > worst:
+            worst, witness = violation, (a, b, c)
     return VerifyReport(
         "markov-triple", worst, witness, 1e-9, extra={"skipped_rows": skipped}
     )
@@ -189,9 +187,7 @@ def check_mvid(pmf, maxdeg, precision="standard"):
     negative minimum is attributable to the law, not the truncation.  Both
     precisions run the same recursion, ``series.graded_exp_log``; they differ
     only in the scalar type (float or 40-digit ``mpmath.mpf``) and in the
-    tolerance (1e-8 or 1e-12), which only absorbs rounding noise.  A passing
-    report carries no witness: its minimum is that noise, at a coefficient
-    that is 0 in exact arithmetic, and where it sits says nothing of the law.
+    tolerance (1e-8 or 1e-12), which only absorbs rounding noise.
     """
     tolerance = {"standard": 1e-8, "extended": 1e-12}.get(precision)
     if tolerance is None:
@@ -218,13 +214,10 @@ def check_mvid(pmf, maxdeg, precision="standard"):
     nonconstant = np.concatenate([level[0] for level in graded_order(n, maxdeg)[1:]])
     best = nonconstant[np.argmin(logs[nonconstant])]  # the first minimum by degree
     min_coeff = float(logs[best])
-    witness = None
-    if -min_coeff > tolerance:
-        witness = tuple(int(i) for i in np.unravel_index(best, pgf.coeffs.shape))
     return VerifyReport(
         "mvid",
         max(0.0, -min_coeff),
-        witness,
+        tuple(int(i) for i in np.unravel_index(best, pgf.coeffs.shape)),
         tolerance,
         extra={"min_coefficient": min_coeff, "precision": precision},
     )

@@ -62,6 +62,38 @@ def test_simulate_missing_parameter_is_config_error(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "process, params, flag, value",
+    [
+        ("branching-nb", ["--alpha", "2", "--p", "0.5", "--rho", "0.5", "--steps", "5"], "x0", "3"),
+        ("iid", ["--law", "poisson", "--theta", "1", "--steps", "5"], "horizon", "10"),
+        ("random-measure", ["--law", "poisson", "--theta", "1", "--rho", "0.5"], "horizon", "10"),
+        ("ct-poisson-bd", ["--theta", "1", "--lambda", "1", "--horizon", "5"], "steps", "5"),
+        ("ct-nb-bd", ["--alpha", "1", "--p", "0.5", "--lambda", "1", "--horizon", "5"], "times", "0,1"),
+        ("ct-nb-bd", ["--alpha", "1", "--p", "0.5", "--lambda", "1", "--horizon", "5"], "t0", "3"),
+        ("iid", ["--law", "poisson", "--theta", "1", "--steps", "5"], "times", "5,9"),
+        ("thinning", ["--law", "poisson", "--theta", "1", "--rho", "0.5", "--steps", "5"], "times", "5,9"),
+    ],
+)
+def test_simulate_rejects_settings_it_would_ignore(tmp_path, capsys, process, params, flag, value):
+    out = tmp_path / "x.csv"
+    argv = ["simulate", "--process", process, *params, f"--{flag}", value, "--out", str(out)]
+    assert run(argv) == 2
+    assert f"--{flag} does not apply to --process {process}" in capsys.readouterr().err
+    assert not out.exists()
+    # from a config file too
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(f"{flag} = {value}\n")
+    assert run([*argv[:-4], "--config", str(cfg_path), "--out", str(out)]) == 2
+
+
+def test_simulate_accepts_the_default_t0_and_a_ct_start(tmp_path):
+    out = tmp_path / "x.csv"
+    ct = ["simulate", "--process", "ct-poisson-bd", "--theta", "1", "--lambda", "1", "--horizon", "5"]
+    assert run([*ct, "--t0", "0", "--x0", "4", "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[1] == "0,4"
+
+
 def test_simulate_continuous_time_change_points(tmp_path):
     out = tmp_path / "path.csv"
     code = run(
@@ -234,13 +266,37 @@ def test_verify_suites_match_expected_polarity(tmp_path, suite):
         assert byname["markov-rm-poisson"]["pass"] is True
 
 
+SUITE_ROWS = {
+    "theorem2": [("mvid-thinning-nb", False), ("mvid-branching-nb", True), ("mvid-branching-poisson", True)],
+    "theorem3": [("markov-rm-nb", False), ("markov-rm-poisson", True), ("markov-thinning-nb", True)],
+    "poisson-coincidence": [
+        ("tables-coincide-poisson", True),
+        ("markov-rm-poisson", True),
+        ("mvid-rm-poisson", True),
+    ],
+}
+
+
+@pytest.mark.parametrize("suite", list(SUITE_ROWS))
+def test_verify_suite_rows(tmp_path, suite):
+    assert tuple(misti.cli.SUITES) == tuple(SUITE_ROWS)
+    out = tmp_path / "reports.csv"
+    assert run(["verify", "--suite", suite, "--format", "csv", "--out", str(out)]) == 0
+    header, *rows = [line.split(",") for line in out.read_text().splitlines()]
+    assert header == ["name", "violation", "witness", "tolerance", "pass", "expected_pass", "matched"]
+    assert [(row[0], row[5] == "True") for row in rows] == SUITE_ROWS[suite]
+
+
 def test_verify_theorem2_at_degree_12(tmp_path):
     out = tmp_path / "reports.jsonl"
     code = run(["verify", "--suite", "theorem2", "--k", "16", "--degree", "12", "--out", str(out)])
     assert code == 0
     reports = [json.loads(line) for line in out.read_text().splitlines()]
     assert len(reports) == 3 and all(r["matched"] for r in reports)
-    # the passing branching checks name no witness; the failing thinning one does
+    # in every suite the passing checks name no witness and the failing ones do
+    for suite in ("theorem3", "poisson-coincidence"):
+        assert run(["verify", "--suite", suite, "--k", "16", "--degree", "12", "--out", str(out)]) == 0
+        reports += [json.loads(line) for line in out.read_text().splitlines()]
     assert [r["witness"] is None for r in reports] == [r["pass"] for r in reports]
 
 

@@ -75,13 +75,35 @@ def test_thinning_conditional_rejects_zero_probability_value():
 
 
 @pytest.mark.parametrize(
-    "law, theta, rho, kmax, x", [(Poisson(), 1000.0, 0.99, 20, 0), (NB, 2.0, 0.6, 1200, 1076)]
+    "law, theta, rho, gap, kmax",
+    [(Poisson(), 1000.0, 0.99, 1, 20), (NB, 2.0, 0.6, 1, 1200), (NB, 2.0, 0.6, 2, 720)],
+    ids=["poisson", "nb-gap1", "nb-gap2"],
 )
-def test_thinning_rows_whose_normaliser_underflows_raise(law, theta, rho, kmax, x):
-    # a stay-put row would claim P(x | x) = 1: for the Poisson one the true
-    # P(5 | 5) is 6.7e-5, and the NB rows underflow from x = 1076 on
-    with pytest.raises(ValueError, match=rf"state {x} .* theta={theta}, rho={rho}"):
-        Thinning(law, theta, rho).kernel(1, kmax)
+def test_thinning_rows_whose_marginal_underflows(law, theta, rho, gap, kmax):
+    # mu^theta(x) underflows from x = 0 on for the Poisson law and from
+    # x = 1076 on for the NB one (the gap-2 power is taken on a lattice past
+    # it), but the thinning split of those states does not
+    spec = Thinning(law, theta, rho)
+    kernel = spec.kernel(gap, kmax)
+    assert kernel.min() >= 0.0
+    assert kernel.sum(axis=1).max() <= 1.0 + 1e-15
+    violation, _ = reversibility_violation(spec.marginal(kmax), kernel)
+    assert violation <= 1e-15
+
+
+def test_thinning_row_of_an_underflowing_poisson_state():
+    # Binomial(5, 0.99) survivors plus Poisson(10) innovations, to 30 digits at
+    # the decimal rho; rounding rho to a double moves it by 8e-15 relative
+    kernel = Thinning(Poisson(), 1000.0, 0.99).kernel(1, 20)
+    assert kernel[5, 5] == pytest.approx(6.72580534269198770552e-05, rel=1e-12)
+
+
+def test_thinning_rows_whose_normaliser_underflows_raise():
+    # the half-scale pmf of GenericLevy({1: 1}) at theta = 2000 is Poisson(1000),
+    # whose compound recursion starts from exp(-1000) = 0, so no row is
+    # representable; a stay-put row would be a wrong answer
+    with pytest.raises(ValueError, match=r"state 0 .* theta=2000.0, rho=0.5"):
+        Thinning(GenericLevy({1: 1.0}), 2000.0, 0.5).kernel(1, 5)
 
 
 def test_thinning_rows_of_the_law_without_jumps_stay_put():

@@ -349,6 +349,21 @@ def test_report_json_line():
     assert set(payload) >= {"name", "violation", "witness", "tolerance", "pass"}
 
 
+def test_passing_reports_name_no_witness():
+    # the worst point of a passing check is rounding noise; only a failure keeps one
+    thinning, rm = Thinning(NB, 1.0, 0.5), RandomMeasure(NB, 1.0, 0.5)
+    passing = [
+        check_markov_triple(chain_joint_pmf(thinning, (0, 1, 2), 12)),
+        check_stationarity(thinning, 2, 12),
+        check_reversibility(thinning, 12),
+        check_reversibility(rm, 12),
+    ]
+    for report in passing:
+        assert report.passed and report.violation > 0.0 and report.witness is None, report
+    failing = check_markov_triple(chain_joint_pmf(rm, (0, 1, 2), 12))
+    assert not failing.passed and failing.witness == (1, 2, 1)
+
+
 def test_reports_reproducible():
     a = check_mvid(chain_joint_pmf(Thinning(NB, 1.0, 0.5), (0, 1, 2), 12), 8)
     b = check_mvid(chain_joint_pmf(Thinning(NB, 1.0, 0.5), (0, 1, 2), 12), 8)
