@@ -36,21 +36,32 @@ from .discrete import (
 from .idlaw import id_pmf
 from .verify import VerifyReport, _worst, chain_joint_pmf, check_markov_triple, check_mvid
 
-# process -> (spec class, takes a --law marginal, the settings that follow it)
+# the settings of a time axis: ticks from t0, or an event path from x0 up to
+# a horizon; explicit --times replace the ticks
+TICKS, EVENTS = ("steps", "t0"), ("x0", "horizon")
+# process -> (spec class, takes a --law marginal, the settings that follow it,
+# the settings of its time axis)
 PROCESSES = {
-    "thinning": (Thinning, True, ("rho",)),
-    "random-measure": (RandomMeasure, True, ("rho",)),
-    "branching-poisson": (BranchingPoisson, False, ("theta", "rho")),
-    "branching-nb": (BranchingNB, False, ("alpha", "p", "rho")),
-    "iid": (IID, True, ()),
-    "constant": (Constant, True, ()),
-    "ct-poisson-bd": (PoissonBD, False, ("theta", "lam")),
-    "ct-nb-bd": (NBBD, False, ("alpha", "p", "lam")),
+    "thinning": (Thinning, True, ("rho",), TICKS),
+    "random-measure": (RandomMeasure, True, ("rho",), (*TICKS, "times")),
+    "branching-poisson": (BranchingPoisson, False, ("theta", "rho"), TICKS),
+    "branching-nb": (BranchingNB, False, ("alpha", "p", "rho"), TICKS),
+    "iid": (IID, True, (), TICKS),
+    "constant": (Constant, True, (), TICKS),
+    "ct-poisson-bd": (PoissonBD, False, ("theta", "lam"), EVENTS),
+    "ct-nb-bd": (NBBD, False, ("alpha", "p", "lam"), EVENTS),
 }
-FAMILIES = {cls: name for name, (cls, _, _) in PROCESSES.items()}
-CT_PROCESSES = ("ct-poisson-bd", "ct-nb-bd")
+FAMILIES = {cls: name for name, (cls, *_) in PROCESSES.items()}
+CT_PROCESSES = tuple(name for name, (*_, axis) in PROCESSES.items() if axis == EVENTS)
 # --law -> (law class, the settings that build it); theta follows as the scale
 LAWS = {"poisson": (Poisson, ()), "nb": (NegBinomial, ("p",))}
+# every setting that some process reads
+PROCESS_SETTINGS = {
+    "law",
+    "theta",
+    *(name for _, names in LAWS.values() for name in names),
+    *(name for *_, names, axis in PROCESSES.values() for name in (*names, *axis)),
+}
 
 
 def _mvid(degree, table):
@@ -307,10 +318,14 @@ def _write_rows(cfg, header, columns, default_format="csv"):
             stream.close()
 
 
+def _flag(name):
+    return "--" + {"lam": "lambda"}.get(name, name).replace("_", "-")
+
+
 def _require(cfg, *names):
     for name in names:
         if getattr(cfg, name) is None:
-            raise ValueError(f"--{name.replace('_', '-')} is required for this invocation")
+            raise ValueError(f"{_flag(name)} is required for this invocation")
 
 
 def _marginal_law(cfg):
@@ -321,26 +336,29 @@ def _marginal_law(cfg):
 
 
 def _build_spec(cfg):
-    cls, takes_law, names = PROCESSES[cfg.process]
+    cls, takes_law, names, _ = PROCESSES[cfg.process]
     lead = _marginal_law(cfg) if takes_law else ()
     _require(cfg, *names)
     return cls(*lead, *(getattr(cfg, name) for name in names))
 
 
-def _refuse(cfg, *names):
-    """Reject the named settings where they differ from their defaults."""
-    for name in names:
-        if getattr(cfg, name) != getattr(RunConfig, name):
-            raise ValueError(f"--{name} does not apply to --process {cfg.process}")
+def _refuse_unread(cfg):
+    """Reject every process setting that differs from its default but that
+    ``--process`` (with its ``--law``) does not read."""
+    _, takes_law, names, axis = PROCESSES[cfg.process]
+    if cfg.times is not None and "times" in axis:
+        axis = ("times",)
+    read = {*(("law", "theta", *LAWS[cfg.law][1]) if takes_law else ()), *names, *axis}
+    unread = PROCESS_SETTINGS - read
+    for f in dataclasses.fields(RunConfig):
+        if f.name in unread and getattr(cfg, f.name) != f.default:
+            raise ValueError(f"{_flag(f.name)} does not apply to --process {cfg.process}")
 
 
 def cmd_simulate(cfg):
-    if cfg.process in CT_PROCESSES:
-        _refuse(cfg, "steps", "times", "t0")
-    else:
-        _refuse(cfg, "x0", "horizon", *(() if cfg.process == "random-measure" else ("times",)))
-    rng = np.random.default_rng(cfg.seed)
     spec = _build_spec(cfg)
+    _refuse_unread(cfg)
+    rng = np.random.default_rng(cfg.seed)
     if cfg.process in CT_PROCESSES:
         _require(cfg, "horizon")
         x0 = cfg.x0 if cfg.x0 is not None else spec.stationary_draw(rng)
@@ -457,7 +475,7 @@ def cmd_verify(cfg):
 def cmd_classify(cfg):
     spec = misti_classify(cfg.r0, cfg.r1, cfg.r2, cfg.theta1)
     family = FAMILIES[type(spec)]
-    _, takes_law, names = PROCESSES[family]
+    _, takes_law, names, _ = PROCESSES[family]
     # a degenerate family's law is the canonical Poisson of mean theta1
     fields = {"theta1": spec.theta} if takes_law else {name: getattr(spec, name) for name in names}
     columns = [[value] for value in (family, *fields.values())]

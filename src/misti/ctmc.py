@@ -10,7 +10,12 @@ rho = exp(-lambda).
 Kernels exp(tQ) come from the generator, not that identity, which stays an
 independent check: uniformization over t/2^s <= 1/(largest exit rate), then
 s squarings, all in nonnegative matrices on a lattice whose top birth edge is
-dropped, so row deficits are the honest leakage out of the lattice.
+dropped.  So a row deficit is the mass killed at the cut, which bounds the
+error of every entry of that row (the finite state projection theorem of
+Munsky & Khammash, J. Chem. Phys. 124, 044104, 2006), and the kernel is
+taken from the first lattice where those bounds are within 1e-13.  The
+series terms are products with the tridiagonal uniformized matrix, O(k^2)
+each on {0..k}; only the s squarings are dense, O(k^3) each.
 """
 
 from __future__ import annotations
@@ -22,8 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .discrete import _check_nonneg, _check_positive, _check_prob
-from .tables import stabilize
+from .discrete import _check_nonneg, _check_positive, _check_prob, certified_kernel
 
 __all__ = [
     "PoissonBD",
@@ -49,7 +53,12 @@ class _BirthDeath:
         return stationary_bd(self, kmax)
 
     def kernel(self, gap, kmax):
-        return transition_uniformized(self, float(gap), kmax)
+        return transition_uniformized(self, gap, kmax)
+
+    def kernel_block(self, gap, k):
+        if not gap >= 0.0:
+            raise ValueError(f"time must be >= 0, got {gap}")
+        return _uniformized_block(self, float(gap), k)
 
 
 @dataclass(frozen=True)
@@ -229,59 +238,61 @@ def generator_residual(model, pmf, kmax):
 
 
 def _uniformized_block(model, t, kint):
-    """exp(tQ) on {0..kint}; the top birth edge is dropped (kept in the
-    diagonal exit rate) so lost mass shows up as row deficit.
+    """exp(tQ) on {0..kint} and its row deficits; the top birth edge is
+    dropped (kept in the diagonal exit rate) so lost mass shows up as row
+    deficit, and the deficit of a row bounds the error of each of its
+    entries.
 
     With M = I + Q/lam >= 0, exp(uQ) = sum_j Pois(j; lam u) M^j, and at
     u = t/2^s <= 1/lam the weights fall below 1e-20 within about 20 terms.
-    The deficits 1 - M^j 1 = leak + M (1 - M^(j-1) 1) and, per squaring,
-    d + E d add nonnegative terms only; rows are rescaled to sum to 1 - d,
-    since the row sums of a 2^s-fold product carry 2^s-fold rounding, which
-    could pass for negative leakage.
+    The deficits 1 - M^j 1 = leak + M (1 - M^(j-1) 1) ride along as a last
+    column, and M is tridiagonal, so each term is one banded product: three
+    shifted row updates, O(kint^2).  Per squaring the deficits are d + E d.
+    Both add nonnegative terms only; rows are rescaled to sum to 1 - d, since
+    the row sums of a 2^s-fold product carry 2^s-fold rounding, which could
+    pass for negative leakage.
     """
     births, deaths = model.rates(np.arange(kint + 1.0))
     lam = float(np.max(births + deaths))
     n = kint + 1
     if lam == 0.0 or t == 0.0:
-        return np.eye(n)
-    m = np.eye(n) - np.diag(births + deaths) / lam
-    m += np.diag(births[:-1] / lam, k=1) + np.diag(deaths[1:] / lam, k=-1)
-    leak = np.eye(n)[-1] * births[-1] / lam  # 1 - M 1: the dropped birth edge
+        return np.eye(n), np.zeros(n)
+    # M's diagonal, its edges j -> j+1 (up) and j+1 -> j (down), as columns
+    diag = (1.0 - (births + deaths) / lam)[:, None]
+    up, down = (births[:-1] / lam)[:, None], (deaths[1:] / lam)[:, None]
+    leak = births[-1] / lam  # 1 - M 1 in the last row: the dropped birth edge
     squarings = max(0, math.ceil(math.log2(lam * t)))
     mu = lam * t / 2.0**squarings
     weight = math.exp(-mu)
-    term, term_deficit = np.eye(n), np.zeros(n)
-    out, deficit = weight * term, np.zeros(n)
+    term = np.eye(n, n + 1)  # [M^j | 1 - M^j 1]
+    out = weight * term
     j = 0
     while weight > 1e-20:
         j += 1
         weight *= mu / j
-        term, term_deficit = term @ m, leak + m @ term_deficit
+        term, previous = diag * term, term  # M @ term in three shifted row updates
+        term[:-1] += up * previous[1:]
+        term[1:] += down * previous[:-1]
+        term[-1, -1] += leak
         out += weight * term
-        deficit += weight * term_deficit
+    out, deficit = np.ascontiguousarray(out[:, :-1]), out[:, -1].copy()
     for i in range(squarings + 1):
         sums = out.sum(axis=1)
         out *= np.divide(np.maximum(1.0 - deficit, 0.0), sums, out=np.zeros(n), where=sums > 0.0)[:, None]
         if i < squarings:
             out, deficit = out @ out, deficit + out @ deficit
-    return out
+    return out, deficit
 
 
 def transition_uniformized(model, t, kmax):
     """Transition matrix exp(tQ) restricted to {0..kmax}.
 
     Scaling and squaring of the uniformized chain (``_uniformized_block``) on
-    a larger lattice, grown by ``tables.stabilize`` until the returned block
-    moves by at most 1e-12, so boundary truncation does not contaminate it.
-    Every step stays in nonnegative matrices, so the row deficits
-    1 - row.sum() are the honest leakage to states > kmax.
+    the first lattice {0..k}, k >= kmax, whose row deficits on the kept rows
+    are at most 1e-13.  Every step stays in nonnegative matrices, so a
+    deficit is the mass killed at the lattice's cut, and by the finite state
+    projection theorem it bounds the error of every entry of its row: each
+    returned entry is proven within 1e-13 of the untruncated kernel, up to
+    float rounding.
     """
-    if not t >= 0.0:
-        raise ValueError(f"time must be >= 0, got {t}")
-    if kmax < 0:
-        raise ValueError(f"kmax must be >= 0, got {kmax}")
-    if t == 0.0:
-        return np.eye(kmax + 1)
-    return stabilize(
-        lambda k: _uniformized_block(model, t, k)[: kmax + 1, : kmax + 1], kmax, 1e-12
-    )
+    return certified_kernel(model, t, kmax)

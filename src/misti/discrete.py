@@ -14,9 +14,13 @@ autocorrelation rho^|s-t|:
   time-reversible and jointly infinitely divisible.
 
 Every Markov spec (the chains here and the birth-death chains of ``ctmc``)
-owns its stationary pmf ``marginal(kmax)`` and its transition matrix
-``kernel(gap, kmax)`` on {0..kmax}; discrete chains take positive integer
-gaps only, and each also owns its stationary sampler
+owns its stationary pmf ``marginal(kmax)`` and its ``kernel_block(gap, k)``:
+its transition matrix built on {0..k} and a proven bound on the error of
+each row's entries.  Closed-form rows are exact (bound 0); powers and
+exponentials of truncated kernels miss at most the mass that leaves the
+lattice.  ``kernel(gap, kmax)`` is the block on {0..kmax} of the first
+lattice whose bounds certify it (``certified_kernel``).  Discrete chains
+take positive integer gaps only, and each also owns its stationary sampler
 ``sample_path(t0, n, rng)``, which draws all state-independent randomness
 in one call each, so a step costs at most two scalar draws.  The Poisson
 branching chain is the Poisson thinning chain (binomial survivors plus
@@ -45,7 +49,7 @@ from .idlaw import (
     levy_total,
     thinning_conditional,
 )
-from .tables import JointPMF, stabilize
+from .tables import CERTIFIED_TOL, JointPMF, stabilize
 
 __all__ = [
     "Thinning",
@@ -105,12 +109,35 @@ def _iid_kernel(spec, kmax):
     return np.tile(spec.marginal(kmax), (kmax + 1, 1))
 
 
+def _exact(block):
+    """A kernel block of closed-form rows: its entries need no bound."""
+    return block, np.zeros(len(block))
+
+
+def certified_kernel(spec, gap, kmax):
+    """``spec.kernel_block(gap, k)`` cut to {0..kmax}, from the first lattice
+    whose row bounds on the kept rows are within ``CERTIFIED_TOL``."""
+
+    def build(k):
+        block, bound = spec.kernel_block(gap, k)
+        return block[: kmax + 1, : kmax + 1], bound[: kmax + 1].max()
+
+    return stabilize(build, kmax, CERTIFIED_TOL)
+
+
+class _Markov:
+    """``kernel(gap, kmax)`` of a spec that owns ``kernel_block(gap, k)``."""
+
+    def kernel(self, gap, kmax):
+        return certified_kernel(self, gap, kmax)
+
+
 class _LawMarginal:
     def marginal(self, kmax):
         return id_pmf(self.law, self.theta, kmax)
 
 
-class _ThinningChain(_LawMarginal):
+class _ThinningChain(_LawMarginal, _Markov):
     """Validation, kernel and sampler of the thinning chains; subclasses give
     ``law``, ``theta`` and ``rho``."""
 
@@ -118,19 +145,21 @@ class _ThinningChain(_LawMarginal):
         _check_positive("theta", self.theta)
         _check_rho(self.rho)
 
-    def kernel(self, gap, kmax):
+    def kernel_block(self, gap, k):
         """Poisson thinning is binomial thinning, which composes with rho^gap;
-        general thinning kernels do not compose within their family, so their
-        powers are taken on a buffered lattice."""
+        general thinning kernels do not compose within their family, so the
+        one-step kernel K on {0..k} is raised to the gap.  A path through a
+        state past k is what K^gap misses, so its rows are within the mass
+        that leaves {0..k} in the first gap - 1 steps, 1 - K^(gap-1) 1."""
         gap = _integer_gap(gap)
         rho = self.rho**gap
         if rho == 0.0:
-            return _iid_kernel(self, kmax)
+            return _exact(_iid_kernel(self, k))
         if gap == 1 or isinstance(self.law, Poisson):
-            return thinning_transition_matrix(self.law, self.theta, rho, kmax)
-        one_step = lambda k: thinning_transition_matrix(self.law, self.theta, self.rho, k)
-        power = lambda k: np.linalg.matrix_power(one_step(k), gap)[: kmax + 1, : kmax + 1]
-        return stabilize(power, kmax, 1e-13)
+            return _exact(thinning_transition_matrix(self.law, self.theta, rho, k))
+        step = thinning_transition_matrix(self.law, self.theta, self.rho, k)
+        head = np.linalg.matrix_power(step, gap - 1)
+        return head @ step, np.maximum(1.0 - head.sum(axis=1), 0.0)
 
     def sample_path(self, t0, n, rng):
         return simulate_thinning(self.law, self.theta, self.rho, t0, n, rng)
@@ -170,7 +199,7 @@ class BranchingPoisson(_ThinningChain):
 
 
 @dataclass(frozen=True)
-class BranchingNB:
+class BranchingNB(_Markov):
     """Branching chain with NB(alpha, p) marginal and autocorrelation rho;
     its gap-d kernel is the one-step kernel at rho^d, as for BranchingPoisson."""
 
@@ -186,11 +215,11 @@ class BranchingNB:
     def marginal(self, kmax):
         return id_pmf(NegBinomial(self.p), self.alpha, kmax)
 
-    def kernel(self, gap, kmax):
+    def kernel_block(self, gap, k):
         rho = self.rho ** _integer_gap(gap)
         if rho == 0.0:
-            return _iid_kernel(self, kmax)
-        return branching_nb_transition_matrix(self.alpha, self.p, rho, kmax)
+            return _exact(_iid_kernel(self, k))
+        return _exact(branching_nb_transition_matrix(self.alpha, self.p, rho, k))
 
     def sample_path(self, t0, n, rng):
         """NB(alpha + y, s) = NB(alpha, s) + NB(y, s), so the NB(alpha, s)
@@ -208,7 +237,7 @@ class BranchingNB:
 
 
 @dataclass(frozen=True)
-class Constant(_LawMarginal):
+class Constant(_LawMarginal, _Markov):
     """Degenerate case X_t identically equal to one draw from mu^theta."""
 
     law: IDLaw
@@ -217,16 +246,16 @@ class Constant(_LawMarginal):
     def __post_init__(self):
         _check_positive("theta", self.theta)
 
-    def kernel(self, gap, kmax):
+    def kernel_block(self, gap, k):
         _integer_gap(gap)
-        return np.eye(kmax + 1)
+        return _exact(np.eye(k + 1))
 
     def sample_path(self, t0, n, rng):
         return Trajectory(t0, np.full(n, id_sample(self.law, self.theta, rng), dtype=np.int64))
 
 
 @dataclass(frozen=True)
-class IID(_LawMarginal):
+class IID(_LawMarginal, _Markov):
     """Degenerate case of independent draws from mu^theta."""
 
     law: IDLaw
@@ -235,9 +264,9 @@ class IID(_LawMarginal):
     def __post_init__(self):
         _check_positive("theta", self.theta)
 
-    def kernel(self, gap, kmax):
+    def kernel_block(self, gap, k):
         _integer_gap(gap)
-        return _iid_kernel(self, kmax)
+        return _exact(_iid_kernel(self, k))
 
     def sample_path(self, t0, n, rng):
         return Trajectory(t0, id_sample(self.law, self.theta, rng, size=n))

@@ -1,5 +1,14 @@
 """Exact joint probability tables on truncated integer lattices, and the
-buffer-growing loop that keeps lattice truncation out of them."""
+certified loop that keeps lattice truncation out of them.
+
+A kernel or marginal on {0..kmax} is built on a lattice {0..k}, k >= kmax,
+together with a proven bound on how far its entries can be from the
+untruncated ones.  For a nonnegative chain cut to a finite lattice, the mass
+killed at the cut bounds the error of every entry (the finite state
+projection theorem: Munsky & Khammash, J. Chem. Phys. 124, 044104, 2006),
+so ``stabilize`` grows k until that bound is within the tolerance, and
+never compares two lattices.
+"""
 
 from __future__ import annotations
 
@@ -54,18 +63,34 @@ class JointPMF:
         return np.transpose(self.table, perm)
 
 
-def stabilize(build, kmax, block_tol):
-    """build(k) cut to {0..kmax}, with k = kmax + buffer and the buffer doubled until
-    the result stops moving, so boundary truncation cannot pass for a property of the law."""
-    buffer, block = max(8, kmax // 2), None
+# the proven entrywise error of every certified kernel and evolved marginal
+CERTIFIED_TOL = 1e-13
+# the largest dense lattice block the certified loop may allocate: 2**23
+# float64 entries are 64 MB, so lattices stop below 2896 states
+MAX_ENTRIES = 2**23
+
+
+def stabilize(build, kmax, tol):
+    """The block of the first lattice whose proven error bound is within tol.
+
+    ``build(k)`` returns ``(block, bound)``: a block cut to {0..kmax} from a
+    build on the lattice {0..k}, and a bound on the error of its entries that
+    holds whatever lies past k.  Lattices are k = kmax, then kmax plus a
+    buffer of max(8, kmax // 2) that doubles, so a block that needs no buffer
+    costs one build at kmax.  A lattice whose dense k x k block would pass
+    ``MAX_ENTRIES`` is never built: the loop raises first.
+    """
+    if kmax < 0:
+        raise ValueError(f"kmax must be >= 0, got {kmax}")
+    buffer = 0
     while True:
-        big = build(kmax + buffer)
-        change = np.inf if block is None else np.max(np.abs(big - block))
-        if change <= block_tol:
-            return big
-        if buffer > 4096:
+        block, bound = build(kmax + buffer)
+        if bound <= tol:
+            return block
+        last, buffer = kmax + buffer, max(8, kmax // 2, 2 * buffer)
+        if (kmax + buffer + 1) ** 2 > MAX_ENTRIES:
             raise RuntimeError(
-                f"state-space buffer failed to converge for kmax={kmax}: at lattice bound "
-                f"{kmax + buffer} the block still moved by {change:.3g} (tolerance {block_tol:.3g})"
+                f"truncation bound failed to converge for kmax={kmax}: at lattice bound "
+                f"{last} the error bound is still {bound:.3g} (tolerance {tol:.3g}), and the "
+                f"next lattice would pass the cap of {MAX_ENTRIES} dense entries"
             )
-        block, buffer = big, buffer * 2

@@ -17,7 +17,7 @@ import numpy as np
 
 from .discrete import RandomMeasure, rm_joint_pmf
 from .series import graded_exp_log, graded_order, ts_from_joint_pmf, ts_log
-from .tables import JointPMF, stabilize
+from .tables import CERTIFIED_TOL, JointPMF, stabilize
 
 __all__ = [
     "VerifyReport",
@@ -68,13 +68,28 @@ class VerifyReport:
 # exact joint tables for every construction
 # ---------------------------------------------------------------------------
 
+def _evolved_block(spec, gap, k):
+    """The stationary start evolved over a gap on {0..k}, pi_k K_k, and a
+    proven bound on the error of its entries: the start's tail past k,
+    1 - sum(pi_k), plus the kernel's row bounds weighted by the start."""
+    start = spec.marginal(k)
+    block, bound = spec.kernel_block(gap, k)
+    return start @ block, (1.0 - start.sum()) + start @ bound
+
+
 def _evolved_marginal(spec, initial, gap, kmax):
     """Distribution after a gap on {0..kmax}.  A given start has no mass past
-    kmax, so its product with the kernel block is exact; the stationary start
-    is evolved on a buffered lattice."""
+    kmax, so its product with the certified kernel is within the kernel's
+    bound; the stationary start is evolved on the first lattice whose
+    ``_evolved_block`` bound is within ``CERTIFIED_TOL``, in one loop."""
     if initial is not None:
         return np.asarray(initial, dtype=float) @ spec.kernel(gap, kmax)
-    return stabilize(lambda k: (spec.marginal(k) @ spec.kernel(gap, k))[: kmax + 1], kmax, 1e-13)
+
+    def build(k):
+        evolved, bound = _evolved_block(spec, gap, k)
+        return evolved[: kmax + 1], bound
+
+    return stabilize(build, kmax, CERTIFIED_TOL)
 
 
 def chain_joint_pmf(spec, times, kmax, initial=None, origin=None):

@@ -73,18 +73,33 @@ def test_simulate_missing_parameter_is_config_error(tmp_path):
         ("ct-nb-bd", ["--alpha", "1", "--p", "0.5", "--lambda", "1", "--horizon", "5"], "t0", "3"),
         ("iid", ["--law", "poisson", "--theta", "1", "--steps", "5"], "times", "5,9"),
         ("thinning", ["--law", "poisson", "--theta", "1", "--rho", "0.5", "--steps", "5"], "times", "5,9"),
+        # settings of another family, or of a law the process was not given
+        ("branching-nb", ["--alpha", "2", "--p", ".5", "--rho", ".5", "--steps", "3"], "theta", "9"),
+        ("branching-nb", ["--alpha", "2", "--p", ".5", "--rho", ".5", "--steps", "3"], "law", "nb"),
+        ("branching-nb", ["--alpha", "2", "--p", ".5", "--rho", ".5", "--steps", "3"], "lambda", "4"),
+        ("branching-poisson", ["--theta", "1", "--rho", "0.5", "--steps", "5"], "alpha", "2"),
+        ("thinning", ["--law", "poisson", "--theta", "1", "--rho", "0.5", "--steps", "5"], "p", "0.5"),
+        ("iid", ["--law", "nb", "--theta", "1", "--p", "0.5", "--steps", "5"], "rho", "0.5"),
+        ("ct-poisson-bd", ["--theta", "1", "--lambda", "1", "--horizon", "5"], "p", "0.5"),
+        ("ct-nb-bd", ["--alpha", "1", "--p", "0.5", "--lambda", "1", "--horizon", "5"], "rho", "0.5"),
+        # explicit times replace the ticks
+        ("random-measure", ["--law", "poisson", "--theta", "1", "--rho", ".5", "--times", "4,7"], "steps", "9"),
+        ("random-measure", ["--law", "poisson", "--theta", "1", "--rho", ".5", "--times", "4,7"], "t0", "100"),
     ],
 )
 def test_simulate_rejects_settings_it_would_ignore(tmp_path, capsys, process, params, flag, value):
     out = tmp_path / "x.csv"
     argv = ["simulate", "--process", process, *params, f"--{flag}", value, "--out", str(out)]
     assert run(argv) == 2
-    assert f"--{flag} does not apply to --process {process}" in capsys.readouterr().err
+    want = f"--{flag} does not apply to --process {process}"
+    assert want in capsys.readouterr().err
     assert not out.exists()
     # from a config file too
     cfg_path = tmp_path / "run.cfg"
-    cfg_path.write_text(f"{flag} = {value}\n")
+    cfg_path.write_text(f"{'lam' if flag == 'lambda' else flag} = {value}\n")
     assert run([*argv[:-4], "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert want in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_simulate_accepts_the_default_t0_and_a_ct_start(tmp_path):

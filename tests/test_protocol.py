@@ -22,7 +22,7 @@ from misti.discrete import (
     simulate_chain,
 )
 from misti.idlaw import GenericLevy, NegBinomial, Poisson
-from misti.verify import chain_joint_pmf, reversibility_violation
+from misti.verify import _evolved_block, chain_joint_pmf, reversibility_violation
 
 # deterministic examples, so that tier-1 results never depend on the run
 PROPERTY = settings(derandomize=True, database=None, max_examples=40, deadline=None)
@@ -48,8 +48,9 @@ MARKOV = {
     "iid": st.builds(IID, LAWS, SCALES),
     "constant": st.builds(Constant, LAWS, SCALES),
     "poisson-bd": st.builds(PoissonBD, SCALES, RATES),
-    # p >= 0.2 keeps the lattice that the kernel grows to under ~100 states
-    "nb-bd": st.builds(NBBD, SCALES, st.floats(0.2, 0.95), RATES),
+    # p >= 0.1 keeps the certified lattices under ~750 states; p >= 0.05
+    # would make these examples ~5x slower
+    "nb-bd": st.builds(NBBD, SCALES, st.floats(0.1, 0.95), RATES),
 }
 TIMES = st.lists(st.integers(1, 3), min_size=1, max_size=2).map(
     lambda gaps: tuple(np.cumsum([0, *gaps]).tolist())
@@ -149,3 +150,23 @@ def test_row_deficit_is_the_leakage(family, data, kmax):
     kernel, larger = spec.kernel(1, kmax), spec.kernel(1, 2 * kmax + 10)
     leaked = 1.0 - larger[: kmax + 1, : kmax + 1].sum(axis=1)
     assert np.max(np.abs((1.0 - kernel.sum(axis=1)) - leaked)) <= 1e-13
+
+
+# a few units of float rounding on entries <= 1
+ROUNDING = 1e-15
+
+
+@pytest.mark.parametrize("family", ["poisson-bd", "nb-bd", "thinning-nb", "thinning-levy"])
+@PROPERTY
+@given(data=st.data(), gap=st.integers(1, 3), k=st.integers(1, 15))
+def test_truncation_bound_holds(family, data, gap, k):
+    # a lattice twice as large is closer to the untruncated law on {0..k}, so
+    # its distance from the block is an error the bound must cover
+    spec = data.draw(MARKOV[family])
+    block, bound = spec.kernel_block(gap, k)
+    larger, _ = spec.kernel_block(gap, 2 * k + 1)
+    error = np.abs(larger[: k + 1, : k + 1] - block).max(axis=1)
+    assert np.all(error <= bound + ROUNDING)
+    evolved, evolved_bound = _evolved_block(spec, gap, k)
+    larger_evolved, _ = _evolved_block(spec, gap, 2 * k + 1)
+    assert np.abs(larger_evolved[: k + 1] - evolved).max() <= evolved_bound + ROUNDING

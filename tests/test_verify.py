@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from misti.discrete import (
 )
 from misti.idlaw import GenericLevy, NegBinomial, Poisson, id_pmf, levy_masses
 from misti.series import ts_eval, ts_from_joint_pmf
-from misti.tables import stabilize
+from misti.tables import MAX_ENTRIES, stabilize
 from misti.verify import (
     VerifyReport,
     autocorr_exact,
@@ -101,10 +102,38 @@ def test_chain_joint_pmf_ct_restriction():
 
 
 def test_stabilize_failure_names_its_last_round():
-    # the block is the lattice bound itself, so it moves by the last doubling
-    want = r"kmax=3: at lattice bound 8195 the block still moved by 4.1e\+03 \(tolerance 1e-13\)"
+    # the bound is the lattice bound itself, so it names the last lattice built
+    want = r"kmax=3: at lattice bound 2051 the error bound is still 2.05e\+03 \(tolerance 1e-13\)"
     with pytest.raises(RuntimeError, match=want):
-        stabilize(lambda k: np.full((1, 1), float(k)), 3, 1e-13)
+        stabilize(lambda k: (np.zeros((1, 1)), float(k)), 3, 1e-13)
+
+
+def test_stabilize_fails_fast_below_its_memory_cap():
+    # a bound that never falls: the loop raises before a lattice passes the cap
+    lattices = []
+
+    def build(k):
+        lattices.append(k)
+        return np.ones((k + 1, k + 1))[:4, :4], 1.0
+
+    start = time.perf_counter()
+    with pytest.raises(RuntimeError, match="kmax=3: .* cap of 8388608 dense entries"):
+        stabilize(build, 3, 1e-13)
+    assert time.perf_counter() - start < 1.0
+    assert lattices[0] == 3
+    last = max(lattices)  # the next lattice, 3 + 2 (last - 3), would pass the cap
+    assert (last + 1) ** 2 <= MAX_ENTRIES < (2 * last - 2) ** 2
+
+
+def test_stabilize_stops_at_the_first_certified_lattice():
+    lattices = []
+
+    def build(k):
+        lattices.append(k)
+        return np.zeros((1, 1)), 2.0 ** -k
+
+    stabilize(build, 20, 1e-13)
+    assert lattices == [20, 30, 40, 60]  # 2^-60 is the first bound within 1e-13
 
 
 # ---------------------------------------------------------------------------
