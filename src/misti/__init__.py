@@ -21,7 +21,6 @@ from .ctmc import (
 from .discrete import (
     BranchingNB,
     BranchingPoisson,
-    CellDecomposition,
     Constant,
     IID,
     ProcessSpec,
@@ -31,7 +30,6 @@ from .discrete import (
     beta_binomial_pmf,
     branching_nb_transition_matrix,
     branching_step_nb,
-    branching_step_poisson,
     cell_measures,
     cond_pgf_nb_thinning,
     misti_classify,
@@ -62,7 +60,7 @@ from .idlaw import (
     levy_total,
     pmf_from_levy,
 )
-from .series import TruncSeries, ts_eval, ts_exp, ts_from_joint_pmf, ts_log, ts_mul
+from .series import ts_from_joint_pmf, ts_log
 from .tables import JointPMF
 from .verify import (
     VerifyReport,

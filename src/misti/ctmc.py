@@ -149,8 +149,7 @@ class EventPath:
 
 def gillespie(model, x0, horizon, rng):
     """Event-driven simulation of the chain on [0, horizon] from state x0."""
-    if not horizon > 0.0:
-        raise ValueError(f"horizon must be positive, got {horizon}")
+    _check_positive("horizon", horizon)
     if x0 < 0 or int(x0) != x0:
         raise ValueError(f"initial state must be a nonnegative integer, got {x0}")
     t, x = 0.0, int(x0)

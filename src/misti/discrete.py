@@ -60,7 +60,6 @@ __all__ = [
     "IID",
     "ProcessSpec",
     "Trajectory",
-    "CellDecomposition",
     "thinning_conditional",
     "thinning_transition",
     "thinning_transition_matrix",
@@ -70,7 +69,6 @@ __all__ = [
     "cell_measures",
     "rm_simulate",
     "rm_joint_pmf",
-    "branching_step_poisson",
     "branching_step_nb",
     "branching_nb_transition_matrix",
     "pgf2_poisson",
@@ -374,24 +372,6 @@ def beta_binomial_pmf(x, a, b):
 # random-measure construction
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CellDecomposition:
-    """Areas of the interval cells cut out by the tent sets of given times.
-
-    ``areas[(i, j)]`` (0-based, i <= j inclusive) is the area of the region
-    covered by exactly the tents of times[i..j]; the tents are nested enough
-    that these n(n+1)/2 cells exhaust the union.
-    """
-
-    times: tuple
-    theta: float
-    rho: float
-    areas: dict
-
-    def area(self, i, j):
-        return self.areas[(i, j)]
-
-
 def _boundary_factors(times, theta, rho):
     """Validated times and the boundary factors a_i = 1 - rho^(t_i - t_{i-1}),
     b_j = 1 - rho^(t_{j+1} - t_j) (1 at the ends) of the cell areas
@@ -408,7 +388,10 @@ def _boundary_factors(times, theta, rho):
 
 
 def cell_measures(times, theta, rho):
-    """Cell areas for strictly increasing times.
+    """Areas of the interval cells cut out by the tent sets of strictly
+    increasing times, as a dict: entry (i, j) (0-based, i <= j) is the area of
+    the region covered by exactly the tents of times[i..j]; the tents are
+    nested enough that these n(n+1)/2 cells exhaust the union.
 
     The product form theta rho^(t_j - t_i) (1 - rho^(t_i - t_{i-1}))
     (1 - rho^(t_{j+1} - t_j)) (boundary factors 1) makes nonnegativity
@@ -421,7 +404,7 @@ def cell_measures(times, theta, rho):
     for i in range(n):
         for j in range(i, n):
             areas[(i, j)] = theta * rho ** (times[j] - times[i]) * a[i] * b[j]
-    return CellDecomposition(times, theta, rho, areas)
+    return areas
 
 
 def rm_simulate(law, theta, rho, times, rng):
@@ -475,15 +458,16 @@ def rm_joint_pmf(law, theta, rho, times, kmax, budget=2 * 10**8):
     values above kmax can only land outside the lattice, so the restricted
     table is exact and the remainder is reported as leaked mass.
     """
+    times = tuple(times)
     cells = cell_measures(times, theta, rho)
-    n = len(cells.times)
-    if len(cells.areas) * (kmax + 1) ** (n + 1) > budget:
+    n = len(times)
+    if len(cells) * (kmax + 1) ** (n + 1) > budget:
         raise ValueError(
             f"enumeration budget exceeded for {n} times at lattice bound {kmax}"
         )
     table = np.zeros((kmax + 1,) * n)
     table[(0,) * n] = 1.0
-    for (i, j), area in cells.areas.items():
+    for (i, j), area in cells.items():
         pmf = id_pmf(law, area, kmax)
         new = np.zeros_like(table)
         for v in range(kmax + 1):
@@ -498,19 +482,12 @@ def rm_joint_pmf(law, theta, rho, times, kmax, budget=2 * 10**8):
             )
             new[dst] += pmf[v] * table[src]
         table = new
-    return JointPMF(cells.times, kmax, table)
+    return JointPMF(times, kmax, table)
 
 
 # ---------------------------------------------------------------------------
 # branching families
 # ---------------------------------------------------------------------------
-
-def branching_step_poisson(x, theta, rho, rng):
-    """One transition of the Poisson branching chain from state x."""
-    _check_positive("theta", theta)
-    _check_rho(rho)
-    return int(rng.binomial(x, rho) + rng.poisson(theta * (1.0 - rho)))
-
 
 def _nb_branching_probs(p, rho):
     """(survival probability rho p / (1 - rho q), offspring success
@@ -684,12 +661,10 @@ def misti_classify(r0, r1, r2, theta1):
     """
     tol = 1e-9
     for name, val in (("r0", r0), ("r1", r1), ("r2", r2)):
-        if val < 0.0:
-            raise ValueError(f"{name} must be >= 0, got {val}")
+        _check_nonneg(name, val)
+    _check_positive("theta1", theta1)
     if r0 + r1 > 1.0 + tol:
         raise ValueError(f"r0 + r1 must be <= 1, got {r0 + r1}")
-    if not theta1 > 0.0:
-        raise ValueError(f"theta1 must be positive, got {theta1}")
     if r0 == 0.0:
         if abs(r1 - 1.0) > tol or r2 > tol:
             raise ValueError("r0 = 0 requires r1 = 1 and r2 = 0 (constant case)")

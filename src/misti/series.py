@@ -1,44 +1,35 @@
 """Truncated multivariate power series under total-degree truncation.
 
-This is the generating-function engine: series hold joint pgfs and their
-logarithms, with all coefficients of total degree > maxdeg identically zero.
-For a series built from exact pmf entries, the coefficients of its log up to
-total degree D depend only on the (exact) pgf coefficients up to degree D,
-so low-degree log coefficients carry no truncation error.
+This is the generating-function engine.  A series in n variables truncated
+at total degree maxdeg is its dense coefficient array of shape
+(maxdeg + 1,)^n, whose entries of total degree > maxdeg are zero: a joint
+pgf (``ts_from_joint_pmf``) or its logarithm (``ts_log``).  For a series
+built from exact pmf entries, the coefficients of its log up to total degree
+D depend only on the (exact) pgf coefficients up to degree D, so low-degree
+log coefficients carry no truncation error.
 
-Products, exponentials and logarithms run one sparse, degree-graded
-recursion (Brent & Kung, JACM 1978; Knuth, TAOCP vol. 2 sec. 4.7).  With E
-the Euler operator (sum_i x_i d/dx_i), b = exp(a) satisfies E b = (E a) b, so
-at a multi-index mu of total degree h, summing over k + r = mu with k, r != 0:
+Exponentials and logarithms run one sparse, degree-graded recursion (Brent
+& Kung, JACM 1978; Knuth, TAOCP vol. 2 sec. 4.7).  With E the Euler
+operator (sum_i x_i d/dx_i), b = exp(a) satisfies E b = (E a) b, so at a
+multi-index mu of total degree h, summing over k + r = mu with k, r != 0:
 
     exp:  b[mu] = b[0] a[mu] + (1/h) sum deg(k) a[k] b[r]
     log:  b[mu] = (a[mu] - (1/h) sum deg(k) b[k] a[r]) / a[0]
 
-and a product sums a[k] b[r] over the same pairs.  Only pairs with deg k +
-deg r <= maxdeg are visited: C(2 nvars + maxdeg, 2 nvars) of them, against
-maxdeg (maxdeg + 1)^(2 nvars) terms for dense convolution.  The recursion
-runs on numpy arrays of any scalar type: floats, or ``mpmath.mpf`` objects.
+Only pairs with deg k + deg r <= maxdeg are visited: C(2 nvars + maxdeg,
+2 nvars) of them, against maxdeg (maxdeg + 1)^(2 nvars) terms for dense
+convolution.  The recursion runs on numpy arrays of any scalar type: floats,
+or ``mpmath.mpf`` objects.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
-__all__ = [
-    "TruncSeries",
-    "ts_mul",
-    "ts_exp",
-    "ts_log",
-    "ts_from_joint_pmf",
-    "ts_eval",
-    "graded_order",
-    "graded_exp_log",
-]
+__all__ = ["ts_log", "ts_from_joint_pmf", "graded_order", "graded_exp_log"]
 
 
 @lru_cache(maxsize=None)
@@ -46,88 +37,6 @@ def _degrees(nvars, maxdeg):
     deg = np.indices((maxdeg + 1,) * nvars).sum(axis=0)
     deg.setflags(write=False)
     return deg
-
-
-@dataclass(frozen=True, eq=False)
-class TruncSeries:
-    """Dense coefficient array over {0..maxdeg}^nvars, masked to total degree <= maxdeg."""
-
-    nvars: int
-    maxdeg: int
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        if self.nvars < 1 or self.maxdeg < 0:
-            raise ValueError("need nvars >= 1 and maxdeg >= 0")
-        shape = (self.maxdeg + 1,) * self.nvars
-        given = np.asarray(self.coeffs, dtype=float)
-        if given.shape != shape:
-            raise ValueError(f"coefficients must have shape {shape}, got {given.shape}")
-        c = np.where(_degrees(self.nvars, self.maxdeg) <= self.maxdeg, given, 0.0)
-        c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
-
-    @classmethod
-    def zero(cls, nvars, maxdeg):
-        return cls(nvars, maxdeg, np.zeros((maxdeg + 1,) * nvars))
-
-    @classmethod
-    def const(cls, nvars, maxdeg, value):
-        c = np.zeros((maxdeg + 1,) * nvars)
-        c[(0,) * nvars] = value
-        return cls(nvars, maxdeg, c)
-
-    @classmethod
-    def from_terms(cls, nvars, maxdeg, terms):
-        """Series with the given {multi-index: coefficient} entries."""
-        c = np.zeros((maxdeg + 1,) * nvars)
-        for idx, val in dict(terms).items():
-            idx = (idx,) if np.isscalar(idx) else tuple(idx)
-            if len(idx) != nvars:
-                raise ValueError(f"index {idx} has wrong arity for {nvars} variables")
-            if sum(idx) > maxdeg:
-                raise ValueError(f"index {idx} exceeds total degree {maxdeg}")
-            c[idx] = val
-        return cls(nvars, maxdeg, c)
-
-    def coeff(self, idx):
-        idx = (idx,) if np.isscalar(idx) else tuple(idx)
-        return float(self.coeffs[idx])
-
-    def allclose(self, other, tol=1e-12):
-        return (
-            self.nvars == other.nvars
-            and self.maxdeg == other.maxdeg
-            and bool(np.max(np.abs(self.coeffs - other.coeffs)) <= tol)
-        )
-
-    def __add__(self, other):
-        other = _coerce(other, self)
-        _check_shapes(self, other)
-        return TruncSeries(self.nvars, self.maxdeg, self.coeffs + other.coeffs)
-
-    def __sub__(self, other):
-        other = _coerce(other, self)
-        _check_shapes(self, other)
-        return TruncSeries(self.nvars, self.maxdeg, self.coeffs - other.coeffs)
-
-    def __mul__(self, other):
-        if np.isscalar(other):
-            return TruncSeries(self.nvars, self.maxdeg, self.coeffs * other)
-        return ts_mul(self, other)
-
-    __rmul__ = __mul__
-
-
-def _coerce(x, like):
-    return TruncSeries.const(like.nvars, like.maxdeg, x) if np.isscalar(x) else x
-
-
-def _check_shapes(a, b):
-    if (a.nvars, a.maxdeg) != (b.nvars, b.maxdeg):
-        raise ValueError(
-            f"shape mismatch: ({a.nvars},{a.maxdeg}) vs ({b.nvars},{b.maxdeg})"
-        )
 
 
 @lru_cache(maxsize=None)
@@ -172,52 +81,24 @@ def graded_exp_log(a, nvars, maxdeg, log=None):
     return out
 
 
-def ts_mul(a, b):
-    """Cauchy product truncated at the common total degree."""
-    _check_shapes(a, b)
-    x, y = a.coeffs.ravel(), b.coeffs.ravel()
-    out = x[0] * y + x * y[0]
-    out[0] = x[0] * y[0]
-    for block, left, right, offsets in graded_order(a.nvars, a.maxdeg)[2:]:
-        out[block] += np.add.reduceat(x[left] * y[right], offsets)
-    return TruncSeries(a.nvars, a.maxdeg, out.reshape(a.coeffs.shape))
-
-
-def ts_exp(a):
-    """Series exponential, by the degree-graded recursion."""
-    out = graded_exp_log(a.coeffs.ravel(), a.nvars, a.maxdeg)
-    return TruncSeries(a.nvars, a.maxdeg, out.reshape(a.coeffs.shape))
-
-
 def ts_log(a):
-    """Series logarithm, inverse of ts_exp; needs a positive constant term."""
-    out = graded_exp_log(a.coeffs.ravel(), a.nvars, a.maxdeg, log=math.log)
-    return TruncSeries(a.nvars, a.maxdeg, out.reshape(a.coeffs.shape))
+    """Log of the series with dense coefficient array ``a``, as an array of the
+    same shape; needs a positive constant term."""
+    return graded_exp_log(a.ravel(), a.ndim, a.shape[0] - 1, log=math.log).reshape(a.shape)
 
 
 def ts_from_joint_pmf(pmf, maxdeg=None):
-    """Generating-function series of a joint table: coefficient at x is P(x).
+    """Dense coefficient array of the pgf of a joint table: entry x is P(x).
 
     By default the degree bound is large enough (nvars * k) to keep every
     table entry; a smaller ``maxdeg`` keeps only entries of total degree
     <= maxdeg, which is all the log-coefficient analysis up to that degree
-    needs.
+    needs.  Entries of total degree > maxdeg are zero.
     """
     n = pmf.ntimes
     d = n * pmf.k if maxdeg is None else maxdeg
     arr = np.zeros((d + 1,) * n)
     m = min(d, pmf.k)
     block = (slice(0, m + 1),) * n
-    arr[block] = pmf.table[block]
-    return TruncSeries(n, d, arr)
-
-
-def ts_eval(a, point):
-    """Evaluate the series at a point of [0,1]^nvars (plain Horner per axis)."""
-    point = np.atleast_1d(np.asarray(point, dtype=float))
-    if point.shape != (a.nvars,):
-        raise ValueError(f"point must have {a.nvars} coordinates, got {point.shape}")
-    arr = a.coeffs
-    for x in point[::-1]:
-        arr = npoly.polyval(x, np.moveaxis(arr, -1, 0))
-    return float(arr)
+    arr[block] = np.where(_degrees(n, m) <= d, pmf.table[block], 0.0)
+    return arr

@@ -9,6 +9,7 @@ for bit.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -114,9 +115,10 @@ def chain_joint_pmf(spec, times, kmax, initial=None, origin=None):
         marg = np.asarray(initial, dtype=float)
     else:
         marg = spec.marginal(kmax)
+    kernel = functools.cache(spec.kernel)  # equal gaps share one certified kernel
     table = marg
     for t_prev, t_next in zip(times, times[1:]):
-        table = table[..., None] * spec.kernel(t_next - t_prev, kmax)
+        table = table[..., None] * kernel(t_next - t_prev, kmax)
     return JointPMF(times, kmax, table)
 
 
@@ -222,17 +224,17 @@ def check_mvid(pmf, maxdeg, precision="standard"):
         import mpmath
 
         with mpmath.workdps(40):
-            terms = np.array([mpmath.mpf(float(c)) for c in pgf.coeffs.ravel()], dtype=object)
+            terms = np.array([mpmath.mpf(float(c)) for c in pgf.ravel()], dtype=object)
             logs = graded_exp_log(terms, n, maxdeg, log=mpmath.log)
     else:
-        logs = ts_log(pgf).coeffs.ravel()
+        logs = ts_log(pgf).ravel()
     nonconstant = np.concatenate([level[0] for level in graded_order(n, maxdeg)[1:]])
     best = nonconstant[np.argmin(logs[nonconstant])]  # the first minimum by degree
     min_coeff = float(logs[best])
     return VerifyReport(
         "mvid",
         max(0.0, -min_coeff),
-        tuple(int(i) for i in np.unravel_index(best, pgf.coeffs.shape)),
+        tuple(int(i) for i in np.unravel_index(best, pgf.shape)),
         tolerance,
         extra={"min_coefficient": min_coeff, "precision": precision},
     )

@@ -371,6 +371,10 @@ def test_classify_infeasible_is_config_error():
     assert run(["classify", "--r0", "0.5", "--r1", "0.25", "--r2", "0.125", "--theta1", "1"]) == 2
 
 
+
+def test_classify_nan_is_config_error():
+    assert run(["classify", "--r0", "nan", "--r1", "0.5", "--r2", "0", "--theta1", "1"]) == 2
+
 def test_config_file_roundtrip(tmp_path):
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(

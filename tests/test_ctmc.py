@@ -128,6 +128,12 @@ def test_gillespie_frozen_when_lambda_zero():
     assert path.at(9.99) == 4
 
 
+
+def test_gillespie_rejects_an_infinite_horizon():
+    # the event loop of a chain that moves would never reach it
+    with pytest.raises(ValueError, match="horizon must be positive and finite"):
+        gillespie(PoissonBD(1.0, 1.0), 0, math.inf, np.random.default_rng(0))
+
 def test_gillespie_occupancy_matches_stationary():
     model = PoissonBD(1.0, 1.0)
     rng = np.random.default_rng(42)

@@ -14,7 +14,6 @@ from misti.discrete import (
     Thinning,
     beta_binomial_pmf,
     branching_step_nb,
-    branching_step_poisson,
     branching_nb_transition_matrix,
     cell_measures,
     cond_pgf_nb_thinning,
@@ -28,6 +27,7 @@ from misti.discrete import (
     r_sequence,
     rm_joint_pmf,
     rm_simulate,
+    simulate_chain,
     simulate_thinning,
     thinning_conditional,
     thinning_transition,
@@ -191,21 +191,21 @@ def test_cell_measures_three_consecutive_times():
         (1, 2): 0.25,
         (0, 2): 0.25,
     }
-    assert set(cells.areas) == set(want)
+    assert set(cells) == set(want)
     for key, val in want.items():
-        assert cells.area(*key) == pytest.approx(val, rel=1e-14)
+        assert cells[key] == pytest.approx(val, rel=1e-14)
 
 
 def test_cell_measures_single_time():
     cells = cell_measures((4,), 2.5, 0.3)
-    assert cells.areas == {(0, 0): 2.5}
+    assert cells == {(0, 0): 2.5}
 
 
 def test_cell_measures_gap_two():
     cells = cell_measures((0, 2), 1.0, 0.5)
-    assert cells.area(0, 0) == pytest.approx(0.75, rel=1e-14)
-    assert cells.area(0, 1) == pytest.approx(0.25, rel=1e-14)
-    assert cells.area(1, 1) == pytest.approx(0.75, rel=1e-14)
+    assert cells[(0, 0)] == pytest.approx(0.75, rel=1e-14)
+    assert cells[(0, 1)] == pytest.approx(0.25, rel=1e-14)
+    assert cells[(1, 1)] == pytest.approx(0.75, rel=1e-14)
 
 
 def test_cell_measures_match_tent_geometry():
@@ -218,8 +218,8 @@ def test_cell_measures_match_tent_geometry():
     # inclusion-exclusion for two times: single-coverage area is theta - overlap
     cells = cell_measures((0, 2), theta, rho)
     overlap = tent_overlap((0, 2), theta, rho)
-    assert cells.area(0, 1) == pytest.approx(overlap, abs=1e-9)
-    assert cells.area(0, 0) == pytest.approx(theta - overlap, abs=1e-9)
+    assert cells[(0, 1)] == pytest.approx(overlap, abs=1e-9)
+    assert cells[(0, 0)] == pytest.approx(theta - overlap, abs=1e-9)
 
 
 def test_cell_measures_invariants_random():
@@ -230,13 +230,13 @@ def test_cell_measures_invariants_random():
         theta = float(rng.uniform(0.2, 3.0))
         rho = float(rng.uniform(0.05, 0.95))
         cells = cell_measures(times, theta, rho)
-        assert all(a >= 0.0 for a in cells.areas.values())
+        assert all(a >= 0.0 for a in cells.values())
         for m in range(n):
-            covering = sum(a for (i, j), a in cells.areas.items() if i <= m <= j)
+            covering = sum(a for (i, j), a in cells.items() if i <= m <= j)
             assert covering == pytest.approx(theta, abs=1e-12)
         for s in range(n):
             for t in range(s + 1, n):
-                both = sum(a for (i, j), a in cells.areas.items() if i <= s and j >= t)
+                both = sum(a for (i, j), a in cells.items() if i <= s and j >= t)
                 assert both == pytest.approx(theta * rho ** (times[t] - times[s]), abs=1e-12)
 
 
@@ -255,7 +255,7 @@ def _rm_batch(law, theta, rho, times, rng, size):
     """Vectorized cell-based sampler (same construction as rm_simulate)."""
     cells = cell_measures(times, theta, rho)
     out = np.zeros((size, len(times)), dtype=np.int64)
-    for (i, j), area in cells.areas.items():
+    for (i, j), area in cells.items():
         z = id_sample(law, area, rng, size=size)
         out[:, i : j + 1] += z[:, None]
     return out
@@ -290,7 +290,7 @@ def test_rm_joint_pmf_all_zero_event_factorizes():
     theta, p, rho = 1.0, 0.5, 0.5
     table = rm_joint_pmf(NB, theta, rho, (0, 1, 2), 6)
     cells = cell_measures((0, 1, 2), theta, rho)
-    want = math.prod(id_pmf(NB, a, 0)[0] for a in cells.areas.values())
+    want = math.prod(id_pmf(NB, a, 0)[0] for a in cells.values())
     assert table.table[0, 0, 0] == pytest.approx(want, rel=1e-13)
 
 
@@ -303,8 +303,8 @@ def test_rm_joint_pmf_conditional_closed_form_and_brute_force():
     assert cond == pytest.approx(nb_random_measure_020(theta, p, rho), abs=1e-12)
     # brute-force enumeration over the six cell values
     cells = cell_measures((0, 1, 2), theta, rho)
-    names = list(cells.areas)
-    pmfs = {s: id_pmf(NB, cells.areas[s], 8) for s in names}
+    names = list(cells)
+    pmfs = {s: id_pmf(NB, cells[s], 8) for s in names}
     brute = 0.0
     for vals in itertools.product(range(9), repeat=len(names)):
         v = dict(zip(names, vals))
@@ -330,28 +330,30 @@ def test_rm_joint_pmf_budget_guard():
 # branching steps
 # ---------------------------------------------------------------------------
 
+def _poisson_branching_path(theta, rho, seed):
+    return simulate_chain(BranchingPoisson(theta, rho), 0, 10**5, np.random.default_rng(seed)).values
+
+
 def test_branching_poisson_from_zero_is_innovation():
-    rng = np.random.default_rng(5)
-    draws = np.array([branching_step_poisson(0, 1.0, 0.5, rng) for _ in range(20000)])
+    # a step from 0 keeps no survivors: the next state is the Poisson(theta (1 - rho)) innovation
+    path = _poisson_branching_path(1.0, 0.5, 5)
+    draws = path[1:][path[:-1] == 0]
+    assert draws.size > 20000
     assert chi2_gof_pvalue(draws, id_pmf(Poisson(), 0.5, 12)) > 0.001
 
 
 def test_branching_poisson_preserves_marginal():
-    rng = np.random.default_rng(99)
-    x = int(rng.poisson(1.0))
-    states = np.empty(10**5, dtype=np.int64)
-    for i in range(states.size):
-        x = branching_step_poisson(x, 1.0, 0.5, rng)
-        states[i] = x
+    states = _poisson_branching_path(1.0, 0.5, 99)
     # thin to decorrelate before the goodness-of-fit test
     assert chi2_gof_pvalue(states[::10], id_pmf(Poisson(), 1.0, 12)) > 0.001
 
 
 def test_branching_poisson_conditional_mean():
-    rng = np.random.default_rng(11)
-    x, theta, rho = 5, 1.0, 0.5
-    draws = np.array([branching_step_poisson(x, theta, rho, rng) for _ in range(20000)])
+    x, theta, rho = 5, 5.0, 0.5
+    path = _poisson_branching_path(theta, rho, 11)
+    draws = path[1:][path[:-1] == x]
     want = rho * x + theta * (1.0 - rho)
+    assert draws.size > 10000
     assert abs(draws.mean() - want) <= 3 * draws.std() / math.sqrt(draws.size)
 
 
@@ -391,7 +393,7 @@ def test_branching_step_validation():
     with pytest.raises(ValueError):
         branching_step_nb(1, 1.0, 0.5, 0.0, rng)
     with pytest.raises(ValueError):
-        branching_step_poisson(1, -1.0, 0.5, rng)
+        BranchingPoisson(-1.0, 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -513,6 +515,15 @@ def test_classify_rejects_inconsistent_sequences():
     with pytest.raises(ValueError):
         misti_classify(0.3, 0.3, 0.0, 1.0)  # r2 = 0 but r0 + r1 < 1
 
+
+
+@pytest.mark.parametrize("name", ["r0", "r1", "r2", "theta1"])
+def test_classify_rejects_nan(name):
+    # a NaN passes every `<` and `abs(...) > tol` test of the classification
+    args = {"r0": 0.5, "r1": 0.4, "r2": 0.08, "theta1": 0.4}
+    args[name] = math.nan
+    with pytest.raises(ValueError, match=f"{name} must be .* finite"):
+        misti_classify(**args)
 
 def test_classify_inverts_r_sequence():
     rng = np.random.default_rng(55)

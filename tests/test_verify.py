@@ -4,6 +4,7 @@ import time
 
 import numpy as np
 import pytest
+from numpy.polynomial.polynomial import polyval2d
 
 from misti.ctmc import NBBD, PoissonBD
 from misti.discrete import (
@@ -20,7 +21,6 @@ from misti.discrete import (
     thinning_transition_matrix,
 )
 from misti.idlaw import GenericLevy, NegBinomial, Poisson, id_pmf, levy_masses
-from misti.series import ts_eval, ts_from_joint_pmf
 from misti.tables import MAX_ENTRIES, stabilize
 from misti.verify import (
     VerifyReport,
@@ -73,15 +73,33 @@ def test_chain_joint_pmf_constant_is_diagonal():
 
 def test_chain_joint_pmf_matches_closed_form_pgf_on_grid():
     pmf = chain_joint_pmf(BranchingPoisson(1.0, 0.5), (0, 1), 35)
-    series = ts_from_joint_pmf(pmf)
     from misti.discrete import pgf2_poisson
 
     grid = np.linspace(0.0, 1.0, 5)
     worst = max(
-        abs(ts_eval(series, (s, z)) - pgf2_poisson(s, z, 1.0, 0.5)) for s in grid for z in grid
+        abs(polyval2d(s, z, pmf.table) - pgf2_poisson(s, z, 1.0, 0.5)) for s in grid for z in grid
     )
     assert worst <= 1e-9
 
+
+
+def test_chain_joint_pmf_builds_each_gap_kernel_once(monkeypatch):
+    # equally spaced times share one certified kernel within a table, and the
+    # table is the one a kernel per pair of times gives, bit for bit
+    spec = PoissonBD(4, 0.5)
+    k1 = spec.kernel(1, 24)
+    want = (spec.marginal(24)[:, None] * k1)[..., None] * k1
+    assert np.array_equal(chain_joint_pmf(spec, (0, 1, 2), 24).table, want)
+    calls = []
+    kernel = PoissonBD.kernel
+
+    def spy(self, gap, kmax):
+        calls.append((gap, kmax))
+        return kernel(self, gap, kmax)
+
+    monkeypatch.setattr(PoissonBD, "kernel", spy)
+    check_stationarity(spec, 3, 24)
+    assert calls == [(1, 24)] * 3  # one per table, not one per pair of times
 
 def test_chain_joint_pmf_leak_accounting():
     pmf = chain_joint_pmf(Thinning(NB, 1.0, 0.5), (0, 1, 2), 10)
@@ -270,7 +288,7 @@ def test_mvid_univariate_log_coefficients_are_levy_masses():
         assert report.passed
         from misti.series import ts_from_joint_pmf, ts_log
 
-        coeffs = ts_log(ts_from_joint_pmf(marg, 10)).coeffs
+        coeffs = ts_log(ts_from_joint_pmf(marg, 10))
         want = levy_masses(law, theta, 10)
         assert np.max(np.abs(coeffs[1:] - want)) <= 1e-10
 
