@@ -10,8 +10,9 @@ from scipy.stats import chi2
 def chi2_gof_pvalue(samples, probs, min_expected=5.0):
     """Chi-square test of integer samples against a pmf vector.
 
-    Mass beyond the pmf vector is folded into the top bin; right-hand bins
-    are merged until every expected count reaches ``min_expected``.
+    Mass beyond the pmf vector is folded into the top bin.  Every bin whose
+    expected count is below ``min_expected`` goes into one pooled bin; if
+    the pool is still below it, it is folded into the smallest kept bin.
     """
     samples = np.asarray(samples)
     n = samples.size
@@ -19,15 +20,30 @@ def chi2_gof_pvalue(samples, probs, min_expected=5.0):
     counts = np.bincount(np.clip(samples, 0, kmax), minlength=kmax + 1).astype(float)
     expected = np.asarray(probs, dtype=float) * n
     expected[-1] = n - expected[:-1].sum()
-    counts, expected = list(counts), list(expected)
-    while len(expected) > 2 and expected[-1] < min_expected:
-        # pop first: `x[-2] += x.pop()` would store the sum one bin too far left
-        tail_expected, tail_count = expected.pop(), counts.pop()
-        expected[-1] += tail_expected
-        counts[-1] += tail_count
-    counts, expected = np.array(counts), np.array(expected)
+    sparse = expected < min_expected
+    pool_count, pool_expected = counts[sparse].sum(), expected[sparse].sum()
+    counts, expected = counts[~sparse], expected[~sparse]
+    if pool_expected >= min_expected:
+        counts, expected = np.append(counts, pool_count), np.append(expected, pool_expected)
+    elif sparse.any():
+        smallest = np.argmin(expected)
+        counts[smallest] += pool_count
+        expected[smallest] += pool_expected
     stat = np.sum((counts - expected) ** 2 / expected)
     return float(chi2.sf(stat, df=len(expected) - 1))
+
+
+def joint_gof_pvalue(draws, joint):
+    """Chi-square p-value of rows of joint draws against a ``JointPMF``.
+
+    Each row is binned on its cell of the exact table, or on one more bin
+    for everything off the lattice, whose probability is the leaked mass.
+    """
+    draws = np.asarray(draws)
+    inside = np.all(draws <= joint.k, axis=1)
+    cells = np.full(len(draws), joint.table.size)
+    cells[inside] = np.ravel_multi_index(tuple(draws[inside].T), joint.table.shape)
+    return chi2_gof_pvalue(cells, np.append(joint.table.ravel(), joint.leaked))
 
 
 def tent_overlap(times_pair, theta, rho):

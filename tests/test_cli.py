@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -207,18 +208,56 @@ def test_simulate_random_measure_at_a_large_t0_shifts_only_the_times(tmp_path):
 
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
 def test_write_rows_matches_the_row_by_row_writer(tmp_path, monkeypatch, fmt):
-    # chunks of 7 rows; reference: one _fmt-formatted line (or JSON object) per row
+    # int, str and float columns in chunks of 7 rows, so 20 rows end on a
+    # short chunk; reference: one _fmt-formatted line (or JSON object) per row
     monkeypatch.setattr(misti.cli, "_ROW_CHUNK", 7)
-    times = np.array([0.0, 1e-300, 0.1, 2.5, 123456789.125, 1 / 3, float("inf")] * 3)
-    states = np.arange(21) * 10**12
-    out = tmp_path / f"rows.{fmt}"
-    _write_rows(RunConfig(command="simulate", out=str(out), format=fmt), ("time", "state"), (times, states))
-    rows = list(zip(times.tolist(), states.tolist()))
-    if fmt == "csv":
-        want = "time,state\n" + "".join(f"{_fmt(t)},{_fmt(s)}\n" for t, s in rows)
-    else:
-        want = "".join(json.dumps({"time": t, "state": s}) + "\n" for t, s in rows)
-    assert out.read_text() == want
+    floats = [0.1, 1e-300, 5e-324, 2.0**53, float("nan"), float("inf"), -0.0, 1 / 3]
+    header = ("k", "label", "value")
+    for n in (0, 1, 7, 20):
+        columns = (
+            np.arange(n) * 10**12 - 3,
+            np.array([f"s{i}%" for i in range(n)], dtype=str),
+            np.resize(np.array(floats), n),
+        )
+        out = tmp_path / f"rows{n}.{fmt}"
+        _write_rows(RunConfig(command="simulate", out=str(out), format=fmt), header, columns)
+        rows = list(zip(*(column.tolist() for column in columns)))
+        if fmt == "csv":
+            want = "k,label,value\n" + "".join(",".join(map(_fmt, row)) + "\n" for row in rows)
+        else:
+            want = "".join(json.dumps(dict(zip(header, row))) + "\n" for row in rows)
+        assert out.read_text() == want
+
+
+# sha256 prefixes of stdout, recorded with the row-by-row CSV writer that
+# formatted each cell with _fmt; a change to a sampler's random stream must
+# re-record its rows
+STDOUT_DIGESTS = {
+    "simulate --process thinning --law nb --theta 1 --p 0.5 --rho 0.5 --seed 11": "02faaaebc4584211",
+    "simulate --process thinning --law nb --theta 1 --p 0.5 --rho 0.5 --seed 12": "86d7ec15273130fb",
+    "simulate --process random-measure --law nb --theta 2 --p 0.5 --rho 0.6 --seed 11": "18f8b48be1dff6d8",
+    "simulate --process random-measure --law nb --theta 2 --p 0.5 --rho 0.6 --seed 12": "892fad93543475c9",
+    "simulate --process branching-poisson --theta 2 --rho 0.5 --seed 11": "cc9aced5c670fca3",
+    "simulate --process branching-poisson --theta 2 --rho 0.5 --seed 12": "54ff60b506502c17",
+    "simulate --process branching-nb --alpha 2 --p 0.5 --rho 0.6 --seed 11": "62cc86d0e6893398",
+    "simulate --process branching-nb --alpha 2 --p 0.5 --rho 0.6 --seed 12": "1664fb375ff2d163",
+    "simulate --process iid --law poisson --theta 2 --seed 11": "14111641238b7870",
+    "simulate --process iid --law poisson --theta 2 --seed 12": "b79e2797417135b7",
+    "simulate --process constant --law nb --theta 1 --p 0.5 --seed 11": "db566f84fc877b99",
+    "simulate --process constant --law nb --theta 1 --p 0.5 --seed 12": "901d6bc9ff2519c5",
+    "table --theta-grid 0.5,1,2 --p-grid 0.3,0.5,0.7 --rho-grid 0.2,0.5,0.8": "a85e52ac3e71c649",
+    "table --format jsonl": "07113558befd1bc8",
+    "classify --r0 0.5 --r1 0.4 --r2 0.08 --theta1 0.4": "a2dba65d640a230c",
+    "classify --r0 0.5 --r1 0.4 --r2 0.08 --theta1 0.4 --format csv": "2b22b2c62dc092c3",
+}
+
+
+@pytest.mark.parametrize("argv", STDOUT_DIGESTS)
+def test_stdout_bytes_are_unchanged(capsys, argv):
+    steps = ["--steps", "2000"] if argv.startswith("simulate") else []
+    assert run([*argv.split(), *steps]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest[:16] == STDOUT_DIGESTS[argv]
 
 
 def test_table_grid_point(tmp_path):

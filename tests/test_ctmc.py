@@ -8,7 +8,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from _helpers import chi2_gof_pvalue
+from _helpers import chi2_gof_pvalue, joint_gof_pvalue
 
 import misti
 from misti.ctmc import (
@@ -22,6 +22,7 @@ from misti.ctmc import (
 )
 from misti.discrete import branching_nb_transition_matrix, thinning_transition_matrix
 from misti.idlaw import NegBinomial, Poisson, id_pmf
+from misti.verify import chain_joint_pmf
 
 LAM = math.log(2.0)  # one-step autocorrelation exp(-lam) = 1/2
 
@@ -155,6 +156,62 @@ def test_gillespie_holding_times():
     want = 1.0 / (birth + death)
     se = want / math.sqrt(at_two.size)
     assert abs(at_two.mean() - want) <= 3 * se
+
+
+LAW_MODELS = [PoissonBD(2.0, 1.0), NBBD(2.0, 0.5, 1.0), NBBD(0.7, 0.3, 0.5)]
+
+
+def assert_path_contract(path):
+    assert path.times[0] == 0.0
+    assert np.all(np.diff(path.times) > 0.0) and path.times[-1] < path.horizon
+    assert np.all(np.abs(np.diff(path.states)) == 1) and path.states.min() >= 0
+
+
+@pytest.mark.parametrize("model, k", zip(LAW_MODELS, (12, 20, 30)), ids=str)
+def test_gillespie_windows_match_chain_joint_pmf(model, k):
+    # (X(s), X(s + 0.3), X(s + 1.7)) of one stationary path, with window
+    # starts 10 / lambda apart so consecutive windows are nearly independent
+    times, stride, n = (0.0, 0.3, 1.7), 10.0 / model.lam, 6000
+    rng = np.random.default_rng(8)
+    path = gillespie(model, model.stationary_draw(rng), n * stride, rng)
+    assert_path_contract(path)
+    draws = path.at(np.arange(n)[:, None] * stride + np.array(times))
+    assert joint_gof_pvalue(draws, chain_joint_pmf(model, times, k)) > 0.001
+
+
+@pytest.mark.parametrize("model", LAW_MODELS, ids=str)
+def test_gillespie_transition_law_matches_the_kernel(model):
+    rng = np.random.default_rng(7)
+    ends = [gillespie(model, 3, 0.7, rng).states[-1] for _ in range(20000)]
+    assert chi2_gof_pvalue(ends, transition_uniformized(model, 0.7, 40)[3]) > 0.001
+
+
+class _TiedDraws:
+    """A generator whose uniforms and exponentials are all 0, so every
+    immigrant is born, and every individual dies, at time 0."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+
+    def poisson(self, lam):
+        return self._rng.poisson(lam)
+
+    def random(self, size):
+        return np.zeros(size)
+
+    def standard_exponential(self, size):
+        return np.zeros(size)
+
+
+@pytest.mark.parametrize("x0", [0, 2])
+def test_gillespie_spreads_tied_events_births_first(x0):
+    path = gillespie(PoissonBD(5.0, 1.0), x0, 1.0, _TiedDraws(1))
+    assert_path_contract(path)
+    born = int(path.states.max()) - x0
+    assert born > 0
+    # every birth, then every death, each at its own subnormal time
+    assert np.array_equal(path.states, np.r_[x0 : x0 + born + 1, x0 + born - 1 : -1 : -1])
+    assert path.times[-1] < 1e-320
 
 
 def test_uniformized_identity_at_zero():

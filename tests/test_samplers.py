@@ -1,14 +1,14 @@
 """Exact-law tests of the samplers: draws against exact joint tables.
 
 Joint draws are binned on the cells of the exact table, plus one bin for
-everything off the lattice.  The cells are ordered by decreasing
-probability, so the tail merge of ``chi2_gof_pvalue`` pools the sparse
-cells instead of testing them one by one.
+everything off the lattice (``_helpers.joint_gof_pvalue``), and
+``chi2_gof_pvalue`` pools the sparse cells instead of testing them one by
+one.
 """
 
 import numpy as np
 import pytest
-from _helpers import chi2_gof_pvalue
+from _helpers import chi2_gof_pvalue, joint_gof_pvalue
 from scipy.stats import chi2_contingency
 
 from misti.discrete import (
@@ -27,20 +27,6 @@ from misti.verify import chain_joint_pmf
 
 LEVY = GenericLevy({1: 1.0, 2: 0.5, 3: 0.2})
 LAWS = [Poisson(), NegBinomial(0.5), LEVY]
-
-
-def joint_gof_pvalue(draws, joint):
-    """Chi-square p-value of rows of joint draws against a ``JointPMF``."""
-    draws = np.asarray(draws)
-    shape = joint.table.shape
-    inside = np.all(draws <= joint.k, axis=1)
-    cells = np.full(len(draws), joint.table.size)
-    cells[inside] = np.ravel_multi_index(tuple(draws[inside].T), shape)
-    probs = np.append(joint.table.ravel(), joint.leaked)
-    order = np.argsort(-probs, kind="stable")
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    return chi2_gof_pvalue(rank[cells], probs[order])
 
 
 def windows(values, width, stride):
