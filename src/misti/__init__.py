@@ -39,7 +39,6 @@ from .discrete import (
     pgf2_nb_branching,
     pgf2_nb_thinning,
     pgf2_poisson,
-    r_sequence,
     rm_joint_pmf,
     rm_simulate,
     simulate_chain,

@@ -370,15 +370,8 @@ def cmd_simulate(cfg):
         path = gillespie(spec, x0, cfg.horizon, rng)
         _write_rows(cfg, ("time", "state"), (path.times, path.states))
         return 0
-    if cfg.process == "random-measure":
-        if cfg.times is not None:
-            times = cfg.times
-        else:
-            _require(cfg, "steps")
-            if cfg.steps < 1:
-                raise ValueError("--steps must be >= 1")
-            times = range(cfg.t0, cfg.t0 + cfg.steps)
-        columns = (times, rm_simulate(spec.law, spec.theta, spec.rho, times, rng))
+    if cfg.times is not None:  # only the random measure reads --times
+        columns = (cfg.times, rm_simulate(spec.law, spec.theta, spec.rho, cfg.times, rng))
     else:
         _require(cfg, "steps")
         if cfg.steps < 1:

@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .discrete import _check_nonneg, _check_positive, _check_prob, certified_kernel
+from .discrete import _check_nonneg, _check_positive, _check_prob, _Markov, certified_kernel
 
 __all__ = [
     "PoissonBD",
@@ -47,14 +47,11 @@ __all__ = [
     "transition_uniformized",
 ]
 
-class _BirthDeath:
+class _BirthDeath(_Markov):
     """Kernel protocol of the Markov specs (see ``discrete``); any gap t >= 0."""
 
     def marginal(self, kmax):
         return stationary_bd(self, kmax)
-
-    def kernel(self, gap, kmax):
-        return transition_uniformized(self, gap, kmax)
 
     def kernel_block(self, gap, k):
         if not gap >= 0.0:
@@ -155,12 +152,16 @@ def gillespie(model, x0, horizon, rng):
     individual gives birth at rate b and dies at rate d, independently of
     the others (a = rates(0)[0], b = rates(1)[0] - a, d = rates(1)[1]).  So
     a path is drawn one generation at a time, not one event at a time.
-    Generation 0 is the x0 individuals alive at time 0 and Poisson(a
-    horizon) immigrants at uniform times; each individual lives Exp(d) and
-    has Poisson(b w) children at uniform times within w, its time alive
-    before the horizon.  The mean number of children is at most b/d = 1 - p
-    < 1, so the generations end.  The path is the sorted birth (+1) and
-    death (-1) times and their running sum from x0.
+    Each individual lives Exp(d) and has Poisson(b w) children at uniform
+    times within w, its time alive before the horizon.  The x0 individuals
+    alive at time 0 cost nothing each: Binomial(x0, 1 - e^(-d horizon)) of
+    them die before the horizon, at Exp(d) times conditioned below it, and
+    the survivors share one Poisson(b horizon survivors) count of children
+    at uniform times.  Those children and Poisson(a horizon) immigrants at
+    uniform times are the first generation born.  The mean number of
+    children is at most b/d = 1 - p < 1, so the generations end.  The path
+    is the sorted birth (+1) and death (-1) times and their running sum
+    from x0.
 
     Events that land on one float time (a few paths in 10^6 at 10^5 events
     each) keep births first and move up to the next representable times, so
@@ -175,10 +176,17 @@ def gillespie(model, x0, horizon, rng):
     immigration = model.rates(0)[0]
     birth, death = model.rates(1)
     birth -= immigration
-    born = horizon * rng.random(rng.poisson(immigration * horizon))
-    births, deaths = [born], []
-    alive = np.concatenate((np.zeros(x0), born))  # birth times of one generation
+    dies = -math.expm1(-death * horizon)
     with np.errstate(divide="ignore"):  # a frozen chain (lambda = 0) never dies
+        # capped, as rounding may carry a conditioned death past the horizon
+        end = np.minimum(-np.log1p(-dies * rng.random(rng.binomial(x0, dies))) / death, horizon)
+        kids = rng.poisson(birth * end)
+        alive = np.concatenate((  # birth times of one generation
+            horizon * rng.random(rng.poisson(immigration * horizon)),
+            np.repeat(end, kids) * rng.random(kids.sum()),
+            horizon * rng.random(rng.poisson(birth * horizon * (x0 - end.size))),
+        ))
+        births, deaths = [alive], [end]
         while alive.size:
             end = alive + rng.standard_exponential(alive.size) / death
             deaths.append(end[end < horizon])

@@ -13,23 +13,30 @@ autocorrelation rho^|s-t|:
   nondegenerate chains that are simultaneously Markov, stationary,
   time-reversible and jointly infinitely divisible.
 
+Every spec owns ``joint_pmf(times, kmax, initial=None, origin=None)``, its
+exact joint table on {0..kmax}^n, and ``reversal_times``, the times whose
+table time reversal must leave unchanged: a pair for a Markov chain
+(detailed balance), a triple for the random measure, which is not Markov.
 Every Markov spec (the chains here and the birth-death chains of ``ctmc``)
 owns its stationary pmf ``marginal(kmax)`` and its ``kernel_block(gap, k)``:
 its transition matrix built on {0..k} and a proven bound on the error of
 each row's entries.  Closed-form rows are exact (bound 0); powers and
 exponentials of truncated kernels miss at most the mass that leaves the
 lattice.  ``kernel(gap, kmax)`` is the block on {0..kmax} of the first
-lattice whose bounds certify it (``certified_kernel``).  Discrete chains
+lattice whose bounds certify it (``certified_kernel``), and a joint table
+is the forward product of the marginal and those kernels.  Discrete specs
 take positive integer gaps only, and each also owns its stationary sampler
 ``sample_path(t0, n, rng)``, which draws all state-independent randomness
 in one call each, so a step costs at most two scalar draws.  The Poisson
 branching chain is the Poisson thinning chain (binomial survivors plus
 Poisson immigrants), so ``BranchingPoisson`` only fixes the law of a
-thinning chain and shares its kernel and sampler.
+thinning chain and shares its kernel and sampler.  The chains that
+``misti_classify`` returns own ``offspring()``, its inverse.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -79,7 +86,6 @@ __all__ = [
     "nb_random_measure_020",
     "negtrinomial_pmf",
     "misti_classify",
-    "r_sequence",
 ]
 
 
@@ -123,11 +129,48 @@ def certified_kernel(spec, gap, kmax):
     return stabilize(build, kmax, CERTIFIED_TOL)
 
 
+def _evolved_block(spec, gap, k):
+    """The stationary start evolved over a gap on {0..k}, pi_k K_k, and a
+    proven bound on the error of its entries: the start's tail past k,
+    1 - sum(pi_k), plus the kernel's row bounds weighted by the start."""
+    start = spec.marginal(k)
+    block, bound = spec.kernel_block(gap, k)
+    return start @ block, (1.0 - start.sum()) + start @ bound
+
+
 class _Markov:
-    """``kernel(gap, kmax)`` of a spec that owns ``kernel_block(gap, k)``."""
+    """``kernel(gap, kmax)`` and joint tables of a spec that owns
+    ``marginal(kmax)`` and ``kernel_block(gap, k)``."""
+
+    reversal_times = (0, 1)
 
     def kernel(self, gap, kmax):
         return certified_kernel(self, gap, kmax)
+
+    def joint_pmf(self, times, kmax, initial=None, origin=None):
+        """Forward product of the start and the certified kernels over the
+        gaps of ``times``.  The start is the stationary marginal, or the pmf
+        vector ``initial``; with ``origin`` it is placed there and evolved to
+        ``times[0]``.  A given start has no mass past kmax, so its product
+        with the certified kernel is within the kernel's bound; the
+        stationary start is evolved on the first lattice whose
+        ``_evolved_block`` bound is within ``CERTIFIED_TOL``, in one loop."""
+        if initial is not None and np.shape(initial) != (kmax + 1,):
+            raise ValueError(f"initial pmf must have shape ({kmax + 1},)")
+        if origin is None or times[0] == origin:
+            table = self.marginal(kmax) if initial is None else np.asarray(initial, dtype=float)
+        elif initial is not None:
+            table = np.asarray(initial, dtype=float) @ self.kernel(times[0] - origin, kmax)
+        else:
+            def build(k):
+                evolved, bound = _evolved_block(self, times[0] - origin, k)
+                return evolved[: kmax + 1], bound
+
+            table = stabilize(build, kmax, CERTIFIED_TOL)
+        kernel = functools.cache(self.kernel)  # equal gaps share one certified kernel
+        for t_prev, t_next in zip(times, times[1:]):
+            table = table[..., None] * kernel(t_next - t_prev, kmax)
+        return JointPMF(times, kmax, table)
 
 
 class _LawMarginal:
@@ -174,15 +217,29 @@ class Thinning(_ThinningChain):
 
 @dataclass(frozen=True)
 class RandomMeasure:
-    """Random-measure process over an ID semigroup (jointly ID of all orders)."""
+    """Random-measure process over an ID semigroup (jointly ID of all orders).
+    It is not Markov, so its pair tables are symmetric whatever the law and
+    reversibility is read off triples."""
 
     law: IDLaw
     theta: float
     rho: float
 
+    reversal_times = (0, 1, 2)  # a class attribute, not a field
+
     def __post_init__(self):
         _check_positive("theta", self.theta)
         _check_rho(self.rho)
+
+    def joint_pmf(self, times, kmax, initial=None, origin=None):
+        """``rm_joint_pmf`` at the times; the process is stationary by
+        construction, so ``origin`` changes nothing."""
+        if initial is not None:
+            raise ValueError("random-measure processes have no chain initial state")
+        return rm_joint_pmf(self.law, self.theta, self.rho, times, kmax)
+
+    def sample_path(self, t0, n, rng):
+        return Trajectory(t0, rm_simulate(self.law, self.theta, self.rho, range(t0, t0 + n), rng))
 
 
 @dataclass(frozen=True)
@@ -194,6 +251,9 @@ class BranchingPoisson(_ThinningChain):
     law = Poisson()  # a class attribute, not a field
     theta: float
     rho: float
+
+    def offspring(self):
+        return 1.0 - self.rho, self.rho, 0.0, self.theta
 
 
 @dataclass(frozen=True)
@@ -218,6 +278,12 @@ class BranchingNB(_Markov):
         if rho == 0.0:
             return _exact(_iid_kernel(self, k))
         return _exact(branching_nb_transition_matrix(self.alpha, self.p, rho, k))
+
+    def offspring(self):
+        q = 1.0 - self.p
+        r0 = (1.0 - self.rho) / (1.0 - self.rho * q)
+        r1 = self.rho * self.p**2 / (1.0 - self.rho * q) ** 2
+        return r0, r1, r1 * q * r0, self.alpha * q
 
     def sample_path(self, t0, n, rng):
         """NB(alpha + y, s) = NB(alpha, s) + NB(y, s), so the NB(alpha, s)
@@ -248,6 +314,9 @@ class Constant(_LawMarginal, _Markov):
         _integer_gap(gap)
         return _exact(np.eye(k + 1))
 
+    def offspring(self):
+        return 0.0, 1.0, 0.0, float(levy_masses(self.law, self.theta, 1)[0])
+
     def sample_path(self, t0, n, rng):
         return Trajectory(t0, np.full(n, id_sample(self.law, self.theta, rng), dtype=np.int64))
 
@@ -265,6 +334,9 @@ class IID(_LawMarginal, _Markov):
     def kernel_block(self, gap, k):
         _integer_gap(gap)
         return _exact(_iid_kernel(self, k))
+
+    def offspring(self):
+        return 1.0, 0.0, 0.0, float(levy_masses(self.law, self.theta, 1)[0])
 
     def sample_path(self, t0, n, rng):
         return Trajectory(t0, id_sample(self.law, self.theta, rng, size=n))
@@ -451,7 +523,12 @@ def rm_simulate(law, theta, rho, times, rng):
     return np.cumsum(diff[:-1])
 
 
-def rm_joint_pmf(law, theta, rho, times, kmax, budget=2 * 10**8):
+# the most products rm_joint_pmf may form: cells x (kmax + 1) cell values x
+# (kmax + 1)^n table entries
+_RM_BUDGET = 2 * 10**8
+
+
+def rm_joint_pmf(law, theta, rho, times, kmax):
     """Exact joint table of the random-measure process on {0..kmax}^n.
 
     Convolves the independent cell variables into the joint lattice; cell
@@ -461,7 +538,7 @@ def rm_joint_pmf(law, theta, rho, times, kmax, budget=2 * 10**8):
     times = tuple(times)
     cells = cell_measures(times, theta, rho)
     n = len(times)
-    if len(cells) * (kmax + 1) ** (n + 1) > budget:
+    if len(cells) * (kmax + 1) ** (n + 1) > _RM_BUDGET:
         raise ValueError(
             f"enumeration budget exceeded for {n} times at lattice bound {kmax}"
         )
@@ -657,7 +734,8 @@ def misti_classify(r0, r1, r2, theta1):
 
     Degenerate families are returned with a canonical Poisson marginal of
     mean theta1 (the inputs do not constrain jump masses beyond size 1).
-    The identities above are checked to within 1e-9.
+    The identities above are checked to within 1e-9.  The returned spec's
+    ``offspring()`` gives (r0, r1, r2, theta1) back.
     """
     tol = 1e-9
     for name, val in (("r0", r0), ("r1", r1), ("r2", r2)):
@@ -692,18 +770,3 @@ def misti_classify(r0, r1, r2, theta1):
         )
     return BranchingNB(theta1 / q, 1.0 - q, (1.0 - r0) ** 2 / r1)
 
-
-def r_sequence(spec):
-    """Read (r0, r1, r2, theta1) off a chain spec; inverse of misti_classify."""
-    if isinstance(spec, Constant):
-        return 0.0, 1.0, 0.0, float(levy_masses(spec.law, spec.theta, 1)[0])
-    if isinstance(spec, IID):
-        return 1.0, 0.0, 0.0, float(levy_masses(spec.law, spec.theta, 1)[0])
-    if isinstance(spec, BranchingPoisson):
-        return 1.0 - spec.rho, spec.rho, 0.0, spec.theta
-    if isinstance(spec, BranchingNB):
-        q = 1.0 - spec.p
-        r0 = (1.0 - spec.rho) / (1.0 - spec.rho * q)
-        r1 = spec.rho * spec.p**2 / (1.0 - spec.rho * q) ** 2
-        return r0, r1, r1 * q * r0, spec.alpha * q
-    raise TypeError(f"no offspring sequence for {spec!r}")

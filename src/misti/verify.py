@@ -3,22 +3,20 @@
 Every check reduces a distributional property (stationarity, reversibility,
 the Markov factorization, joint infinite divisibility) to a worst-case
 violation over a truncated lattice, reported with its witness point when the
-check fails.  Checks are pure functions of their inputs and reproducible bit
-for bit.
+check fails.  The tables come from the specs (``spec.joint_pmf``), so no
+check asks which construction it reads.  Checks are pure functions of their
+inputs and reproducible bit for bit.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .discrete import RandomMeasure, rm_joint_pmf
 from .series import graded_exp_log, graded_order, ts_from_joint_pmf, ts_log
-from .tables import CERTIFIED_TOL, JointPMF, stabilize
 
 __all__ = [
     "VerifyReport",
@@ -69,57 +67,12 @@ class VerifyReport:
 # exact joint tables for every construction
 # ---------------------------------------------------------------------------
 
-def _evolved_block(spec, gap, k):
-    """The stationary start evolved over a gap on {0..k}, pi_k K_k, and a
-    proven bound on the error of its entries: the start's tail past k,
-    1 - sum(pi_k), plus the kernel's row bounds weighted by the start."""
-    start = spec.marginal(k)
-    block, bound = spec.kernel_block(gap, k)
-    return start @ block, (1.0 - start.sum()) + start @ bound
-
-
-def _evolved_marginal(spec, initial, gap, kmax):
-    """Distribution after a gap on {0..kmax}.  A given start has no mass past
-    kmax, so its product with the certified kernel is within the kernel's
-    bound; the stationary start is evolved on the first lattice whose
-    ``_evolved_block`` bound is within ``CERTIFIED_TOL``, in one loop."""
-    if initial is not None:
-        return np.asarray(initial, dtype=float) @ spec.kernel(gap, kmax)
-
-    def build(k):
-        evolved, bound = _evolved_block(spec, gap, k)
-        return evolved[: kmax + 1], bound
-
-    return stabilize(build, kmax, CERTIFIED_TOL)
-
-
 def chain_joint_pmf(spec, times, kmax, initial=None, origin=None):
-    """Exact joint table of the process at the given times on {0..kmax}^n.
-
-    Markov constructions use forward products of ``spec.marginal`` and
-    ``spec.kernel`` rows; the random-measure construction convolves its cell
-    variables.  With ``initial`` (a pmf vector) and ``origin`` the chain is
-    started from that distribution at time ``origin`` instead of from
-    stationarity, which is how non-stationary starts are probed.
-    """
-    times = tuple(times)
-    if isinstance(spec, RandomMeasure):
-        if initial is not None:
-            raise ValueError("random-measure processes have no chain initial state")
-        return rm_joint_pmf(spec.law, spec.theta, spec.rho, times, kmax)
-    if initial is not None and np.shape(initial) != (kmax + 1,):
-        raise ValueError(f"initial pmf must have shape ({kmax + 1},)")
-    if origin is not None and times[0] != origin:
-        marg = _evolved_marginal(spec, initial, times[0] - origin, kmax)
-    elif initial is not None:
-        marg = np.asarray(initial, dtype=float)
-    else:
-        marg = spec.marginal(kmax)
-    kernel = functools.cache(spec.kernel)  # equal gaps share one certified kernel
-    table = marg
-    for t_prev, t_next in zip(times, times[1:]):
-        table = table[..., None] * kernel(t_next - t_prev, kmax)
-    return JointPMF(times, kmax, table)
+    """Exact joint table of the process at the given times on {0..kmax}^n,
+    ``spec.joint_pmf``.  With ``initial`` (a pmf vector) and ``origin`` a
+    chain is started from that distribution at time ``origin`` instead of
+    from stationarity, which is how non-stationary starts are probed."""
+    return spec.joint_pmf(tuple(times), kmax, initial, origin)
 
 
 # ---------------------------------------------------------------------------
@@ -162,14 +115,11 @@ def reversibility_violation(pmf, trans):
 
 
 def check_reversibility(spec, kmax):
-    """Detailed balance for chains; reflection symmetry of triples otherwise
-    (tolerance 1e-10)."""
-    if isinstance(spec, RandomMeasure):
-        j3 = chain_joint_pmf(spec, (0, 1, 2), kmax)
-        violation, witness = _worst(np.abs(j3.table - j3.reorder((2, 1, 0))))
-    else:
-        violation, witness = reversibility_violation(spec.marginal(kmax), spec.kernel(1, kmax))
-    return VerifyReport("reversibility", violation, witness, 1e-10)
+    """Reflection symmetry of the table at ``spec.reversal_times`` (tolerance
+    1e-10); for a chain's pair table pi_x q(y|x) that is detailed balance."""
+    table = chain_joint_pmf(spec, spec.reversal_times, kmax)
+    reflected = table.reorder(tuple(reversed(range(table.ntimes))))
+    return VerifyReport("reversibility", *_worst(np.abs(table.table - reflected)), 1e-10)
 
 
 def check_markov_triple(j3):

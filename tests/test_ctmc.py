@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -187,14 +188,18 @@ def test_gillespie_transition_law_matches_the_kernel(model):
 
 
 class _TiedDraws:
-    """A generator whose uniforms and exponentials are all 0, so every
-    immigrant is born, and every individual dies, at time 0."""
+    """A generator whose uniforms and exponentials are all 0, and whose
+    binomials take every trial, so every immigrant is born, and every
+    individual dies, at time 0."""
 
     def __init__(self, seed):
         self._rng = np.random.default_rng(seed)
 
     def poisson(self, lam):
         return self._rng.poisson(lam)
+
+    def binomial(self, n, p):
+        return n
 
     def random(self, size):
         return np.zeros(size)
@@ -212,6 +217,19 @@ def test_gillespie_spreads_tied_events_births_first(x0):
     # every birth, then every death, each at its own subnormal time
     assert np.array_equal(path.states, np.r_[x0 : x0 + born + 1, x0 + born - 1 : -1 : -1])
     assert path.times[-1] < 1e-320
+
+
+def test_gillespie_costs_nothing_per_starting_individual():
+    # 10^6 individuals and a horizon too short for any event
+    rng = np.random.default_rng(3)
+    tracemalloc.start()
+    try:
+        path = gillespie(NBBD(2.0, 0.5, 1.0), 10**6, 1e-9, rng)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert path.states[0] == 10**6
+    assert peak < 2**20
 
 
 def test_uniformized_identity_at_zero():

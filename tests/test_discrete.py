@@ -24,7 +24,6 @@ from misti.discrete import (
     pgf2_nb_branching,
     pgf2_nb_thinning,
     pgf2_poisson,
-    r_sequence,
     rm_joint_pmf,
     rm_simulate,
     simulate_chain,
@@ -321,9 +320,19 @@ def test_rm_joint_pmf_poisson_equals_thinning_table():
     assert np.max(np.abs(rm.table - thin.table)) <= 1e-10
 
 
+@pytest.mark.parametrize("t0", [0, 5, 10**16])
+def test_random_measure_sample_path_is_rm_simulate(t0):
+    spec = RandomMeasure(NB, 2.0, 0.6)
+    path = spec.sample_path(t0, 300, np.random.default_rng(4))
+    want = rm_simulate(NB, 2.0, 0.6, range(t0, t0 + 300), np.random.default_rng(4))
+    assert path.t0 == t0
+    assert np.array_equal(path.values, want)
+
+
 def test_rm_joint_pmf_budget_guard():
+    # 21 cells x 41^7 products, about 4e12, far past the budget
     with pytest.raises(ValueError):
-        rm_joint_pmf(NB, 1.0, 0.5, tuple(range(6)), 40, budget=10**4)
+        rm_joint_pmf(NB, 1.0, 0.5, tuple(range(6)), 40)
 
 
 # ---------------------------------------------------------------------------
@@ -525,7 +534,7 @@ def test_classify_rejects_nan(name):
     with pytest.raises(ValueError, match=f"{name} must be .* finite"):
         misti_classify(**args)
 
-def test_classify_inverts_r_sequence():
+def test_classify_inverts_offspring():
     rng = np.random.default_rng(55)
     specs = [
         BranchingPoisson(1.7, 0.3),
@@ -543,7 +552,7 @@ def test_classify_inverts_r_sequence():
             )
         )
     for spec in specs:
-        back = misti_classify(*r_sequence(spec))
+        back = misti_classify(*spec.offspring())
         assert type(back) is type(spec)
         for name in ("theta", "alpha", "p", "rho"):
             if hasattr(spec, name):

@@ -1,14 +1,18 @@
 """The protocol of the Markov specs: ``marginal(kmax)`` and
 ``kernel(gap, kmax)`` on every chain, discrete and continuous-time, and
-``sample_path(t0, n, rng)`` on the discrete ones."""
+``sample_path(t0, n, rng)`` on the discrete ones; and no code in ``misti``
+that asks a spec for its type instead."""
 
+import ast
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import misti
 from misti.ctmc import NBBD, PoissonBD, transition_uniformized
 from misti.discrete import (
     IID,
@@ -16,13 +20,13 @@ from misti.discrete import (
     BranchingPoisson,
     Constant,
     Thinning,
+    _evolved_block,
     misti_classify,
-    r_sequence,
     rm_joint_pmf,
     simulate_chain,
 )
 from misti.idlaw import GenericLevy, NegBinomial, Poisson
-from misti.verify import _evolved_block, chain_joint_pmf, reversibility_violation
+from misti.verify import chain_joint_pmf, reversibility_violation
 
 # deterministic examples, so that tier-1 results never depend on the run
 PROPERTY = settings(derandomize=True, database=None, max_examples=40, deadline=None)
@@ -79,8 +83,8 @@ def test_kernel_is_in_detailed_balance_with_marginal(family, data, kmax):
 
 @PROPERTY
 @given(spec=BRANCHING)
-def test_classify_inverts_r_sequence(spec):
-    got = misti_classify(*r_sequence(spec))
+def test_classify_inverts_offspring(spec):
+    got = misti_classify(*spec.offspring())
     assert type(got) is type(spec)
     assert dataclasses.astuple(got) == pytest.approx(dataclasses.astuple(spec), rel=1e-9)
 
@@ -170,3 +174,29 @@ def test_truncation_bound_holds(family, data, gap, k):
     evolved, evolved_bound = _evolved_block(spec, gap, k)
     larger_evolved, _ = _evolved_block(spec, gap, 2 * k + 1)
     assert np.abs(larger_evolved[: k + 1] - evolved).max() <= evolved_bound + ROUNDING
+
+
+def _type_switches(node, scope=()):
+    """(scope, source) of every isinstance call whose first argument is
+    ``spec``, ``model`` or ``self``, or an attribute of one."""
+    if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+        scope = (*scope, node.name)
+    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+        root = node.args[0]
+        while isinstance(root, ast.Attribute):
+            root = root.value
+        if getattr(root, "id", None) in ("spec", "model", "self"):
+            yield ".".join(scope), ast.unparse(node)
+    for child in ast.iter_child_nodes(node):
+        yield from _type_switches(child, scope)
+
+
+def test_no_caller_switches_on_spec_type():
+    # specs own their tables, kernels, samplers and offspring; the one switch
+    # left is a rule of the Poisson law: binomial thinning composes over gaps
+    found = [
+        (path.name, *site)
+        for path in sorted(Path(misti.__file__).parent.glob("*.py"))
+        for site in _type_switches(ast.parse(path.read_text()))
+    ]
+    assert found == [("discrete.py", "_ThinningChain.kernel_block", "isinstance(self.law, Poisson)")]

@@ -50,6 +50,7 @@ ALL_SPECS = [
     PoissonBD(1.0, LAM),
     NBBD(1.0, 0.5, LAM),
 ]
+CHAINS = [spec for spec in ALL_SPECS if type(spec) is not RandomMeasure]
 
 
 # ---------------------------------------------------------------------------
@@ -100,6 +101,20 @@ def test_chain_joint_pmf_builds_each_gap_kernel_once(monkeypatch):
     monkeypatch.setattr(PoissonBD, "kernel", spy)
     check_stationarity(spec, 3, 24)
     assert calls == [(1, 24)] * 3  # one per table, not one per pair of times
+
+@pytest.mark.parametrize("spec", CHAINS, ids=lambda s: type(s).__name__)
+def test_chain_joint_pmf_rejects_an_initial_pmf_of_the_wrong_shape(spec):
+    with pytest.raises(ValueError, match=r"initial pmf must have shape \(9,\)"):
+        chain_joint_pmf(spec, (0, 1), 8, initial=np.full(5, 0.2), origin=0)
+
+
+def test_random_measure_has_no_chain_initial_state():
+    spec = RandomMeasure(NB, 1.0, 0.5)
+    with pytest.raises(ValueError, match="no chain initial state"):
+        chain_joint_pmf(spec, (0, 1), 8, initial=np.eye(9)[0])
+    with pytest.raises(ValueError, match="no chain initial state"):
+        check_stationarity(spec, 2, 8, initial=np.eye(9)[0])
+
 
 def test_chain_joint_pmf_leak_accounting():
     pmf = chain_joint_pmf(Thinning(NB, 1.0, 0.5), (0, 1, 2), 10)
@@ -202,6 +217,14 @@ def test_reversibility_rejects_asymmetric_walk():
     violation, witness = reversibility_violation(pi, q)
     assert violation > 1e-2
     assert len(witness) == 2
+
+
+@pytest.mark.parametrize("spec", CHAINS, ids=lambda s: type(s).__name__)
+def test_reversibility_of_a_chain_is_detailed_balance(spec):
+    # a chain's pair table is its flux pi_x q(y|x), so reflecting it is
+    # detailed balance, bit for bit
+    want = reversibility_violation(spec.marginal(16), spec.kernel(1, 16))
+    assert check_reversibility(spec, 16) == VerifyReport("reversibility", *want, 1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +344,7 @@ def test_conditional_pgf_ratio_identity(spec):
 
 def test_quadrichotomy_on_feasible_grid():
     # Every BranchingNB has r_i = r1 (q r0)^(i-1) for i >= 1 and sum r_i = 1
-    # (see r_sequence), so r0 + r1^2 / (r1 - r2) = 1 on each NB row:
+    # (see BranchingNB.offspring), so r0 + r1^2 / (r1 - r2) = 1 on each NB row:
     # r0 = 1 - 0.35^2 / (0.35 - 0.11667) = 0.475 keeps r1, r2 and theta1.
     cases = [
         (0.0, 1.0, 0.0, 0.8),
