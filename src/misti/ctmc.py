@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .discrete import _check_nonneg, _check_positive, _check_prob, _Markov, certified_kernel
+from .discrete import _check_nonneg, _check_positive, _check_prob, _Markov
 
 __all__ = [
     "PoissonBD",
@@ -332,6 +332,7 @@ def transition_uniformized(model, t, kmax):
     deficit is the mass killed at the lattice's cut, and by the finite state
     projection theorem it bounds the error of every entry of its row: each
     returned entry is proven within 1e-13 of the untruncated kernel, up to
-    float rounding.
+    float rounding.  It is ``model.kernel(t, kmax)``: read-only, and
+    certified once per model instance.
     """
-    return certified_kernel(model, t, kmax)
+    return model.kernel(t, kmax)

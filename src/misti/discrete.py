@@ -23,11 +23,12 @@ its transition matrix built on {0..k} and a proven bound on the error of
 each row's entries.  Closed-form rows are exact (bound 0); powers and
 exponentials of truncated kernels miss at most the mass that leaves the
 lattice.  ``kernel(gap, kmax)`` is the block on {0..kmax} of the first
-lattice whose bounds certify it (``certified_kernel``), and a joint table
-is the forward product of the marginal and those kernels.  Discrete specs
-take positive integer gaps only, and each also owns its stationary sampler
-``sample_path(t0, n, rng)``, which draws all state-independent randomness
-in one call each, so a step costs at most two scalar draws.  The Poisson
+lattice whose bounds certify it (``certified_kernel``), certified once per
+spec instance, and a joint table is the forward product of the marginal and
+those kernels.  Discrete specs take positive integer gaps only, and each
+also owns its stationary sampler ``sample_path(t0, n, rng)``, which draws
+all state-independent randomness in one call each, so a step costs at most
+two scalar draws.  The Poisson
 branching chain is the Poisson thinning chain (binomial survivors plus
 Poisson immigrants), so ``BranchingPoisson`` only fixes the law of a
 thinning chain and shares its kernel and sampler.  The chains that
@@ -36,7 +37,6 @@ thinning chain and shares its kernel and sampler.  The chains that
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -56,7 +56,7 @@ from .idlaw import (
     levy_total,
     thinning_conditional,
 )
-from .tables import CERTIFIED_TOL, JointPMF, stabilize
+from .tables import CERTIFIED_TOL, JointPMF, increasing_times, stabilize
 
 __all__ = [
     "Thinning",
@@ -123,7 +123,7 @@ def certified_kernel(spec, gap, kmax):
     whose row bounds on the kept rows are within ``CERTIFIED_TOL``."""
 
     def build(k):
-        block, bound = spec.kernel_block(gap, k)
+        block, bound = spec._lattice_block(gap, k)
         return block[: kmax + 1, : kmax + 1], bound[: kmax + 1].max()
 
     return stabilize(build, kmax, CERTIFIED_TOL)
@@ -134,8 +134,12 @@ def _evolved_block(spec, gap, k):
     proven bound on the error of its entries: the start's tail past k,
     1 - sum(pi_k), plus the kernel's row bounds weighted by the start."""
     start = spec.marginal(k)
-    block, bound = spec.kernel_block(gap, k)
+    block, bound = spec._lattice_block(gap, k)
     return start @ block, (1.0 - start.sum()) + start @ bound
+
+
+# the most kernel_block entries a spec keeps for reuse: 2**20 float64 are 8 MB
+_KEPT_ENTRIES = 2**20
 
 
 class _Markov:
@@ -144,17 +148,48 @@ class _Markov:
 
     reversal_times = (0, 1)
 
+    def _lattice_block(self, gap, k):
+        """``kernel_block(gap, k)``, read-only.  The builds of the last gap
+        asked for are kept on the instance, up to ``_KEPT_ENTRIES`` entries in
+        all, so a stationary start evolved over a gap walks the lattices that
+        certified that gap's kernel without building them again."""
+        kept_gap, kept = self.__dict__.get("_lattices", (None, {}))
+        if gap != kept_gap:
+            kept = {}
+            self.__dict__["_lattices"] = (gap, kept)
+        if k in kept:
+            return kept[k]
+        block, bound = self.kernel_block(gap, k)
+        block.setflags(write=False)
+        if block.size + sum(b.size for b, _ in kept.values()) <= _KEPT_ENTRIES:
+            kept[k] = block, bound
+        return block, bound
+
     def kernel(self, gap, kmax):
-        return certified_kernel(self, gap, kmax)
+        """``certified_kernel(self, gap, kmax)``, certified once per instance:
+        the block is kept read-only in a memo on the instance (as
+        ``functools.cached_property`` keeps its value), so the tables of one
+        check share it.  Equal specs built apart do not share a memo."""
+        memo = self.__dict__.setdefault("_kernels", {})
+        if (gap, kmax) not in memo:
+            # a copy of a cut block, so the memo never holds a larger lattice
+            block = np.ascontiguousarray(certified_kernel(self, gap, kmax))
+            block.setflags(write=False)
+            memo[gap, kmax] = block
+        return memo[gap, kmax]
 
     def joint_pmf(self, times, kmax, initial=None, origin=None):
         """Forward product of the start and the certified kernels over the
         gaps of ``times``.  The start is the stationary marginal, or the pmf
-        vector ``initial``; with ``origin`` it is placed there and evolved to
-        ``times[0]``.  A given start has no mass past kmax, so its product
-        with the certified kernel is within the kernel's bound; the
-        stationary start is evolved on the first lattice whose
-        ``_evolved_block`` bound is within ``CERTIFIED_TOL``, in one loop."""
+        vector ``initial``; with ``origin`` (at or before ``times[0]``) it is
+        placed there and evolved to ``times[0]``.  A given start has no mass
+        past kmax, so its product with the certified kernel is within the
+        kernel's bound; the stationary start is evolved on the first lattice
+        whose ``_evolved_block`` bound is within ``CERTIFIED_TOL``, in one
+        loop."""
+        times = increasing_times(times)
+        if origin is not None and origin > times[0]:
+            raise ValueError(f"origin {origin} is after the first time {times[0]}")
         if initial is not None and np.shape(initial) != (kmax + 1,):
             raise ValueError(f"initial pmf must have shape ({kmax + 1},)")
         if origin is None or times[0] == origin:
@@ -167,9 +202,8 @@ class _Markov:
                 return evolved[: kmax + 1], bound
 
             table = stabilize(build, kmax, CERTIFIED_TOL)
-        kernel = functools.cache(self.kernel)  # equal gaps share one certified kernel
         for t_prev, t_next in zip(times, times[1:]):
-            table = table[..., None] * kernel(t_next - t_prev, kmax)
+            table = table[..., None] * self.kernel(t_next - t_prev, kmax)
         return JointPMF(times, kmax, table)
 
 
@@ -378,14 +412,20 @@ def thinning_transition(law, theta, rho, x, y):
     return float(np.dot(cond[: m + 1], innov[y - np.arange(m + 1)]))
 
 
+def _additions_matrix(additions, n):
+    """The n x n matrix of entries additions[s, y - s] for y >= s and 0 below
+    the diagonal: the law of s plus a draw from the pmf additions[s] (one row
+    per s, or one pmf for every s, which makes it Toeplitz)."""
+    lag = np.arange(n) - np.arange(n)[:, None]  # y - s
+    added = np.broadcast_to(additions, (n, n))[np.arange(n)[:, None], np.maximum(lag, 0)]
+    return np.where(lag >= 0, added, 0.0)
+
+
 def _survivors_then_additions(survivors, additions):
     """Kernel rows sum_s survivors[x, s] additions[s, y - s] on {0..kmax}: s
     units of state x survive, then a draw from the pmf additions[s] (one row
     per s, or one pmf for every s) joins them."""
-    n = len(survivors)
-    lag = np.arange(n) - np.arange(n)[:, None]  # y - s
-    added = np.broadcast_to(additions, (n, n))[np.arange(n)[:, None], np.maximum(lag, 0)]
-    return survivors @ np.where(lag >= 0, added, 0.0)
+    return survivors @ _additions_matrix(additions, len(survivors))
 
 
 def thinning_transition_matrix(law, theta, rho, kmax):
@@ -450,11 +490,7 @@ def _boundary_factors(times, theta, rho):
     theta rho^(t_j - t_i) a_i b_j."""
     _check_positive("theta", theta)
     _check_rho(rho)
-    times = tuple(times)
-    if len(times) < 1:
-        raise ValueError("need at least one time")
-    if any(b <= a for a, b in zip(times, times[1:])):
-        raise ValueError(f"times must be strictly increasing, got {times}")
+    times = increasing_times(times)
     inner = [1.0 - rho ** (b - a) for a, b in zip(times, times[1:])]
     return times, [1.0, *inner], [*inner, 1.0]
 
@@ -533,8 +569,14 @@ def rm_joint_pmf(law, theta, rho, times, kmax):
 
     Convolves the independent cell variables into the joint lattice; cell
     values above kmax can only land outside the lattice, so the restricted
-    table is exact and the remainder is reported as leaked mass.
+    table is exact and the remainder is reported as leaked mass.  A cell of
+    one time i adds its value to axis i alone: that convolution is one
+    product of the table, along axis i, with the triangular Toeplitz matrix
+    of the cell's pmf.  A cell of times i..j adds the same value to each of
+    those axes, one shifted slice of the table per value.
     """
+    if kmax < 0:
+        raise ValueError(f"kmax must be >= 0, got {kmax}")
     times = tuple(times)
     cells = cell_measures(times, theta, rho)
     n = len(times)
@@ -546,8 +588,11 @@ def rm_joint_pmf(law, theta, rho, times, kmax):
     table[(0,) * n] = 1.0
     for (i, j), area in cells.items():
         pmf = id_pmf(law, area, kmax)
-        new = np.zeros_like(table)
-        for v in range(kmax + 1):
+        if i == j:
+            table = np.moveaxis(np.moveaxis(table, i, -1) @ _additions_matrix(pmf, kmax + 1), -1, i)
+            continue
+        new = pmf[0] * table
+        for v in range(1, kmax + 1):
             if pmf[v] == 0.0:
                 continue
             dst = tuple(

@@ -74,10 +74,16 @@ def graded_exp_log(a, nvars, maxdeg, log=None):
     b0 = log(a[0]) if inverse else math.exp(a[0])
     out = a / a[0] if inverse else a * b0
     out[0] = b0
+    # deg(k) x[k] once per entry, not once per pair: x is a for exp, and for
+    # log it is out, whose entries of degree h are rescaled once level h is done
+    scaled, y = (degree * out, a) if inverse else (degree * a, out)
     for h, (block, left, right, offsets) in enumerate(graded_order(nvars, maxdeg)[2:], 2):
-        x, y = (out, a) if inverse else (a, out)
-        acc = np.add.reduceat(degree[left] * x[left] * y[right], offsets) / h
-        out[block] = (a[block] - acc) / a[0] if inverse else a[block] * b0 + acc
+        acc = np.add.reduceat(scaled[left] * y[right], offsets) / h
+        if inverse:
+            out[block] = (a[block] - acc) / a[0]
+            scaled[block] = h * out[block]
+        else:
+            out[block] = a[block] * b0 + acc
     return out
 
 

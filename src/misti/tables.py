@@ -17,6 +17,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+def increasing_times(times):
+    """``times`` as a tuple, checked to be nonempty and strictly increasing."""
+    times = tuple(times)
+    if len(times) < 1:
+        raise ValueError("need at least one time")
+    if any(b <= a for a, b in zip(times, times[1:])):
+        raise ValueError(f"times must be strictly increasing, got {times}")
+    return times
+
+
 @dataclass(frozen=True, eq=False)
 class JointPMF:
     """Joint law of a process at finitely many times, restricted to {0..k}^n.
@@ -32,11 +42,7 @@ class JointPMF:
     leaked: float = field(init=False)
 
     def __post_init__(self):
-        times = tuple(self.times)
-        if len(times) < 1:
-            raise ValueError("need at least one time")
-        if any(b <= a for a, b in zip(times, times[1:])):
-            raise ValueError(f"times must be strictly increasing, got {times}")
+        times = increasing_times(self.times)
         shape = (self.k + 1,) * len(times)
         table = np.asarray(self.table, dtype=float)
         if table.shape != shape:

@@ -69,3 +69,25 @@ def tent_area(theta, rho):
     lam = -math.log(rho)
     value, _ = quad(lambda x: theta * lam * math.exp(-2.0 * lam * abs(x)), -60.0 / lam, 60.0 / lam, limit=400)
     return value
+
+
+def enumerated_cell_table(cell_pmfs, ntimes, k):
+    """Joint table on {0..k}^ntimes of sums of independent cell values, by
+    enumerating every assignment of values to the cells that stays on the
+    lattice: ``cell_pmfs`` maps a cell (i, j) to the pmf vector on {0..k} of
+    a value added to times i..j.  Returns the table and its leaked mass, one
+    minus the exact sum of its entries."""
+    cells = list(cell_pmfs)
+    table = np.zeros((k + 1,) * ntimes)
+
+    def walk(c, sums, prob):
+        if c == len(cells):
+            table[tuple(sums)] += prob
+            return
+        i, j = cells[c]
+        pmf = cell_pmfs[cells[c]]
+        for v in range(k - max(sums[i : j + 1]) + 1):
+            walk(c + 1, [s + v if i <= t <= j else s for t, s in enumerate(sums)], prob * pmf[v])
+
+    walk(0, [0] * ntimes, 1.0)
+    return table, 1.0 - math.fsum(table.ravel())

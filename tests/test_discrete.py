@@ -1,9 +1,8 @@
-import itertools
 import math
 
 import numpy as np
 import pytest
-from _helpers import chi2_gof_pvalue, tent_area, tent_overlap
+from _helpers import chi2_gof_pvalue, enumerated_cell_table, tent_area, tent_overlap
 
 from misti.discrete import (
     BranchingNB,
@@ -302,15 +301,8 @@ def test_rm_joint_pmf_conditional_closed_form_and_brute_force():
     assert cond == pytest.approx(nb_random_measure_020(theta, p, rho), abs=1e-12)
     # brute-force enumeration over the six cell values
     cells = cell_measures((0, 1, 2), theta, rho)
-    names = list(cells)
-    pmfs = {s: id_pmf(NB, cells[s], 8) for s in names}
-    brute = 0.0
-    for vals in itertools.product(range(9), repeat=len(names)):
-        v = dict(zip(names, vals))
-        sums = [sum(v[s] for s in names if s[0] <= m <= s[1]) for m in range(3)]
-        if sums == [0, 2, 0]:
-            brute += math.prod(pmfs[s][v[s]] for s in names)
-    assert table.table[0, 2, 0] == pytest.approx(brute, rel=1e-12)
+    brute, _ = enumerated_cell_table({s: id_pmf(NB, a, 8) for s, a in cells.items()}, 3, 8)
+    assert table.table[0, 2, 0] == pytest.approx(brute[0, 2, 0], rel=1e-12)
 
 
 def test_rm_joint_pmf_poisson_equals_thinning_table():
@@ -327,6 +319,35 @@ def test_random_measure_sample_path_is_rm_simulate(t0):
     want = rm_simulate(NB, 2.0, 0.6, range(t0, t0 + 300), np.random.default_rng(4))
     assert path.t0 == t0
     assert np.array_equal(path.values, want)
+
+
+ORACLE_CASES = [
+    (times, k)
+    for times in [(0,), (0, 1), (0, 2), (0, 1, 3), (0, 1, 3, 4)]
+    for k in (0, 1, 5, 12)
+    if len(times) < 4 or k <= 5  # 4 times at k = 12 are ~10^7 assignments
+]
+
+
+@pytest.mark.parametrize("law", [Poisson(), NB, GenericLevy({1: 1.0, 2: 0.5, 3: 0.2})], ids=repr)
+@pytest.mark.parametrize(
+    "times, k", ORACLE_CASES, ids=[f"times{'-'.join(map(str, t))}-k{k}" for t, k in ORACLE_CASES]
+)
+def test_rm_joint_pmf_matches_cell_enumeration(law, times, k):
+    theta, rho = 2.0, 0.6
+    cells = cell_measures(times, theta, rho)
+    want, leaked = enumerated_cell_table(
+        {cell: id_pmf(law, area, k) for cell, area in cells.items()}, len(times), k
+    )
+    got = rm_joint_pmf(law, theta, rho, times, k)
+    assert np.array_equal(got.table > 0.0, want > 0.0)
+    assert np.all(np.abs(got.table - want) <= 1e-14 * want)
+    assert got.leaked == pytest.approx(leaked, abs=1e-14)
+
+
+def test_rm_joint_pmf_rejects_a_negative_lattice_bound():
+    with pytest.raises(ValueError, match="kmax must be >= 0, got -1"):
+        rm_joint_pmf(NB, 1.0, 0.5, (0, 1), -1)
 
 
 def test_rm_joint_pmf_budget_guard():

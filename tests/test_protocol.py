@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import misti
+from misti import discrete
 from misti.ctmc import NBBD, PoissonBD, transition_uniformized
 from misti.discrete import (
     IID,
@@ -26,7 +27,7 @@ from misti.discrete import (
     simulate_chain,
 )
 from misti.idlaw import GenericLevy, NegBinomial, Poisson
-from misti.verify import chain_joint_pmf, reversibility_violation
+from misti.verify import chain_joint_pmf, check_stationarity, reversibility_violation
 
 # deterministic examples, so that tier-1 results never depend on the run
 PROPERTY = settings(derandomize=True, database=None, max_examples=40, deadline=None)
@@ -138,6 +139,68 @@ def test_discrete_kernel_rejects_non_positive_integer_gaps(spec, gap):
         spec.kernel(gap, 5)
 
 
+@pytest.mark.parametrize(
+    "spec", [*DISCRETE, PoissonBD(1.0, 0.5), NBBD(2.0, 0.5, 1.0)], ids=lambda s: type(s).__name__
+)
+def test_a_spec_certifies_each_kernel_once(spec, monkeypatch):
+    # the memo is the instance's own: an equal spec built apart certifies again
+    calls = []
+    certify = discrete.certified_kernel
+
+    def spy(spec, gap, kmax):
+        calls.append((spec, gap, kmax))
+        return certify(spec, gap, kmax)
+
+    monkeypatch.setattr(discrete, "certified_kernel", spy)
+    spec, twin = dataclasses.replace(spec), dataclasses.replace(spec)
+    assert spec == twin and spec is not twin
+    kernel = spec.kernel(1, 8)
+    assert not kernel.flags.writeable
+    for gap, kmax in [(1, 8), (2, 8), (1, 9), (2, 8)]:
+        spec.kernel(gap, kmax)
+    assert spec.kernel(1, 8) is kernel
+    assert np.array_equal(twin.kernel(1, 8), kernel)
+    assert [(s is spec, gap, kmax) for s, gap, kmax in calls] == [
+        (True, 1, 8),
+        (True, 2, 8),
+        (True, 1, 9),
+        (False, 1, 8),
+    ]
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [NBBD(2.0, 0.5, 0.5), PoissonBD(4.0, 0.5), Thinning(NegBinomial(0.5), 2.0, 0.6)],
+    ids=lambda s: type(s).__name__,
+)
+def test_stationary_start_reuses_the_lattices_of_the_kernel(spec, monkeypatch):
+    # the three tables of a stationarity check from time 0 evolve the
+    # stationary start over gaps 1 and 2, on the lattices that certified the
+    # gap-1 kernel: no lattice is built twice
+    builds = []
+    kernel_block = type(spec).kernel_block
+
+    def spy(self, gap, k):
+        builds.append((gap, k))
+        return kernel_block(self, gap, k)
+
+    monkeypatch.setattr(type(spec), "kernel_block", spy)
+    assert check_stationarity(dataclasses.replace(spec), 3, 16).passed
+    assert len(builds) > len({gap for gap, _ in builds})  # some lattice grew
+    assert len(builds) == len(set(builds))
+
+
+def test_a_spec_keeps_a_bounded_number_of_lattice_entries():
+    spec = IID(Poisson(), 1.0)
+    for kmax in (700, 800, 10):  # the 801^2 entries of 800 would pass the cap
+        spec.kernel(1, kmax)
+    gap, kept = spec.__dict__["_lattices"]
+    assert (gap, sorted(kept)) == (1, [10, 700])
+    assert sum(block.size for block, _ in kept.values()) <= discrete._KEPT_ENTRIES
+    spec.kernel(2, 10)  # only the last gap's lattices are kept
+    assert spec.__dict__["_lattices"][0] == 2
+
+
 @pytest.mark.parametrize("spec", [PoissonBD(1.0, 0.5), NBBD(2.0, 0.5, 1.0)])
 def test_birth_death_kernel_takes_real_gaps(spec):
     assert np.array_equal(spec.kernel(0.5, 10), transition_uniformized(spec, 0.5, 10))
@@ -200,3 +263,37 @@ def test_no_caller_switches_on_spec_type():
         for site in _type_switches(ast.parse(path.read_text()))
     ]
     assert found == [("discrete.py", "_ThinningChain.kernel_block", "isinstance(self.law, Poisson)")]
+
+
+CACHES = ("cache", "lru_cache", "cached_property")
+
+
+def _import_time_caches(node, scope=(), in_function=False):
+    """(scope, source) of every cache named where a module or class body runs,
+    decorators included, so not within a function body."""
+    if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+        scope = (*scope, node.name)
+        for decorator in node.decorator_list:
+            yield from _import_time_caches(decorator, scope, in_function)
+        for child in node.body:
+            yield from _import_time_caches(
+                child, scope, in_function or isinstance(node, ast.FunctionDef)
+            )
+        return
+    name = getattr(node, "id", None) or getattr(node, "attr", None)
+    if not in_function and isinstance(node, (ast.Name, ast.Attribute)) and name in CACHES:
+        yield ".".join(scope), ast.unparse(node)
+    for child in ast.iter_child_nodes(node):
+        yield from _import_time_caches(child, scope, in_function)
+
+
+def test_no_cache_is_keyed_by_value():
+    # a cache that outlives its call and is keyed by the values of its
+    # arguments would answer a repeated equal spec from memory; the two left
+    # are keyed by shapes (number of variables, degree bound)
+    found = [
+        (path.name, *site)
+        for path in sorted(Path(misti.__file__).parent.glob("*.py"))
+        for site in _import_time_caches(ast.parse(path.read_text()))
+    ]
+    assert found == [("series.py", "_degrees", "lru_cache"), ("series.py", "graded_order", "lru_cache")]

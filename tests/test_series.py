@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -207,3 +209,36 @@ def test_mvid_precisions_agree(kind, theta, p, rho, degree):
     # noise in both precisions, and so is where it sits; a negative one is not
     if hi < -1e-12:
         assert std.witness == ext.witness
+
+
+def _per_pair(a, nvars, maxdeg, log=None):
+    """graded_exp_log with deg(k) x[k] formed once per pair, the form it
+    replaced: the reference its outputs must match bit for bit."""
+    inverse = log is not None
+    degree = np.indices((maxdeg + 1,) * nvars).sum(axis=0).ravel()
+    b0 = log(a[0]) if inverse else math.exp(a[0])
+    out = a / a[0] if inverse else a * b0
+    out[0] = b0
+    for h, (block, left, right, offsets) in enumerate(graded_order(nvars, maxdeg)[2:], 2):
+        x, y = (out, a) if inverse else (a, out)
+        acc = np.add.reduceat(degree[left] * x[left] * y[right], offsets) / h
+        out[block] = (a[block] - acc) / a[0] if inverse else a[block] * b0 + acc
+    return out
+
+
+@pytest.mark.parametrize("nvars, maxdeg", [(1, 9), (2, 7), (3, 6)])
+def test_graded_exp_log_matches_the_per_pair_form_bit_for_bit(nvars, maxdeg):
+    import mpmath
+
+    rng = np.random.default_rng(nvars * 100 + maxdeg)
+    a = _random_series(rng, nvars, maxdeg).ravel()
+    a[0] = 0.7
+    for log in (None, math.log):
+        got = graded_exp_log(a.copy(), nvars, maxdeg, log)
+        assert np.array_equal(got, _per_pair(a.copy(), nvars, maxdeg, log))
+    with mpmath.workdps(40):
+        terms = np.array([mpmath.mpf(float(c)) for c in a], dtype=object)
+        for log in (None, mpmath.log):
+            got = graded_exp_log(terms.copy(), nvars, maxdeg, log)
+            want = _per_pair(terms.copy(), nvars, maxdeg, log)
+            assert all(g == w for g, w in zip(got, want))

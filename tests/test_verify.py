@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.polynomial.polynomial import polyval2d
 
+from misti import discrete
 from misti.ctmc import NBBD, PoissonBD
 from misti.discrete import (
     BranchingNB,
@@ -85,22 +86,38 @@ def test_chain_joint_pmf_matches_closed_form_pgf_on_grid():
 
 
 def test_chain_joint_pmf_builds_each_gap_kernel_once(monkeypatch):
-    # equally spaced times share one certified kernel within a table, and the
-    # table is the one a kernel per pair of times gives, bit for bit
+    # equally spaced times share one certified kernel, and so do the three
+    # tables of a stationarity check; the table is the one a kernel per pair
+    # of times gives, bit for bit
     spec = PoissonBD(4, 0.5)
     k1 = spec.kernel(1, 24)
     want = (spec.marginal(24)[:, None] * k1)[..., None] * k1
     assert np.array_equal(chain_joint_pmf(spec, (0, 1, 2), 24).table, want)
     calls = []
-    kernel = PoissonBD.kernel
+    certify = discrete.certified_kernel
 
-    def spy(self, gap, kmax):
+    def spy(spec, gap, kmax):
         calls.append((gap, kmax))
-        return kernel(self, gap, kmax)
+        return certify(spec, gap, kmax)
 
-    monkeypatch.setattr(PoissonBD, "kernel", spy)
-    check_stationarity(spec, 3, 24)
-    assert calls == [(1, 24)] * 3  # one per table, not one per pair of times
+    monkeypatch.setattr(discrete, "certified_kernel", spy)
+    check_stationarity(PoissonBD(4, 0.5), 3, 24)
+    assert calls == [(1, 24)]  # one per spec, not one per table or pair of times
+
+@pytest.mark.parametrize("spec", CHAINS, ids=lambda s: type(s).__name__)
+@pytest.mark.parametrize("times", [(2, 1), (0, 1, 1)])
+def test_chain_joint_pmf_rejects_times_that_do_not_increase(spec, times):
+    with pytest.raises(ValueError, match=r"times must be strictly increasing, got \(.*\)"):
+        chain_joint_pmf(spec, times, 5)
+
+
+@pytest.mark.parametrize("spec", CHAINS, ids=lambda s: type(s).__name__)
+def test_chain_joint_pmf_rejects_an_origin_after_the_first_time(spec):
+    with pytest.raises(ValueError, match="origin 3 is after the first time 0"):
+        chain_joint_pmf(spec, (0, 1), 5, origin=3)
+    with pytest.raises(ValueError, match="origin 3 is after the first time 0"):
+        chain_joint_pmf(spec, (0, 1), 5, initial=np.eye(6)[0], origin=3)
+
 
 @pytest.mark.parametrize("spec", CHAINS, ids=lambda s: type(s).__name__)
 def test_chain_joint_pmf_rejects_an_initial_pmf_of_the_wrong_shape(spec):
