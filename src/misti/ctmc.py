@@ -15,7 +15,21 @@ error of every entry of that row (the finite state projection theorem of
 Munsky & Khammash, J. Chem. Phys. 124, 044104, 2006), and the kernel is
 taken from the first lattice where those bounds are within 1e-13.  The
 series terms are products with the tridiagonal uniformized matrix, O(k^2)
-each on {0..k}; only the s squarings are dense, O(k^3) each.
+each on {0..k}; only the s squarings are dense, O(k^3) each, and entries
+below 1e-150 are moved into their row's deficit before each, so no product
+runs on subnormals.
+
+That lattice is stated before any is built, from the stationary law pi.
+Row x on {0..k} misses P_x(the chain reaches k + 1 within t).  A chain
+started from pi reaches k + 1 within t only if it starts past k or crosses
+up from k within t, and up-crossings from k come at rate pi_k birth_k, so
+P_pi(reach k + 1 within t) <= pi(>k) + t pi_k birth_k.  A path from
+x <= kmax to k + 1 passes every state m in [kmax, k] first, so by the
+strong Markov property P_x(reach) <= P_m(reach) <= P_pi(reach) / pi_m, and
+the row bound is that over max_{kmax <= m <= k} pi_m (``exit_bound``).
+pi(>k) sums the detailed-balance terms, and past the summed range their
+ratio birth_j / death_(j+1), monotone in j for linear rates, is at most the
+larger of its last value and its limit, which bounds the rest geometrically.
 
 Both chains are linear: immigration at a constant rate plus individuals that
 each give birth and die at constant rates, independently (Kendall, Ann. Math.
@@ -33,6 +47,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .discrete import _check_nonneg, _check_positive, _check_prob, _Markov
+from .tables import tail_sums
 
 __all__ = [
     "PoissonBD",
@@ -57,6 +72,23 @@ class _BirthDeath(_Markov):
         if not gap >= 0.0:
             raise ValueError(f"time must be >= 0, got {gap}")
         return _uniformized_block(self, float(gap), k)
+
+    def exit_bound(self, gap, kmax, top):
+        """The bound of the module docstring on the lattices kmax..top, with
+        pi from the detailed-balance weights up to top: their sum is at most
+        the normalizer (so the tail and leave bounds hold over it) and their
+        sum plus the bound past top at least it (so the divisor does)."""
+        logw, births = _log_weights(self, top + 1)
+        if not np.isfinite(logw).all():
+            return None
+        weights = np.exp(logw[:-1] - logw.max())
+        ratio = max(math.exp(logw[-1] - logw[-2]), (births[1] - births[0]) / self.rates(1)[1])
+        past = weights[-1] * ratio / (1.0 - ratio) if ratio < 1.0 else math.inf
+        tail = tail_sums(weights, past)
+        total = weights.sum()
+        leave = tail + gap * weights * births[:-1]
+        divisor = np.maximum.accumulate(weights[kmax:]) / (total + past)
+        return tail[kmax:] / total, leave[kmax:] / total, divisor
 
 
 @dataclass(frozen=True)
@@ -214,6 +246,14 @@ def gillespie(model, x0, horizon, rng):
     return EventPath(times[:kept], states[:kept], horizon)
 
 
+def _log_weights(model, size):
+    """The detailed-balance log weights log w_i, w_i = prod_{j<i} birth_j /
+    death_{j+1}, of the states 0..size, and their birth rates."""
+    births, deaths = model.rates(np.arange(size + 1.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.concatenate(([0.0], np.cumsum(np.log(births[:-1] / deaths[1:])))), births
+
+
 def stationary_bd(model, kmax):
     """Stationary pmf on {0..kmax}.
 
@@ -233,9 +273,7 @@ def stationary_bd(model, kmax):
     size = kmax + 32
     while True:
         size = min(2 * size, cap)
-        births, deaths = model.rates(np.arange(size + 1.0))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logw = np.concatenate(([0.0], np.cumsum(np.log(births[:-1] / deaths[1:]))))
+        logw, _ = _log_weights(model, size)
         if np.isnan(logw).any():
             raise ValueError(f"detailed balance does not fix the weights of {model!r}")
         # the first state past kmax whose weight is below 1e-18 of the largest so far
@@ -289,7 +327,10 @@ def _uniformized_block(model, t, kint):
     shifted row updates, O(kint^2).  Per squaring the deficits are d + E d.
     Both add nonnegative terms only; rows are rescaled to sum to 1 - d, since
     the row sums of a 2^s-fold product carry 2^s-fold rounding, which could
-    pass for negative leakage.
+    pass for negative leakage.  Before each squaring the entries below
+    1e-150 move into their row's deficit: the block stays below the
+    untruncated kernel and E 1 + d = 1 still holds, so the deficit is still
+    a bound.
     """
     births, deaths = model.rates(np.arange(kint + 1.0))
     lam = float(np.max(births + deaths))
@@ -319,6 +360,11 @@ def _uniformized_block(model, t, kint):
         sums = out.sum(axis=1)
         out *= np.divide(np.maximum(1.0 - deficit, 0.0), sums, out=np.zeros(n), where=sums > 0.0)[:, None]
         if i < squarings:
+            # killing the mass of the smallest entries keeps E 1 + d = 1 and
+            # E below the untruncated kernel, and keeps subnormals out of E E
+            tiny = out < 1e-150
+            deficit += np.where(tiny, out, 0.0).sum(axis=1)
+            out[tiny] = 0.0
             out, deficit = out @ out, deficit + out @ deficit
     return out, deficit
 

@@ -25,7 +25,10 @@ exponentials of truncated kernels miss at most the mass that leaves the
 lattice.  ``kernel(gap, kmax)`` is the block on {0..kmax} of the first
 lattice whose bounds certify it (``certified_kernel``), certified once per
 spec instance, and a joint table is the forward product of the marginal and
-those kernels.  Discrete specs take positive integer gaps only, and each
+those kernels.  A spec whose blocks carry a bound also owns
+``exit_bound(gap, kmax, top)``, which bounds from its stationary law how much
+a row can miss, so the search for that lattice starts where it is proven
+(see ``tables``).  Discrete specs take positive integer gaps only, and each
 also owns its stationary sampler ``sample_path(t0, n, rng)``, which draws
 all state-independent randomness in one call each, so a step costs at most
 two scalar draws.  The Poisson
@@ -56,7 +59,7 @@ from .idlaw import (
     levy_total,
     thinning_conditional,
 )
-from .tables import CERTIFIED_TOL, JointPMF, increasing_times, stabilize
+from .tables import CERTIFIED_TOL, MAX_LATTICE, JointPMF, increasing_times, stabilize, tail_sums
 
 __all__ = [
     "Thinning",
@@ -118,15 +121,40 @@ def _exact(block):
     return block, np.zeros(len(block))
 
 
+def _stated_start(spec, gap, kmax, evolved=False):
+    """The lattice that ``spec.exit_bound`` proves certifies the kernel over
+    gap on {0..kmax}: the first whose row bound P_pi(leave) / divisor is
+    within ``CERTIFIED_TOL``.  For the stationary start evolved over the gap
+    it is the first whose 2 pi(>k) + P_pi(leave) is: that bounds the start's
+    tail past k plus the row bounds weighted by the start, the bound of
+    ``_evolved_block``.  The range searched doubles from 2 kmax + 64 up to
+    ``MAX_LATTICE``, the largest lattice ``stabilize`` may build, and never
+    past it; where the spec states no lattice within it, the start is kmax."""
+    top = kmax
+    while top < MAX_LATTICE:
+        top = min(2 * top + 64, MAX_LATTICE)
+        stated = spec.exit_bound(gap, kmax, top)
+        if stated is None:
+            break
+        tail, leave, divisor = stated
+        with np.errstate(divide="ignore", invalid="ignore"):
+            bound = 2.0 * tail + leave if evolved else leave / divisor
+        met = np.flatnonzero(bound <= CERTIFIED_TOL)
+        if met.size:
+            return kmax + int(met[0])
+    return kmax
+
+
 def certified_kernel(spec, gap, kmax):
     """``spec.kernel_block(gap, k)`` cut to {0..kmax}, from the first lattice
-    whose row bounds on the kept rows are within ``CERTIFIED_TOL``."""
+    whose row bounds on the kept rows are within ``CERTIFIED_TOL``, searched
+    from the lattice that the spec's stationary law proves."""
 
     def build(k):
         block, bound = spec._lattice_block(gap, k)
         return block[: kmax + 1, : kmax + 1], bound[: kmax + 1].max()
 
-    return stabilize(build, kmax, CERTIFIED_TOL)
+    return stabilize(build, kmax, CERTIFIED_TOL, _stated_start(spec, gap, kmax))
 
 
 def _evolved_block(spec, gap, k):
@@ -140,6 +168,9 @@ def _evolved_block(spec, gap, k):
 
 # the most kernel_block entries a spec keeps for reuse: 2**20 float64 are 8 MB
 _KEPT_ENTRIES = 2**20
+# log z of the Chernoff bounds on a thinning marginal's tail: 2^-30 to 2^8,
+# four to an octave
+_LOG_Z = np.exp2(np.arange(-120, 33) / 4)
 
 
 class _Markov:
@@ -147,6 +178,14 @@ class _Markov:
     ``marginal(kmax)`` and ``kernel_block(gap, k)``."""
 
     reversal_times = (0, 1)
+
+    def exit_bound(self, gap, kmax, top):
+        """(tail, leave, divisor) over the lattices k = kmax..top: upper
+        bounds on pi(>k) and on P_pi(the chain leaves {0..k} within the gap),
+        and a divisor such that leave / divisor bounds the row bounds of
+        ``kernel_block(gap, k)`` on the rows up to kmax; or None, which
+        states no lattice.  Closed-form blocks carry no bound to state."""
+        return None
 
     def _lattice_block(self, gap, k):
         """``kernel_block(gap, k)``, read-only.  The builds of the last gap
@@ -186,7 +225,8 @@ class _Markov:
         past kmax, so its product with the certified kernel is within the
         kernel's bound; the stationary start is evolved on the first lattice
         whose ``_evolved_block`` bound is within ``CERTIFIED_TOL``, in one
-        loop."""
+        loop from the lattice the stationary law proves, or from a larger
+        one that the kernel over that gap already built."""
         times = increasing_times(times)
         if origin is not None and origin > times[0]:
             raise ValueError(f"origin {origin} is after the first time {times[0]}")
@@ -197,11 +237,18 @@ class _Markov:
         elif initial is not None:
             table = np.asarray(initial, dtype=float) @ self.kernel(times[0] - origin, kmax)
         else:
+            gap = times[0] - origin
+
             def build(k):
-                evolved, bound = _evolved_block(self, times[0] - origin, k)
+                evolved, bound = _evolved_block(self, gap, k)
                 return evolved[: kmax + 1], bound
 
-            table = stabilize(build, kmax, CERTIFIED_TOL)
+            start = _stated_start(self, gap, kmax, evolved=True)
+            # a larger lattice already built for this gap (the kernel's) is proven too
+            kept_gap, kept = self.__dict__.get("_lattices", (None, {}))
+            if kept_gap == gap:
+                start = min((k for k in kept if k >= start), default=start)
+            table = stabilize(build, kmax, CERTIFIED_TOL, start)
         for t_prev, t_next in zip(times, times[1:]):
             table = table[..., None] * self.kernel(t_next - t_prev, kmax)
         return JointPMF(times, kmax, table)
@@ -235,6 +282,22 @@ class _ThinningChain(_LawMarginal, _Markov):
         step = thinning_transition_matrix(self.law, self.theta, self.rho, k)
         head = np.linalg.matrix_power(step, gap - 1)
         return head @ step, np.maximum(1.0 - head.sum(axis=1), 0.0)
+
+    def exit_bound(self, gap, kmax, top):
+        """A K^gap row x misses P_x(leave {0..k} in the first gap - 1 steps)
+        <= (gap - 1) pi(>k) / pi_x, one stationary tail per step.  The blocks
+        that ``kernel_block`` builds in closed form, the ones whose bound on
+        the one-state lattice {0} is 0, state nothing.  pi(>k) sums the
+        terms up to top, and past top it is at most E z^X / z^(top + 1) for
+        every z >= 1 (Chernoff), taken at the best z of a fixed grid."""
+        if not self._lattice_block(gap, 0)[1].any():
+            return None
+        pi = self.marginal(top)
+        with np.errstate(all="ignore"):
+            logs = np.log(self.law.pgf(self.theta, np.exp(_LOG_Z))) - (top + 1) * _LOG_Z
+        logs = logs[np.isfinite(logs)]
+        tail = tail_sums(pi, math.exp(logs.min()) if logs.size else math.inf)[kmax:]
+        return tail, (_integer_gap(gap) - 1) * tail, pi[: kmax + 1].min()
 
     def sample_path(self, t0, n, rng):
         return simulate_thinning(self.law, self.theta, self.rho, t0, n, rng)

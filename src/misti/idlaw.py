@@ -250,17 +250,22 @@ def pmf_from_levy(masses, total, kmax):
     Uses the compound recursion P(0) = exp(-total) and
     k P(k) = sum_{j=1..k} j nu_j P(k-j), which is exact on the truncated
     support as long as ``masses`` covers jumps up to kmax; ``total`` must be
-    the full jump mass including anything beyond kmax.
+    the full jump mass including anything beyond kmax.  The sum runs over
+    the J nonzero masses only, O(kmax J) in all.
     """
     if kmax < 0:
         raise ValueError(f"kmax must be >= 0, got {kmax}")
-    p = np.zeros(kmax + 1)
-    p[0] = math.exp(-total)
-    masses = np.asarray(masses, dtype=float)
-    weighted = np.arange(1, kmax + 1) * masses[:kmax] if kmax else np.zeros(0)
+    masses = np.asarray(masses, dtype=float)[:kmax].tolist()
+    weighted = [(j, j * mass) for j, mass in enumerate(masses, start=1) if mass != 0.0]
+    p = [math.exp(-total)]
     for k in range(1, kmax + 1):
-        p[k] = np.dot(weighted[:k], p[k - 1 :: -1]) / k
-    return p
+        acc = 0.0
+        for j, w in weighted:
+            if j > k:
+                break
+            acc += w * p[k - j]
+        p.append(acc / k)
+    return np.array(p)
 
 
 def _ratio_log_pmf(log_p0, log_ratios):

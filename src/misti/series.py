@@ -63,15 +63,16 @@ def graded_order(nvars, maxdeg):
     return levels
 
 
-def graded_exp_log(a, nvars, maxdeg, log=None):
+def graded_exp_log(a, nvars, maxdeg, log=None, exp=math.exp):
     """exp of the series with flattened dense coefficients ``a`` or, given the
     ``log`` of their scalar type (``math.log``, ``mpmath.log``), its log; by the
-    recursion of the module docstring, in the scalar type of ``a``."""
+    recursion of the module docstring, in the scalar type of ``a``, whose
+    ``exp`` (``mpmath.exp`` for ``mpmath.mpf``) gives the exp's constant term."""
     inverse = log is not None
     if inverse and not a[0] > 0:
         raise ValueError(f"log needs a positive constant term, got {a[0]}")
     degree = _degrees(nvars, maxdeg).ravel()
-    b0 = log(a[0]) if inverse else math.exp(a[0])
+    b0 = log(a[0]) if inverse else exp(a[0])
     out = a / a[0] if inverse else a * b0
     out[0] = b0
     # deg(k) x[k] once per entry, not once per pair: x is a for exp, and for

@@ -8,10 +8,22 @@ killed at the cut bounds the error of every entry (the finite state
 projection theorem: Munsky & Khammash, J. Chem. Phys. 124, 044104, 2006),
 so ``stabilize`` grows k until that bound is within the tolerance, and
 never compares two lattices.
+
+Where the law is stationary, the lattice can be proven in advance.  Row x
+of a kernel cut to {0..k} misses P_x(the chain leaves {0..k} within the
+gap), and since P_pi(A) >= pi_x P_x(A) for a chain started from its
+stationary law pi, that is at most P_pi(leave) / pi_x.  A spec that can
+bound P_pi(leave) from pi alone (``exit_bound`` of the Markov specs) thus
+states the first lattice whose rows are proven within the tolerance before
+any is built, searched no further than ``MAX_LATTICE``, and ``stabilize``
+starts there.
+The build's own bound still decides, so a stated lattice that falls short
+only costs the ladder that follows it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,21 +86,31 @@ CERTIFIED_TOL = 1e-13
 # the largest dense lattice block the certified loop may allocate: 2**23
 # float64 entries are 64 MB, so lattices stop below 2896 states
 MAX_ENTRIES = 2**23
+# the largest lattice bound whose dense block stays within MAX_ENTRIES
+MAX_LATTICE = math.isqrt(MAX_ENTRIES) - 1
 
 
-def stabilize(build, kmax, tol):
+def tail_sums(terms, past):
+    """tail[k] = terms[k + 1] + ... + terms[-1] + past for each k: the mass past
+    k of a pmf whose mass past the array is at most ``past``, summed from the
+    terms, smallest first (one minus a partial sum would stop near 1e-16)."""
+    return np.append(np.cumsum(terms[:0:-1])[::-1], 0.0) + past
+
+
+def stabilize(build, kmax, tol, start=None):
     """The block of the first lattice whose proven error bound is within tol.
 
     ``build(k)`` returns ``(block, bound)``: a block cut to {0..kmax} from a
     build on the lattice {0..k}, and a bound on the error of its entries that
-    holds whatever lies past k.  Lattices are k = kmax, then kmax plus a
-    buffer of max(8, kmax // 2) that doubles, so a block that needs no buffer
-    costs one build at kmax.  A lattice whose dense k x k block would pass
-    ``MAX_ENTRIES`` is never built: the loop raises first.
+    holds whatever lies past k.  Lattices are k = start (kmax by default),
+    then kmax plus a buffer of max(8, kmax // 2) that doubles, so a block that
+    needs no buffer, or one whose start was proven in advance, costs one
+    build.  A lattice whose dense k x k block would pass ``MAX_ENTRIES`` is
+    never built: the loop raises first.
     """
     if kmax < 0:
         raise ValueError(f"kmax must be >= 0, got {kmax}")
-    buffer = 0
+    buffer = 0 if start is None else start - kmax
     while True:
         block, bound = build(kmax + buffer)
         if bound <= tol:

@@ -15,6 +15,7 @@ import misti
 from misti.ctmc import (
     NBBD,
     PoissonBD,
+    _uniformized_block,
     bd_rates,
     generator_residual,
     gillespie,
@@ -230,6 +231,15 @@ def test_gillespie_costs_nothing_per_starting_individual():
         tracemalloc.stop()
     assert path.states[0] == 10**6
     assert peak < 2**20
+
+
+def test_uniformized_squarings_run_on_no_subnormals():
+    # the block entries below 1e-150 move into their row's deficit before each
+    # squaring, so each product sums products of normal numbers, and the
+    # deficits still close the rows
+    block, deficit = _uniformized_block(PoissonBD(4.0, 0.5), 1.0, 528)
+    assert not np.any((block > 0.0) & (block < np.finfo(float).tiny))
+    assert np.abs(block.sum(axis=1) + deficit - 1.0).max() <= 1e-13
 
 
 def test_uniformized_identity_at_zero():

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 from _helpers import chi2_gof_pvalue
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from misti.idlaw import (
     GenericLevy,
@@ -90,6 +92,32 @@ def test_closed_forms_agree_with_levy_recursion(law, theta):
     closed = id_pmf(law, theta, kmax)
     recursed = pmf_from_levy(levy_masses(law, theta, kmax), levy_total(law, theta), kmax)
     assert np.max(np.abs(closed - recursed)) <= 1e-12
+
+
+def _dense_levy_recursion(masses, total, kmax):
+    """The compound recursion with one dot product over all k earlier terms
+    per state, the form that pmf_from_levy replaced."""
+    p = np.zeros(kmax + 1)
+    p[0] = math.exp(-total)
+    weighted = np.arange(1, kmax + 1) * masses[:kmax]
+    for k in range(1, kmax + 1):
+        p[k] = np.dot(weighted[:k], p[k - 1 :: -1]) / k
+    return p
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(
+    unit=st.floats(0.05, 2.0),
+    rest=st.dictionaries(st.integers(2, 12), st.floats(0.0, 2.0), max_size=4),
+    theta=st.floats(0.05, 6.0),
+    kmax=st.integers(0, 60),
+)
+def test_levy_recursion_over_the_nonzero_jumps_matches_the_dense_one(unit, rest, theta, kmax):
+    law = GenericLevy({1: unit, **rest})
+    masses, total = levy_masses(law, theta, max(kmax, 1)), levy_total(law, theta)
+    want = _dense_levy_recursion(masses, total, kmax)
+    got = pmf_from_levy(masses, total, kmax)
+    assert np.all(np.abs(got - want) <= 1e-14 * want)
 
 
 def test_semigroup_convolution():

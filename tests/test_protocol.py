@@ -5,6 +5,8 @@ that asks a spec for its type instead."""
 
 import ast
 import dataclasses
+import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +29,7 @@ from misti.discrete import (
     simulate_chain,
 )
 from misti.idlaw import GenericLevy, NegBinomial, Poisson
+from misti.tables import CERTIFIED_TOL, MAX_LATTICE, stabilize
 from misti.verify import chain_joint_pmf, check_stationarity, reversibility_violation
 
 # deterministic examples, so that tier-1 results never depend on the run
@@ -175,8 +178,8 @@ def test_a_spec_certifies_each_kernel_once(spec, monkeypatch):
 )
 def test_stationary_start_reuses_the_lattices_of_the_kernel(spec, monkeypatch):
     # the three tables of a stationarity check from time 0 evolve the
-    # stationary start over gaps 1 and 2, on the lattices that certified the
-    # gap-1 kernel: no lattice is built twice
+    # stationary start over gaps 1 and 2, the first on the lattices that
+    # certified the gap-1 kernel: no lattice is built twice
     builds = []
     kernel_block = type(spec).kernel_block
 
@@ -186,8 +189,84 @@ def test_stationary_start_reuses_the_lattices_of_the_kernel(spec, monkeypatch):
 
     monkeypatch.setattr(type(spec), "kernel_block", spy)
     assert check_stationarity(dataclasses.replace(spec), 3, 16).passed
-    assert len(builds) > len({gap for gap, _ in builds})  # some lattice grew
     assert len(builds) == len(set(builds))
+    if isinstance(spec, (NBBD, PoissonBD)):
+        # every block carries a bound, so the stationary law states a lattice
+        # that certifies on its first build, and the gap-1 start reuses it
+        assert sorted(gap for gap, _ in builds) == [1, 2]
+    else:
+        # the start over the closed-form gap 1 climbs the ladder from kmax
+        assert len(builds) > len({gap for gap, _ in builds})
+
+
+# real gaps for the birth-death chains, powers of the one-step kernel for the
+# thinning chains whose laws do not compose
+STATED_GAPS = {
+    "poisson-bd": st.floats(0.05, 3.0),
+    "nb-bd": st.floats(0.05, 3.0),
+    "thinning-nb": st.integers(2, 3),
+    "thinning-levy": st.integers(2, 3),
+}
+
+
+@pytest.mark.parametrize("family", STATED_GAPS)
+@PROPERTY
+@given(data=st.data(), kmax=st.integers(1, 15))
+def test_the_stated_lattice_certifies_on_its_first_build(family, data, kmax):
+    # the lattice the stationary law proves is past kmax, its own row bounds
+    # certify it, and its kernel is the one the ladder from kmax certifies
+    spec, gap = data.draw(MARKOV[family]), data.draw(STATED_GAPS[family])
+    start = discrete._stated_start(spec, gap, kmax)
+    block, bound = spec.kernel_block(gap, start)
+    assert start > kmax
+    assert bound[: kmax + 1].max() <= CERTIFIED_TOL
+
+    def build(k):
+        ladder, ladder_bound = spec.kernel_block(gap, k)
+        return ladder[: kmax + 1, : kmax + 1], ladder_bound[: kmax + 1].max()
+
+    ladder = stabilize(build, kmax, CERTIFIED_TOL)
+    assert np.abs(block[: kmax + 1, : kmax + 1] - ladder).max() <= 2 * CERTIFIED_TOL
+
+
+@pytest.mark.parametrize(
+    "spec, gap",
+    [(Thinning(Poisson(), 2.0, 0.6), 3), (Thinning(NegBinomial(0.5), 2.0, 0.6), 1), (BranchingNB(2.0, 0.5, 0.6), 2)],
+    ids=["poisson-thinning", "gap-1", "branching-nb"],
+)
+def test_closed_form_blocks_state_no_lattice(spec, gap):
+    assert spec.exit_bound(gap, 10, 84) is None
+    assert discrete._stated_start(spec, gap, 10) == 10
+
+
+@pytest.mark.parametrize(
+    "spec, gap",
+    [(NBBD(2.0, 1e-4, 1.0), 1.0), (Thinning(NegBinomial(1e-4), 2.0, 0.6), 2)],
+    ids=["nb-bd", "thinning-nb"],
+)
+def test_a_start_that_cannot_be_met_stops_at_the_cap(spec, gap, monkeypatch):
+    # an NB(2, 1e-4) tail falls to 1e-13 some 3e5 states out, far past the
+    # largest lattice that may be built: the search reads no state past that
+    # lattice, allocates no dense block, and leaves the ladder its kmax start
+    tops = []
+    exit_bound = type(spec).exit_bound
+
+    def spy(self, gap, kmax, top):
+        tops.append(top)
+        return exit_bound(self, gap, kmax, top)
+
+    monkeypatch.setattr(type(spec), "exit_bound", spy)
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        stated = [discrete._stated_start(spec, gap, 10, evolved) for evolved in (False, True)]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert stated == [10, 10]
+    assert max(tops) == MAX_LATTICE
+    assert time.perf_counter() - start < 1.0
+    assert peak < 2**20  # the dense block of the cap lattice is 64 MB
 
 
 def test_a_spec_keeps_a_bounded_number_of_lattice_entries():

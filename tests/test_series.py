@@ -226,6 +226,17 @@ def _per_pair(a, nvars, maxdeg, log=None):
     return out
 
 
+def test_graded_exp_runs_in_40_digits_given_the_mpmath_exp():
+    import mpmath
+
+    with mpmath.workdps(40):
+        a = np.array([mpmath.mpf(1) / 3, mpmath.mpf(1) / 7], dtype=object)
+        b = graded_exp_log(a, 1, 1, exp=mpmath.exp)
+        assert isinstance(b[0], mpmath.mpf)
+        want = a[1] * mpmath.exp(a[0])
+        assert abs(b[1] - want) <= mpmath.mpf(10) ** -35 * abs(want)
+
+
 @pytest.mark.parametrize("nvars, maxdeg", [(1, 9), (2, 7), (3, 6)])
 def test_graded_exp_log_matches_the_per_pair_form_bit_for_bit(nvars, maxdeg):
     import mpmath
