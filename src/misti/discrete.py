@@ -28,12 +28,13 @@ spec instance, and a joint table is the forward product of the marginal and
 those kernels.  A spec whose blocks carry a bound also owns
 ``exit_bound(gap, kmax, top)``, which bounds from its stationary law how much
 a row can miss, so the search for that lattice starts where it is proven
-(see ``tables``).  Discrete specs take positive integer gaps only, and each
-also owns its stationary sampler ``sample_path(t0, n, rng)``, which draws
-all state-independent randomness in one call each, so a step costs at most
-two scalar draws.  The Poisson
-branching chain is the Poisson thinning chain (binomial survivors plus
-Poisson immigrants), so ``BranchingPoisson`` only fixes the law of a
+(see ``tables``); the stationary start evolved over a closed-form gap
+misses only its own tail, which ``tail_bound(kmax, top)`` states.  Discrete
+specs take positive integer gaps only, and each also owns its stationary
+sampler ``sample_path(t0, n, rng)``, which draws all state-independent
+randomness in one call each, so a step costs at most two scalar draws.  The
+Poisson branching chain is the Poisson thinning chain (binomial survivors
+plus Poisson immigrants), so ``BranchingPoisson`` only fixes the law of a
 thinning chain and shares its kernel and sampler.  The chains that
 ``misti_classify`` returns own ``offspring()``, its inverse.
 """
@@ -127,13 +128,19 @@ def _stated_start(spec, gap, kmax, evolved=False):
     within ``CERTIFIED_TOL``.  For the stationary start evolved over the gap
     it is the first whose 2 pi(>k) + P_pi(leave) is: that bounds the start's
     tail past k plus the row bounds weighted by the start, the bound of
-    ``_evolved_block``.  The range searched doubles from 2 kmax + 64 up to
-    ``MAX_LATTICE``, the largest lattice ``stabilize`` may build, and never
-    past it; where the spec states no lattice within it, the start is kmax."""
+    ``_evolved_block``.  Closed-form rows miss nothing, so over a closed-form
+    gap the kernel states no lattice and the evolved start's bound is
+    2 pi(>k), from ``spec.tail_bound``.  The range searched doubles from
+    2 kmax + 64 up to ``MAX_LATTICE``, the largest lattice ``stabilize`` may
+    build, and never past it; where the spec states no lattice within it,
+    the start is kmax."""
     top = kmax
     while top < MAX_LATTICE:
         top = min(2 * top + 64, MAX_LATTICE)
         stated = spec.exit_bound(gap, kmax, top)
+        if stated is None and evolved:
+            tail = spec.tail_bound(kmax, top)
+            stated = None if tail is None else (tail, 0.0, 1.0)
         if stated is None:
             break
         tail, leave, divisor = stated
@@ -168,9 +175,19 @@ def _evolved_block(spec, gap, k):
 
 # the most kernel_block entries a spec keeps for reuse: 2**20 float64 are 8 MB
 _KEPT_ENTRIES = 2**20
-# log z of the Chernoff bounds on a thinning marginal's tail: 2^-30 to 2^8,
-# four to an octave
+# log z of the Chernoff bounds on an ID marginal's tail: 2^-30 to 2^8, four
+# to an octave
 _LOG_Z = np.exp2(np.arange(-120, 33) / 4)
+
+
+def _law_tail(law, theta, kmax, top):
+    """Upper bounds on mu^theta(>k) over k = kmax..top: the terms up to top
+    summed, and past top E z^X / z^(top + 1) for every z >= 1 (Chernoff),
+    taken at the best z of a fixed grid."""
+    with np.errstate(all="ignore"):
+        logs = np.log(law.pgf(theta, np.exp(_LOG_Z))) - (top + 1) * _LOG_Z
+    logs = logs[np.isfinite(logs)]
+    return tail_sums(id_pmf(law, theta, top), math.exp(logs.min()) if logs.size else math.inf)[kmax:]
 
 
 class _Markov:
@@ -185,6 +202,11 @@ class _Markov:
         and a divisor such that leave / divisor bounds the row bounds of
         ``kernel_block(gap, k)`` on the rows up to kmax; or None, which
         states no lattice.  Closed-form blocks carry no bound to state."""
+        return None
+
+    def tail_bound(self, kmax, top):
+        """Upper bounds on pi(>k) over k = kmax..top, or None, which states
+        no lattice for a stationary start evolved over a closed-form gap."""
         return None
 
     def _lattice_block(self, gap, k):
@@ -258,6 +280,9 @@ class _LawMarginal:
     def marginal(self, kmax):
         return id_pmf(self.law, self.theta, kmax)
 
+    def tail_bound(self, kmax, top):
+        return _law_tail(self.law, self.theta, kmax, top)
+
 
 class _ThinningChain(_LawMarginal, _Markov):
     """Validation, kernel and sampler of the thinning chains; subclasses give
@@ -287,17 +312,11 @@ class _ThinningChain(_LawMarginal, _Markov):
         """A K^gap row x misses P_x(leave {0..k} in the first gap - 1 steps)
         <= (gap - 1) pi(>k) / pi_x, one stationary tail per step.  The blocks
         that ``kernel_block`` builds in closed form, the ones whose bound on
-        the one-state lattice {0} is 0, state nothing.  pi(>k) sums the
-        terms up to top, and past top it is at most E z^X / z^(top + 1) for
-        every z >= 1 (Chernoff), taken at the best z of a fixed grid."""
+        the one-state lattice {0} is 0, state nothing."""
         if not self._lattice_block(gap, 0)[1].any():
             return None
-        pi = self.marginal(top)
-        with np.errstate(all="ignore"):
-            logs = np.log(self.law.pgf(self.theta, np.exp(_LOG_Z))) - (top + 1) * _LOG_Z
-        logs = logs[np.isfinite(logs)]
-        tail = tail_sums(pi, math.exp(logs.min()) if logs.size else math.inf)[kmax:]
-        return tail, (_integer_gap(gap) - 1) * tail, pi[: kmax + 1].min()
+        tail = self.tail_bound(kmax, top)
+        return tail, (_integer_gap(gap) - 1) * tail, self.marginal(kmax).min()
 
     def sample_path(self, t0, n, rng):
         return simulate_thinning(self.law, self.theta, self.rho, t0, n, rng)
@@ -369,6 +388,9 @@ class BranchingNB(_Markov):
 
     def marginal(self, kmax):
         return id_pmf(NegBinomial(self.p), self.alpha, kmax)
+
+    def tail_bound(self, kmax, top):
+        return _law_tail(NegBinomial(self.p), self.alpha, kmax, top)
 
     def kernel_block(self, gap, k):
         rho = self.rho ** _integer_gap(gap)

@@ -19,7 +19,8 @@ multi-index mu of total degree h, summing over k + r = mu with k, r != 0:
 Only pairs with deg k + deg r <= maxdeg are visited: C(2 nvars + maxdeg,
 2 nvars) of them, against maxdeg (maxdeg + 1)^(2 nvars) terms for dense
 convolution.  The recursion runs on numpy arrays of any scalar type: floats,
-or ``mpmath.mpf`` objects.
+``decimal.Decimal`` (the extended-precision checks of ``verify``) or
+``mpmath.mpf`` (the tests' independent reference).
 """
 
 from __future__ import annotations
@@ -65,9 +66,11 @@ def graded_order(nvars, maxdeg):
 
 def graded_exp_log(a, nvars, maxdeg, log=None, exp=math.exp):
     """exp of the series with flattened dense coefficients ``a`` or, given the
-    ``log`` of their scalar type (``math.log``, ``mpmath.log``), its log; by the
-    recursion of the module docstring, in the scalar type of ``a``, whose
-    ``exp`` (``mpmath.exp`` for ``mpmath.mpf``) gives the exp's constant term."""
+    ``log`` of their scalar type (``math.log`` for floats, ``decimal.Decimal.ln``,
+    ``mpmath.log`` in the tests), its log; by the recursion of the module
+    docstring, in the scalar type of ``a``, whose ``exp`` (``decimal.Decimal.exp``,
+    ``mpmath.exp``) gives the exp's constant term.  A Decimal recursion rounds
+    in the current decimal context."""
     inverse = log is not None
     if inverse and not a[0] > 0:
         raise ValueError(f"log needs a positive constant term, got {a[0]}")

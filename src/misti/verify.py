@@ -146,6 +146,21 @@ def check_markov_triple(j3):
     )
 
 
+def _log_coefficients(pgf, precision):
+    """The flattened log coefficients of a dense pgf array, in floats or, for
+    ``precision="extended"``, in ``decimal.Decimal`` at 40 digits.  Each float
+    entry converts to a Decimal exactly, and the arithmetic runs in a context
+    of its own, so the caller's decimal context neither changes the result
+    nor is changed by it."""
+    if precision == "standard":
+        return ts_log(pgf).ravel()
+    import decimal
+
+    with decimal.localcontext(decimal.Context(prec=40)):
+        terms = np.array([decimal.Decimal(float(c)) for c in pgf.ravel()], dtype=object)
+        return graded_exp_log(terms, pgf.ndim, pgf.shape[0] - 1, log=decimal.Decimal.ln)
+
+
 def check_mvid(pmf, maxdeg, precision="standard"):
     """Joint infinite divisibility test: all non-constant log-pgf coefficients >= 0.
 
@@ -153,7 +168,7 @@ def check_mvid(pmf, maxdeg, precision="standard"):
     lattice entries alone (hence ``maxdeg <= pmf.k`` is required), so a
     negative minimum is attributable to the law, not the truncation.  Both
     precisions run the same recursion, ``series.graded_exp_log``; they differ
-    only in the scalar type (float or 40-digit ``mpmath.mpf``) and in the
+    only in the scalar type (float or 40-digit ``decimal.Decimal``) and in the
     tolerance (1e-8 or 1e-12), which only absorbs rounding noise.
     """
     tolerance = {"standard": 1e-8, "extended": 1e-12}.get(precision)
@@ -170,14 +185,7 @@ def check_mvid(pmf, maxdeg, precision="standard"):
             "coefficients would depend on missing entries"
         )
     pgf = ts_from_joint_pmf(pmf, maxdeg)
-    if precision == "extended":
-        import mpmath
-
-        with mpmath.workdps(40):
-            terms = np.array([mpmath.mpf(float(c)) for c in pgf.ravel()], dtype=object)
-            logs = graded_exp_log(terms, n, maxdeg, log=mpmath.log)
-    else:
-        logs = ts_log(pgf).ravel()
+    logs = _log_coefficients(pgf, precision)
     nonconstant = np.concatenate([level[0] for level in graded_order(n, maxdeg)[1:]])
     best = nonconstant[np.argmin(logs[nonconstant])]  # the first minimum by degree
     min_coeff = float(logs[best])

@@ -518,17 +518,28 @@ def test_unknown_flag_exits_two():
 
 
 def test_cli_import_leaves_heavy_modules_unloaded():
-    # every CLI call pays for what `import misti.cli` loads; scipy is only a
-    # test dependency, and mpmath is loaded only by extended-precision checks
+    # every CLI call pays for what `import misti.cli` loads; scipy and mpmath
+    # are only test dependencies, and decimal is loaded only by
+    # extended-precision checks
     src = str(Path(misti.__file__).resolve().parent.parent)
     path = [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    for module in ("misti", "misti.cli"):
-        probe = (
-            f"import sys, {module}; "
-            "print([m for m in sys.modules if m == 'mpmath' or m.split('.')[0] == 'scipy'])"
-        )
+
+    def probe(code):
         done = subprocess.run(
-            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
-        assert done.stdout.strip() == "[]", module
+        return done.stdout.strip()
+
+    heavy = "[m for m in sys.modules if m.split('.')[0] in ('scipy', 'mpmath', 'decimal', '_decimal')]"
+    for module in ("misti", "misti.cli"):
+        assert probe(f"import sys, {module}; print({heavy})") == "[]", module
+    # an extended check runs on decimal alone: with mpmath made unimportable
+    # it still runs, and it leaves mpmath unloaded
+    extended = (
+        "import sys; sys.modules['mpmath'] = None; import misti; "
+        "j3 = misti.chain_joint_pmf(misti.BranchingNB(2.0, 0.5, 0.6), (0, 1, 2), 10); "
+        "report = misti.check_mvid(j3, 8, precision='extended'); "
+        "print(report.passed, 'decimal' in sys.modules, sys.modules['mpmath'])"
+    )
+    assert probe(extended) == "True True None"

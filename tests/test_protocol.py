@@ -173,7 +173,12 @@ def test_a_spec_certifies_each_kernel_once(spec, monkeypatch):
 
 @pytest.mark.parametrize(
     "spec",
-    [NBBD(2.0, 0.5, 0.5), PoissonBD(4.0, 0.5), Thinning(NegBinomial(0.5), 2.0, 0.6)],
+    [
+        NBBD(2.0, 0.5, 0.5),
+        PoissonBD(4.0, 0.5),
+        Thinning(NegBinomial(0.5), 2.0, 0.6),
+        BranchingNB(2.0, 0.5, 0.6),
+    ],
     ids=lambda s: type(s).__name__,
 )
 def test_stationary_start_reuses_the_lattices_of_the_kernel(spec, monkeypatch):
@@ -195,8 +200,11 @@ def test_stationary_start_reuses_the_lattices_of_the_kernel(spec, monkeypatch):
         # that certifies on its first build, and the gap-1 start reuses it
         assert sorted(gap for gap, _ in builds) == [1, 2]
     else:
-        # the start over the closed-form gap 1 climbs the ladder from kmax
-        assert len(builds) > len({gap for gap, _ in builds})
+        # the closed-form gap-1 kernel is its build at kmax, and the start
+        # evolved over each gap is one build, at the lattice its tail states
+        # (the thinning chain also builds the one-state lattice {0} of each
+        # gap, to tell closed-form blocks apart)
+        assert sorted(gap for gap, k in builds if k > 16) == [1, 2]
 
 
 # real gaps for the birth-death chains, powers of the one-step kernel for the
@@ -237,6 +245,41 @@ def test_the_stated_lattice_certifies_on_its_first_build(family, data, kmax):
 def test_closed_form_blocks_state_no_lattice(spec, gap):
     assert spec.exit_bound(gap, 10, 84) is None
     assert discrete._stated_start(spec, gap, 10) == 10
+
+
+# specs and the gaps over which their kernel blocks are closed form; p >= 0.2
+# keeps the NB branching lattices under ~200 states, where at p = 0.05 they
+# reach ~800 states and a build takes seconds
+CLOSED_FORM = {
+    "thinning-poisson": (MARKOV["thinning-poisson"], st.integers(1, 3)),
+    "thinning-nb": (MARKOV["thinning-nb"], st.just(1)),
+    "thinning-levy": (MARKOV["thinning-levy"], st.just(1)),
+    "branching-poisson": (MARKOV["branching-poisson"], st.integers(1, 3)),
+    "branching-nb": (st.builds(BranchingNB, SCALES, st.floats(0.2, 0.95), RHOS), st.integers(1, 3)),
+    "iid": (MARKOV["iid"], st.integers(1, 3)),
+    "constant": (MARKOV["constant"], st.integers(1, 3)),
+}
+
+
+@pytest.mark.parametrize("family", CLOSED_FORM)
+@PROPERTY
+@given(data=st.data(), kmax=st.integers(1, 15))
+def test_the_stated_start_over_a_closed_form_gap_certifies_on_its_first_build(family, data, kmax):
+    # the stationary start evolved over a closed-form gap misses only its own
+    # tail, so the lattice that its tail states certifies it in one build,
+    # and it is the start that the ladder from kmax certifies
+    spec, gap = (data.draw(strategy) for strategy in CLOSED_FORM[family])
+    start = discrete._stated_start(spec, gap, kmax, evolved=True)
+    assert start >= kmax
+    evolved, bound = _evolved_block(spec, gap, start)
+    assert bound <= CERTIFIED_TOL
+
+    def build(k):
+        ladder, ladder_bound = _evolved_block(spec, gap, k)
+        return ladder[: kmax + 1], ladder_bound
+
+    ladder = stabilize(build, kmax, CERTIFIED_TOL)
+    assert np.abs(evolved[: kmax + 1] - ladder).max() <= 2 * CERTIFIED_TOL
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import decimal
 import json
 import math
 import time
@@ -23,8 +24,10 @@ from misti.discrete import (
 )
 from misti.idlaw import GenericLevy, NegBinomial, Poisson, id_pmf, levy_masses
 from misti.tables import MAX_ENTRIES, stabilize
+from misti.series import graded_exp_log, graded_order, ts_from_joint_pmf
 from misti.verify import (
     VerifyReport,
+    _log_coefficients,
     autocorr_exact,
     autocorr_mc,
     chain_joint_pmf,
@@ -319,6 +322,84 @@ def test_mvid_extended_precision_agrees():
 
     j3b = chain_joint_pmf(BranchingNB(1.0, 0.5, 0.5), (0, 1, 2), 12)
     assert check_mvid(j3b, 8, precision="extended").passed
+
+
+# (spec, times, lattice bound, degree bound) of the extended checks timed
+# against mpmath: three passing tables and one failing
+EXTENDED_CASES = [
+    (BranchingNB(2.0, 0.5, 0.6), (0, 1, 2), 10, 8),
+    (Thinning(NB, 2.0, 0.6), (0, 1, 2), 12, 10),
+    (BranchingNB(1.0, 0.5, 0.5), (0, 1, 2, 3), 8, 8),
+    (RandomMeasure(Poisson(), 2.0, 0.6), (0, 1, 2), 12, 12),
+]
+
+
+@pytest.mark.parametrize(
+    "spec, times, k, maxdeg", EXTENDED_CASES, ids=["branching-nb", "thinning-nb", "four-times", "rm-poisson"]
+)
+def test_extended_log_coefficients_match_a_60_digit_mpmath_run(spec, times, k, maxdeg):
+    # every coefficient of the 40-digit decimal recursion, not only the
+    # minimum, is within 1e-35 of the same recursion run in 60-digit mpmath
+    # on the same float entries, an independent scalar type
+    mpmath = pytest.importorskip("mpmath")
+    pmf = chain_joint_pmf(spec, times, k)
+    pgf = ts_from_joint_pmf(pmf, maxdeg)
+    logs = _log_coefficients(pgf, "extended")
+    assert all(type(c) is decimal.Decimal for c in logs)
+    with mpmath.workdps(60):
+        terms = np.array([mpmath.mpf(float(c)) for c in pgf.ravel()], dtype=object)
+        want = graded_exp_log(terms, pgf.ndim, maxdeg, log=mpmath.log)
+        # the entries past total degree maxdeg are zero on both sides
+        assert max(abs(mpmath.mpf(str(c)) - w) for c, w in zip(logs, want)) <= mpmath.mpf(10) ** -35
+        nonconstant = np.concatenate([level[0] for level in graded_order(pgf.ndim, maxdeg)[1:]])
+        best = nonconstant[np.argmin(want[nonconstant])]
+    report = check_mvid(pmf, maxdeg, precision="extended")
+    assert report.extra["min_coefficient"] == pytest.approx(float(want[best]), rel=1e-15)
+    if not report.passed:
+        assert report.witness == tuple(int(i) for i in np.unravel_index(best, pgf.shape))
+
+
+def _context_state():
+    context = decimal.getcontext()
+    return (
+        context.prec,
+        context.rounding,
+        context.Emin,
+        context.Emax,
+        {signal for signal, on in context.flags.items() if on},
+        {signal for signal, on in context.traps.items() if on},
+    )
+
+
+def test_an_extended_check_leaves_the_decimal_context_as_it_was():
+    j3 = chain_joint_pmf(BranchingNB(2.0, 0.5, 0.6), (0, 1, 2), 10)
+    with decimal.localcontext() as context:
+        context.prec = 7
+        context.clear_flags()
+        context.flags[decimal.Clamped] = True
+        before = _context_state()
+        assert check_mvid(j3, 8, precision="extended").passed
+        assert _context_state() == before
+
+
+def _set_precision(context):
+    context.prec = 5
+
+
+def _trap_inexact(context):
+    context.traps[decimal.Inexact] = True
+
+
+@pytest.mark.parametrize("setting", [_set_precision, _trap_inexact])
+def test_an_extended_check_ignores_the_callers_decimal_context(setting):
+    # the 40 digits are the check's own: a caller's precision or traps
+    # change neither its report nor whether it runs
+    j3 = chain_joint_pmf(Thinning(NB, 2.0, 0.6), (0, 1, 2), 12)
+    want = check_mvid(j3, 10, precision="extended")
+    with decimal.localcontext() as context:
+        setting(context)
+        got = check_mvid(j3, 10, precision="extended")
+    assert got.to_json() == want.to_json()
 
 
 def test_mvid_univariate_log_coefficients_are_levy_masses():
