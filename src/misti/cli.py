@@ -382,49 +382,26 @@ def cmd_simulate(cfg):
     return 0
 
 
+# the processes that ``table`` compares: (column prefix, NB spec class, closed
+# form of P[X1=0, X3=0 | X2=2])
+TABLE_PROCESSES = (("thinning", Thinning, nb_thinning_020), ("rm", RandomMeasure, nb_random_measure_020))
+
+
 def cmd_table(cfg):
     """P[X1=0, X3=0 | X2=2] for the NB thinning chain vs the NB random-measure
     process: closed forms next to exact-enumeration columns and deviations."""
-    thetas = cfg.theta_grid or (1.0,)
-    ps = cfg.p_grid or (0.5,)
-    rhos = cfg.rho_grid or (0.5,)
     rows = []
-    for theta in thetas:
-        for p in ps:
-            for rho in rhos:
-                law = NegBinomial(p)
-                mid = id_pmf(law, theta, 2)[2]
-                thin = chain_joint_pmf(Thinning(law, theta, rho), (0, 1, 2), 2)
-                rand = chain_joint_pmf(RandomMeasure(law, theta, rho), (0, 1, 2), 2)
-                thin_enum = float(thin.table[0, 2, 0] / mid)
-                rm_enum = float(rand.table[0, 2, 0] / mid)
-                thin_closed = nb_thinning_020(theta, p, rho)
-                rm_closed = nb_random_measure_020(theta, p, rho)
-                rows.append(
-                    (
-                        theta,
-                        p,
-                        rho,
-                        thin_closed,
-                        thin_enum,
-                        abs(thin_closed - thin_enum),
-                        rm_closed,
-                        rm_enum,
-                        abs(rm_closed - rm_enum),
-                    )
-                )
-    header = (
-        "theta",
-        "p",
-        "rho",
-        "thinning_closed",
-        "thinning_enum",
-        "thinning_dev",
-        "rm_closed",
-        "rm_enum",
-        "rm_dev",
-    )
-    _write_rows(cfg, header, tuple(zip(*rows)))
+    for theta, p, rho in itertools.product(cfg.theta_grid or (1.0,), cfg.p_grid or (0.5,), cfg.rho_grid or (0.5,)):
+        law = NegBinomial(p)
+        mid = id_pmf(law, theta, 2)[2]
+        row = [theta, p, rho]
+        for _, spec, closed_form in TABLE_PROCESSES:
+            closed = closed_form(theta, p, rho)
+            enum = float(chain_joint_pmf(spec(law, theta, rho), (0, 1, 2), 2).table[0, 2, 0] / mid)
+            row += [closed, enum, abs(closed - enum)]
+        rows.append(row)
+    columns = (f"{name}_{column}" for name, *_ in TABLE_PROCESSES for column in ("closed", "enum", "dev"))
+    _write_rows(cfg, ("theta", "p", "rho", *columns), tuple(zip(*rows)))
     return 0
 
 

@@ -5,12 +5,17 @@ lambda*theta, death rate lambda*j); the negative binomial model adds linear
 births (birth rate lambda*(alpha+j)(1-p)/p, death rate lambda*j/p).  Both
 are time-reversible with autocorrelation exp(-lambda |s-t|), and sampled at
 integer times they reduce to the discrete branching chains with
-rho = exp(-lambda).
+rho = exp(-lambda).  So, as for every Markov spec, the stationary law pi is
+the ID law ``law`` at scale ``theta`` (Poisson(theta), NB(alpha, p)), and
+the marginal, its tail bound and the stationary draw come from that law.
+``stationary_bd`` derives pi a second way, from detailed balance, and stays
+as the reference the law is checked against.
 
-Kernels exp(tQ) come from the generator, not that identity, which stays an
-independent check: uniformization over t/2^s <= 1/(largest exit rate), then
-s squarings, all in nonnegative matrices on a lattice whose top birth edge is
-dropped.  So a row deficit is the mass killed at the cut, which bounds the
+Kernels exp(tQ) come from the generator, not from the branching identity,
+so ``check_stationarity`` on these chains checks that exp(tQ) preserves the
+Poisson or NB law.  They are built by uniformization over
+t/2^s <= 1/(largest exit rate), then s squarings, all in nonnegative
+matrices on a lattice whose top birth edge is dropped.  So a row deficit is the mass killed at the cut, which bounds the
 error of every entry of that row (the finite state projection theorem of
 Munsky & Khammash, J. Chem. Phys. 124, 044104, 2006), and the kernel is
 taken from the first lattice where those bounds are within 1e-13.  The
@@ -26,10 +31,8 @@ up from k within t, and up-crossings from k come at rate pi_k birth_k, so
 P_pi(reach k + 1 within t) <= pi(>k) + t pi_k birth_k.  A path from
 x <= kmax to k + 1 passes every state m in [kmax, k] first, so by the
 strong Markov property P_x(reach) <= P_m(reach) <= P_pi(reach) / pi_m, and
-the row bound is that over max_{kmax <= m <= k} pi_m (``exit_bound``).
-pi(>k) sums the detailed-balance terms, and past the summed range their
-ratio birth_j / death_(j+1), monotone in j for linear rates, is at most the
-larger of its last value and its limit, which bounds the rest geometrically.
+the row bound is that over max_{kmax <= m <= k} pi_m (``exit_bound``),
+with pi(>k) from ``tail_bound``.
 
 Both chains are linear: immigration at a constant rate plus individuals that
 each give birth and die at constant rates, independently (Kendall, Ann. Math.
@@ -47,7 +50,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .discrete import _check_nonneg, _check_positive, _check_prob, _Markov
-from .tables import tail_sums
+from .idlaw import NegBinomial, Poisson
 
 __all__ = [
     "PoissonBD",
@@ -65,36 +68,24 @@ __all__ = [
 class _BirthDeath(_Markov):
     """Kernel protocol of the Markov specs (see ``discrete``); any gap t >= 0."""
 
-    def marginal(self, kmax):
-        return stationary_bd(self, kmax)
-
     def kernel_block(self, gap, k):
         if not gap >= 0.0:
             raise ValueError(f"time must be >= 0, got {gap}")
         return _uniformized_block(self, float(gap), k)
 
     def exit_bound(self, gap, kmax, top):
-        """The bound of the module docstring on the lattices kmax..top, with
-        pi from the detailed-balance weights up to top: their sum is at most
-        the normalizer (so the tail and leave bounds hold over it) and their
-        sum plus the bound past top at least it (so the divisor does)."""
-        logw, births = _log_weights(self, top + 1)
-        if not np.isfinite(logw).all():
-            return None
-        weights = np.exp(logw[:-1] - logw.max())
-        ratio = max(math.exp(logw[-1] - logw[-2]), (births[1] - births[0]) / self.rates(1)[1])
-        past = weights[-1] * ratio / (1.0 - ratio) if ratio < 1.0 else math.inf
-        tail = tail_sums(weights, past)
-        total = weights.sum()
-        leave = tail + gap * weights * births[:-1]
-        divisor = np.maximum.accumulate(weights[kmax:]) / (total + past)
-        return tail[kmax:] / total, leave[kmax:] / total, divisor
+        """The bound of the module docstring on the lattices kmax..top."""
+        pi = self.marginal(top)[kmax:]
+        tail = self.tail_bound(kmax, top)
+        births = self.rates(np.arange(kmax, top + 1.0))[0]
+        return tail, tail + gap * pi * births, np.maximum.accumulate(pi)
 
 
 @dataclass(frozen=True)
 class PoissonBD(_BirthDeath):
     """Birth-death chain with Poisson(theta) stationary law and time scale lambda."""
 
+    law = Poisson()  # a class attribute, not a field
     theta: float
     lam: float
 
@@ -106,10 +97,6 @@ class PoissonBD(_BirthDeath):
         """(birth rate, death rate) out of the state(s) j; 0 j broadcasts the
         constant immigration rate over an array of states."""
         return self.lam * self.theta + 0.0 * j, self.lam * j
-
-    def stationary_draw(self, rng):
-        """One draw from the stationary Poisson(theta) law."""
-        return int(rng.poisson(self.theta))
 
 
 @dataclass(frozen=True)
@@ -129,9 +116,13 @@ class NBBD(_BirthDeath):
         """(birth rate, death rate) out of the state(s) j."""
         return self.lam * (self.alpha + j) * (1.0 - self.p) / self.p, self.lam * j / self.p
 
-    def stationary_draw(self, rng):
-        """One draw from the stationary NB(alpha, p) law."""
-        return int(rng.negative_binomial(self.alpha, self.p))
+    @property
+    def law(self):
+        return NegBinomial(self.p)
+
+    @property
+    def theta(self):
+        return self.alpha
 
 
 BDModel = PoissonBD | NBBD
@@ -246,14 +237,6 @@ def gillespie(model, x0, horizon, rng):
     return EventPath(times[:kept], states[:kept], horizon)
 
 
-def _log_weights(model, size):
-    """The detailed-balance log weights log w_i, w_i = prod_{j<i} birth_j /
-    death_{j+1}, of the states 0..size, and their birth rates."""
-    births, deaths = model.rates(np.arange(size + 1.0))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.concatenate(([0.0], np.cumsum(np.log(births[:-1] / deaths[1:])))), births
-
-
 def stationary_bd(model, kmax):
     """Stationary pmf on {0..kmax}.
 
@@ -273,7 +256,9 @@ def stationary_bd(model, kmax):
     size = kmax + 32
     while True:
         size = min(2 * size, cap)
-        logw, _ = _log_weights(model, size)
+        births, deaths = model.rates(np.arange(size + 1.0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            logw = np.concatenate(([0.0], np.cumsum(np.log(births[:-1] / deaths[1:]))))
         if np.isnan(logw).any():
             raise ValueError(f"detailed balance does not fix the weights of {model!r}")
         # the first state past kmax whose weight is below 1e-18 of the largest so far

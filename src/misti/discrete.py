@@ -17,22 +17,26 @@ Every spec owns ``joint_pmf(times, kmax, initial=None, origin=None)``, its
 exact joint table on {0..kmax}^n, and ``reversal_times``, the times whose
 table time reversal must leave unchanged: a pair for a Markov chain
 (detailed balance), a triple for the random measure, which is not Markov.
-Every Markov spec (the chains here and the birth-death chains of ``ctmc``)
-owns its stationary pmf ``marginal(kmax)`` and its ``kernel_block(gap, k)``:
-its transition matrix built on {0..k} and a proven bound on the error of
-each row's entries.  Closed-form rows are exact (bound 0); powers and
-exponentials of truncated kernels miss at most the mass that leaves the
-lattice.  ``kernel(gap, kmax)`` is the block on {0..kmax} of the first
-lattice whose bounds certify it (``certified_kernel``), certified once per
-spec instance, and a joint table is the forward product of the marginal and
-those kernels.  A spec whose blocks carry a bound also owns
-``exit_bound(gap, kmax, top)``, which bounds from its stationary law how much
-a row can miss, so the search for that lattice starts where it is proven
-(see ``tables``); the stationary start evolved over a closed-form gap
-misses only its own tail, which ``tail_bound(kmax, top)`` states.  Discrete
-specs take positive integer gaps only, and each also owns its stationary
-sampler ``sample_path(t0, n, rng)``, which draws all state-independent
-randomness in one call each, so a step costs at most two scalar draws.  The
+The stationary law of every Markov spec (the chains here and the
+birth-death chains of ``ctmc``, whose laws are Poisson or NB) is an ID law,
+which the spec names as ``law`` at scale ``theta``.  From it ``_Markov``
+takes the spec's pmf ``marginal(kmax)``, the bound ``tail_bound(kmax, top)``
+on its tail and ``stationary_draw(rng)``.  Each spec owns its
+``kernel_block(gap, k)``: its transition matrix built on {0..k} and a
+proven bound on the error of each row's entries.  Closed-form rows are
+exact (bound 0); powers and exponentials of truncated kernels miss at most
+the mass that leaves the lattice.  ``kernel(gap, kmax)`` is the block on
+{0..kmax} of the first lattice whose bounds certify it
+(``certified_kernel``), certified once per spec instance and the only
+thing a spec keeps, and a joint table is the forward product of the
+marginal and those kernels.  A spec whose blocks carry a bound also owns
+``exit_bound(gap, kmax, top)``, which bounds from its stationary law how
+much a row can miss, so the search for that lattice starts where it is
+proven (see ``tables``); the stationary start evolved over a closed-form
+gap misses only its own tail, which ``tail_bound`` states.  Discrete specs
+take positive integer gaps only, and each also owns its stationary sampler
+``sample_path(t0, n, rng)``, which draws all state-independent randomness
+in one call each, so a step costs at most two scalar draws.  The
 Poisson branching chain is the Poisson thinning chain (binomial survivors
 plus Poisson immigrants), so ``BranchingPoisson`` only fixes the law of a
 thinning chain and shares its kernel and sampler.  The chains that
@@ -41,6 +45,7 @@ thinning chain and shares its kernel and sampler.  The chains that
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -139,8 +144,7 @@ def _stated_start(spec, gap, kmax, evolved=False):
         top = min(2 * top + 64, MAX_LATTICE)
         stated = spec.exit_bound(gap, kmax, top)
         if stated is None and evolved:
-            tail = spec.tail_bound(kmax, top)
-            stated = None if tail is None else (tail, 0.0, 1.0)
+            stated = spec.tail_bound(kmax, top), 0.0, 1.0
         if stated is None:
             break
         tail, leave, divisor = stated
@@ -158,7 +162,7 @@ def certified_kernel(spec, gap, kmax):
     from the lattice that the spec's stationary law proves."""
 
     def build(k):
-        block, bound = spec._lattice_block(gap, k)
+        block, bound = spec.kernel_block(gap, k)
         return block[: kmax + 1, : kmax + 1], bound[: kmax + 1].max()
 
     return stabilize(build, kmax, CERTIFIED_TOL, _stated_start(spec, gap, kmax))
@@ -169,12 +173,10 @@ def _evolved_block(spec, gap, k):
     proven bound on the error of its entries: the start's tail past k,
     1 - sum(pi_k), plus the kernel's row bounds weighted by the start."""
     start = spec.marginal(k)
-    block, bound = spec._lattice_block(gap, k)
+    block, bound = spec.kernel_block(gap, k)
     return start @ block, (1.0 - start.sum()) + start @ bound
 
 
-# the most kernel_block entries a spec keeps for reuse: 2**20 float64 are 8 MB
-_KEPT_ENTRIES = 2**20
 # log z of the Chernoff bounds on an ID marginal's tail: 2^-30 to 2^8, four
 # to an octave
 _LOG_Z = np.exp2(np.arange(-120, 33) / 4)
@@ -191,10 +193,22 @@ def _law_tail(law, theta, kmax, top):
 
 
 class _Markov:
-    """``kernel(gap, kmax)`` and joint tables of a spec that owns
-    ``marginal(kmax)`` and ``kernel_block(gap, k)``."""
+    """Marginal, stationary draw, ``kernel(gap, kmax)`` and joint tables of a
+    spec that owns ``kernel_block(gap, k)`` and names its stationary law:
+    the ID law ``law`` at scale ``theta``."""
 
     reversal_times = (0, 1)
+
+    def marginal(self, kmax):
+        return id_pmf(self.law, self.theta, kmax)
+
+    def tail_bound(self, kmax, top):
+        """Upper bounds on pi(>k) over k = kmax..top."""
+        return _law_tail(self.law, self.theta, kmax, top)
+
+    def stationary_draw(self, rng):
+        """One draw from the stationary law."""
+        return int(id_sample(self.law, self.theta, rng))
 
     def exit_bound(self, gap, kmax, top):
         """(tail, leave, divisor) over the lattices k = kmax..top: upper
@@ -203,28 +217,6 @@ class _Markov:
         ``kernel_block(gap, k)`` on the rows up to kmax; or None, which
         states no lattice.  Closed-form blocks carry no bound to state."""
         return None
-
-    def tail_bound(self, kmax, top):
-        """Upper bounds on pi(>k) over k = kmax..top, or None, which states
-        no lattice for a stationary start evolved over a closed-form gap."""
-        return None
-
-    def _lattice_block(self, gap, k):
-        """``kernel_block(gap, k)``, read-only.  The builds of the last gap
-        asked for are kept on the instance, up to ``_KEPT_ENTRIES`` entries in
-        all, so a stationary start evolved over a gap walks the lattices that
-        certified that gap's kernel without building them again."""
-        kept_gap, kept = self.__dict__.get("_lattices", (None, {}))
-        if gap != kept_gap:
-            kept = {}
-            self.__dict__["_lattices"] = (gap, kept)
-        if k in kept:
-            return kept[k]
-        block, bound = self.kernel_block(gap, k)
-        block.setflags(write=False)
-        if block.size + sum(b.size for b, _ in kept.values()) <= _KEPT_ENTRIES:
-            kept[k] = block, bound
-        return block, bound
 
     def kernel(self, gap, kmax):
         """``certified_kernel(self, gap, kmax)``, certified once per instance:
@@ -247,8 +239,7 @@ class _Markov:
         past kmax, so its product with the certified kernel is within the
         kernel's bound; the stationary start is evolved on the first lattice
         whose ``_evolved_block`` bound is within ``CERTIFIED_TOL``, in one
-        loop from the lattice the stationary law proves, or from a larger
-        one that the kernel over that gap already built."""
+        loop from the lattice the stationary law proves."""
         times = increasing_times(times)
         if origin is not None and origin > times[0]:
             raise ValueError(f"origin {origin} is after the first time {times[0]}")
@@ -265,26 +256,13 @@ class _Markov:
                 evolved, bound = _evolved_block(self, gap, k)
                 return evolved[: kmax + 1], bound
 
-            start = _stated_start(self, gap, kmax, evolved=True)
-            # a larger lattice already built for this gap (the kernel's) is proven too
-            kept_gap, kept = self.__dict__.get("_lattices", (None, {}))
-            if kept_gap == gap:
-                start = min((k for k in kept if k >= start), default=start)
-            table = stabilize(build, kmax, CERTIFIED_TOL, start)
+            table = stabilize(build, kmax, CERTIFIED_TOL, _stated_start(self, gap, kmax, evolved=True))
         for t_prev, t_next in zip(times, times[1:]):
             table = table[..., None] * self.kernel(t_next - t_prev, kmax)
         return JointPMF(times, kmax, table)
 
 
-class _LawMarginal:
-    def marginal(self, kmax):
-        return id_pmf(self.law, self.theta, kmax)
-
-    def tail_bound(self, kmax, top):
-        return _law_tail(self.law, self.theta, kmax, top)
-
-
-class _ThinningChain(_LawMarginal, _Markov):
+class _ThinningChain(_Markov):
     """Validation, kernel and sampler of the thinning chains; subclasses give
     ``law``, ``theta`` and ``rho``."""
 
@@ -313,7 +291,7 @@ class _ThinningChain(_LawMarginal, _Markov):
         <= (gap - 1) pi(>k) / pi_x, one stationary tail per step.  The blocks
         that ``kernel_block`` builds in closed form, the ones whose bound on
         the one-state lattice {0} is 0, state nothing."""
-        if not self._lattice_block(gap, 0)[1].any():
+        if not self.kernel_block(gap, 0)[1].any():
             return None
         tail = self.tail_bound(kmax, top)
         return tail, (_integer_gap(gap) - 1) * tail, self.marginal(kmax).min()
@@ -386,11 +364,13 @@ class BranchingNB(_Markov):
         _check_prob("p", self.p)
         _check_rho(self.rho)
 
-    def marginal(self, kmax):
-        return id_pmf(NegBinomial(self.p), self.alpha, kmax)
+    @property
+    def law(self):
+        return NegBinomial(self.p)
 
-    def tail_bound(self, kmax, top):
-        return _law_tail(NegBinomial(self.p), self.alpha, kmax, top)
+    @property
+    def theta(self):
+        return self.alpha
 
     def kernel_block(self, gap, k):
         rho = self.rho ** _integer_gap(gap)
@@ -420,7 +400,7 @@ class BranchingNB(_Markov):
 
 
 @dataclass(frozen=True)
-class Constant(_LawMarginal, _Markov):
+class Constant(_Markov):
     """Degenerate case X_t identically equal to one draw from mu^theta."""
 
     law: IDLaw
@@ -441,7 +421,7 @@ class Constant(_LawMarginal, _Markov):
 
 
 @dataclass(frozen=True)
-class IID(_LawMarginal, _Markov):
+class IID(_Markov):
     """Degenerate case of independent draws from mu^theta."""
 
     law: IDLaw
@@ -720,11 +700,14 @@ def branching_step_nb(x, alpha, p, rho, rng):
 def _binomial_pmf(x, prob):
     """Binomial(x, prob) pmf on {0..x} for 0 < prob < 1, from the log of the
     exact integer coefficient, with log1p keeping (1 - prob)^(x - y) accurate
-    for tiny prob.  The entries sum to 1 by the binomial theorem, so
-    normalising removes their common rounding bias: within 6.2e-16 of
-    40-digit values for x <= 60."""
+    for tiny prob.  The coefficients of a row come from one exact recursion,
+    C(x, y + 1) = C(x, y) (x - y) // (y + 1), not one ``math.comb`` each.
+    The entries sum to 1 by the binomial theorem, so normalising removes
+    their common rounding bias: within 6.2e-16 of 40-digit values for
+    x <= 60."""
     y = np.arange(x + 1)
-    log_coeff = np.array([math.log(math.comb(x, k)) for k in range(x + 1)])
+    coeffs = itertools.accumulate(range(x), lambda c, k: c * (x - k) // (k + 1), initial=1)
+    log_coeff = np.array([math.log(c) for c in coeffs])
     pmf = np.exp(log_coeff + y * math.log(prob) + (x - y) * math.log1p(-prob))
     return pmf / pmf.sum()
 

@@ -370,7 +370,7 @@ def test_stationary_bd_fails_loudly_past_the_term_cap():
     # NB(1, 1e-6) needs ~4e7 terms to reach its 1e-18 tail; normalising the
     # first 10**6 would give 1.58e-6 per state where the pmf is 1.0e-6
     with pytest.raises(ValueError, match=r"kmax \+ 10\*\*6"):
-        NBBD(1.0, 1e-6, 1.0).marginal(5)
+        stationary_bd(NBBD(1.0, 1e-6, 1.0), 5)
 
 
 def _stationary_term_by_term(model, kmax):
@@ -397,7 +397,7 @@ def test_stationary_bd_matches_the_term_by_term_series(model):
 def test_stationary_bd_of_a_frozen_chain_fails_loudly():
     # lambda = 0: every state is absorbing, so detailed balance fixes nothing
     with pytest.raises(ValueError, match="detailed balance"):
-        PoissonBD(1.0, 0.0).marginal(5)
+        stationary_bd(PoissonBD(1.0, 0.0), 5)
 
 
 @pytest.mark.parametrize("model", [PoissonBD(3.0, 1.0), NBBD(2.0, 0.4, 1.0)])

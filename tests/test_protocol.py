@@ -28,7 +28,7 @@ from misti.discrete import (
     rm_joint_pmf,
     simulate_chain,
 )
-from misti.idlaw import GenericLevy, NegBinomial, Poisson
+from misti.idlaw import GenericLevy, NegBinomial, Poisson, id_pmf, id_sample
 from misti.tables import CERTIFIED_TOL, MAX_LATTICE, stabilize
 from misti.verify import chain_joint_pmf, check_stationarity, reversibility_violation
 
@@ -142,9 +142,32 @@ def test_discrete_kernel_rejects_non_positive_integer_gaps(spec, gap):
         spec.kernel(gap, 5)
 
 
-@pytest.mark.parametrize(
-    "spec", [*DISCRETE, PoissonBD(1.0, 0.5), NBBD(2.0, 0.5, 1.0)], ids=lambda s: type(s).__name__
-)
+MARKOV_SPECS = [*DISCRETE, PoissonBD(1.0, 0.5), NBBD(2.0, 0.5, 1.0)]
+
+
+@pytest.mark.parametrize("spec", MARKOV_SPECS, ids=lambda s: type(s).__name__)
+def test_the_stationary_law_of_a_markov_spec_is_its_id_law(spec):
+    # the pmf and the draws of a Markov spec are those of its ID law
+    assert np.array_equal(spec.marginal(30), id_pmf(spec.law, spec.theta, 30))
+    ours, theirs = np.random.default_rng(5), np.random.default_rng(5)
+    draws = [spec.stationary_draw(ours) for _ in range(50)]
+    assert all(type(x) is int for x in draws)
+    assert draws == [int(id_sample(spec.law, spec.theta, theirs)) for _ in range(50)]
+    assert ours.random() == theirs.random()  # the two used up the same stream
+
+
+def test_a_slowly_decaying_birth_death_marginal_is_its_nb_law():
+    # NB(1, p) is p (1 - p)^x; detailed balance needs ~4e7 terms to normalise it
+    p = 1e-6
+    assert np.abs(NBBD(1.0, p, 1.0).marginal(5) - p * (1.0 - p) ** np.arange(6)).max() <= 1e-18
+
+
+def test_a_frozen_birth_death_chain_keeps_its_law():
+    # lambda = 0: exp(tQ) is the identity, which preserves the Poisson law
+    assert check_stationarity(PoissonBD(1.0, 0.0), 2, 8).passed
+
+
+@pytest.mark.parametrize("spec", MARKOV_SPECS, ids=lambda s: type(s).__name__)
 def test_a_spec_certifies_each_kernel_once(spec, monkeypatch):
     # the memo is the instance's own: an equal spec built apart certifies again
     calls = []
@@ -182,9 +205,11 @@ def test_a_spec_certifies_each_kernel_once(spec, monkeypatch):
     ids=lambda s: type(s).__name__,
 )
 def test_stationary_start_reuses_the_lattices_of_the_kernel(spec, monkeypatch):
-    # the three tables of a stationarity check from time 0 evolve the
-    # stationary start over gaps 1 and 2, the first on the lattices that
-    # certified the gap-1 kernel: no lattice is built twice
+    # the three tables of a stationarity check from time 0 certify the gap-1
+    # kernel and the stationary start evolved over gaps 1 and 2, and no spec
+    # keeps a build for another: each certification is one build, at the
+    # lattice its stationary law states (the thinning chain also builds the
+    # one-state lattice {0} of each gap, to tell closed-form blocks apart)
     builds = []
     kernel_block = type(spec).kernel_block
 
@@ -194,17 +219,7 @@ def test_stationary_start_reuses_the_lattices_of_the_kernel(spec, monkeypatch):
 
     monkeypatch.setattr(type(spec), "kernel_block", spy)
     assert check_stationarity(dataclasses.replace(spec), 3, 16).passed
-    assert len(builds) == len(set(builds))
-    if isinstance(spec, (NBBD, PoissonBD)):
-        # every block carries a bound, so the stationary law states a lattice
-        # that certifies on its first build, and the gap-1 start reuses it
-        assert sorted(gap for gap, _ in builds) == [1, 2]
-    else:
-        # the closed-form gap-1 kernel is its build at kmax, and the start
-        # evolved over each gap is one build, at the lattice its tail states
-        # (the thinning chain also builds the one-state lattice {0} of each
-        # gap, to tell closed-form blocks apart)
-        assert sorted(gap for gap, k in builds if k > 16) == [1, 2]
+    assert sorted(gap for gap, k in builds if k > 0) == [1, 1, 2]
 
 
 # real gaps for the birth-death chains, powers of the one-step kernel for the
@@ -249,7 +264,7 @@ def test_closed_form_blocks_state_no_lattice(spec, gap):
 
 # specs and the gaps over which their kernel blocks are closed form; p >= 0.2
 # keeps the NB branching lattices under ~200 states, where at p = 0.05 they
-# reach ~800 states and a build takes seconds
+# reach ~800 states and a build takes ~0.4 s
 CLOSED_FORM = {
     "thinning-poisson": (MARKOV["thinning-poisson"], st.integers(1, 3)),
     "thinning-nb": (MARKOV["thinning-nb"], st.just(1)),
@@ -310,17 +325,6 @@ def test_a_start_that_cannot_be_met_stops_at_the_cap(spec, gap, monkeypatch):
     assert max(tops) == MAX_LATTICE
     assert time.perf_counter() - start < 1.0
     assert peak < 2**20  # the dense block of the cap lattice is 64 MB
-
-
-def test_a_spec_keeps_a_bounded_number_of_lattice_entries():
-    spec = IID(Poisson(), 1.0)
-    for kmax in (700, 800, 10):  # the 801^2 entries of 800 would pass the cap
-        spec.kernel(1, kmax)
-    gap, kept = spec.__dict__["_lattices"]
-    assert (gap, sorted(kept)) == (1, [10, 700])
-    assert sum(block.size for block, _ in kept.values()) <= discrete._KEPT_ENTRIES
-    spec.kernel(2, 10)  # only the last gap's lattices are kept
-    assert spec.__dict__["_lattices"][0] == 2
 
 
 @pytest.mark.parametrize("spec", [PoissonBD(1.0, 0.5), NBBD(2.0, 0.5, 1.0)])
@@ -419,3 +423,37 @@ def test_no_cache_is_keyed_by_value():
         for site in _import_time_caches(ast.parse(path.read_text()))
     ]
     assert found == [("series.py", "_degrees", "lru_cache"), ("series.py", "graded_order", "lru_cache")]
+
+
+def _instance_memos(tree):
+    """(scope, entry) of every use of an instance ``__dict__``: the key of a
+    subscript or the first argument of a method call on it, else the code
+    that reads it."""
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Attribute) and node.attr == "__dict__"):
+            continue
+        scope, up = [], node
+        while up in parents:
+            up = parents[up]
+            if isinstance(up, (ast.ClassDef, ast.FunctionDef)):
+                scope.insert(0, up.name)
+        user = parents[node]
+        if isinstance(user, ast.Subscript):
+            entry = ast.unparse(user.slice)
+        elif isinstance(user, ast.Attribute) and isinstance(parents[user], ast.Call):
+            entry = ast.unparse(parents[user].args[0])
+        else:
+            entry = ast.unparse(user)
+        yield ".".join(scope), entry
+
+
+def test_the_only_instance_memo_is_the_certified_kernel():
+    # a spec keeps its certified kernels and nothing else: no raw lattice
+    # builds, and no caller reads another object's memo
+    found = [
+        (path.name, *site)
+        for path in sorted(Path(misti.__file__).parent.glob("*.py"))
+        for site in _instance_memos(ast.parse(path.read_text()))
+    ]
+    assert found == [("discrete.py", "_Markov.kernel", "'_kernels'")]
