@@ -7,7 +7,7 @@ are time-reversible with autocorrelation exp(-lambda |s-t|), and sampled at
 integer times they reduce to the discrete branching chains with
 rho = exp(-lambda).  So, as for every Markov spec, the stationary law pi is
 the ID law ``law`` at scale ``theta`` (Poisson(theta), NB(alpha, p)), and
-the marginal, its tail bound and the stationary draw come from that law.
+the marginal and the stationary draw come from that law.
 ``stationary_bd`` derives pi a second way, from detailed balance, and stays
 as the reference the law is checked against.
 
@@ -31,8 +31,8 @@ up from k within t, and up-crossings from k come at rate pi_k birth_k, so
 P_pi(reach k + 1 within t) <= pi(>k) + t pi_k birth_k.  A path from
 x <= kmax to k + 1 passes every state m in [kmax, k] first, so by the
 strong Markov property P_x(reach) <= P_m(reach) <= P_pi(reach) / pi_m, and
-the row bound is that over max_{kmax <= m <= k} pi_m (``exit_bound``),
-with pi(>k) from ``tail_bound``.
+the row bound is that over max_{kmax <= m <= k} pi_m (``exit_bound``,
+handed pi and its tail bounds).
 
 Both chains are linear: immigration at a constant rate plus individuals that
 each give birth and die at constant rates, independently (Kendall, Ann. Math.
@@ -73,12 +73,11 @@ class _BirthDeath(_Markov):
             raise ValueError(f"time must be >= 0, got {gap}")
         return _uniformized_block(self, float(gap), k)
 
-    def exit_bound(self, gap, kmax, top):
+    def exit_bound(self, gap, kmax, pi, tail):
         """The bound of the module docstring on the lattices kmax..top."""
-        pi = self.marginal(top)[kmax:]
-        tail = self.tail_bound(kmax, top)
-        births = self.rates(np.arange(kmax, top + 1.0))[0]
-        return tail, tail + gap * pi * births, np.maximum.accumulate(pi)
+        births = self.rates(np.arange(kmax, len(pi), dtype=float))[0]
+        pi = pi[kmax:]
+        return tail + gap * pi * births, np.maximum.accumulate(pi)
 
 
 @dataclass(frozen=True)

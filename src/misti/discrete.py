@@ -20,26 +20,24 @@ table time reversal must leave unchanged: a pair for a Markov chain
 The stationary law of every Markov spec (the chains here and the
 birth-death chains of ``ctmc``, whose laws are Poisson or NB) is an ID law,
 which the spec names as ``law`` at scale ``theta``.  From it ``_Markov``
-takes the spec's pmf ``marginal(kmax)``, the bound ``tail_bound(kmax, top)``
-on its tail and ``stationary_draw(rng)``.  Each spec owns its
-``kernel_block(gap, k)``: its transition matrix built on {0..k} and a
-proven bound on the error of each row's entries.  Closed-form rows are
-exact (bound 0); powers and exponentials of truncated kernels miss at most
-the mass that leaves the lattice.  ``kernel(gap, kmax)`` is the block on
-{0..kmax} of the first lattice whose bounds certify it
+takes the spec's pmf ``marginal(kmax)`` and ``stationary_draw(rng)``.
+Each spec owns its ``kernel_block(gap, k)``: its transition matrix built on
+{0..k} and a proven bound on the error of each row's entries.  Closed-form
+rows are exact (bound 0); powers and exponentials of truncated kernels
+miss at most the mass that leaves the lattice.  ``kernel(gap, kmax)`` is
+the block on {0..kmax} of the first lattice whose bounds certify it
 (``certified_kernel``), certified once per spec instance and the only
 thing a spec keeps, and a joint table is the forward product of the
-marginal and those kernels.  A spec whose blocks carry a bound also owns
-``exit_bound(gap, kmax, top)``, which bounds from its stationary law how
-much a row can miss, so the search for that lattice starts where it is
-proven (see ``tables``); the stationary start evolved over a closed-form
-gap misses only its own tail, which ``tail_bound`` states.  Discrete specs
-take positive integer gaps only, and each also owns its stationary sampler
-``sample_path(t0, n, rng)``, which draws all state-independent randomness
-in one call each, so a step costs at most two scalar draws.  The
-Poisson branching chain is the Poisson thinning chain (binomial survivors
-plus Poisson immigrants), so ``BranchingPoisson`` only fixes the law of a
-thinning chain and shares its kernel and sampler.  The chains that
+marginal and those kernels.  Each spec also answers
+``exit_bound(gap, kmax, pi, tail)`` (see ``tables``) with its own bound on
+how much a row can miss, so the search for that lattice starts where the
+stationary law proves it.  Discrete specs take positive integer gaps only,
+and each also owns its stationary sampler ``sample_path(t0, n, rng)``,
+which draws all state-independent randomness in one call each, so a step
+costs at most two scalar draws.  The Poisson branching chain is the
+Poisson thinning chain (binomial survivors plus Poisson immigrants), so
+``BranchingPoisson`` only fixes the law of a thinning chain and shares its
+kernel and sampler.  The chains that
 ``misti_classify`` returns own ``offspring()``, its inverse.
 """
 
@@ -128,26 +126,23 @@ def _exact(block):
 
 
 def _stated_start(spec, gap, kmax, evolved=False):
-    """The lattice that ``spec.exit_bound`` proves certifies the kernel over
-    gap on {0..kmax}: the first whose row bound P_pi(leave) / divisor is
-    within ``CERTIFIED_TOL``.  For the stationary start evolved over the gap
-    it is the first whose 2 pi(>k) + P_pi(leave) is: that bounds the start's
-    tail past k plus the row bounds weighted by the start, the bound of
-    ``_evolved_block``.  Closed-form rows miss nothing, so over a closed-form
-    gap the kernel states no lattice and the evolved start's bound is
-    2 pi(>k), from ``spec.tail_bound``.  The range searched doubles from
+    """The first lattice k >= kmax that the stationary law proves certifies
+    the kernel over gap on {0..kmax}: the first whose row bound
+    leave / divisor is within ``CERTIFIED_TOL``.  For the stationary start
+    evolved over the gap it is the first whose 2 pi(>k) + leave is: that
+    bounds the start's tail past k plus the row bounds weighted by the
+    start, the bound of ``_evolved_block``.  Each searched range {0..top}
+    builds pi once and hands it, with the bounds on pi(>k) over
+    k = kmax..top, to ``spec.exit_bound``.  The range doubles from
     2 kmax + 64 up to ``MAX_LATTICE``, the largest lattice ``stabilize`` may
-    build, and never past it; where the spec states no lattice within it,
-    the start is kmax."""
+    build, and never past it; where no lattice within it is proven, the
+    start is kmax."""
     top = kmax
     while top < MAX_LATTICE:
         top = min(2 * top + 64, MAX_LATTICE)
-        stated = spec.exit_bound(gap, kmax, top)
-        if stated is None and evolved:
-            stated = spec.tail_bound(kmax, top), 0.0, 1.0
-        if stated is None:
-            break
-        tail, leave, divisor = stated
+        pi = spec.marginal(top)
+        tail = _law_tail(spec.law, spec.theta, pi)[kmax:]
+        leave, divisor = spec.exit_bound(gap, kmax, pi, tail)
         with np.errstate(divide="ignore", invalid="ignore"):
             bound = 2.0 * tail + leave if evolved else leave / divisor
         met = np.flatnonzero(bound <= CERTIFIED_TOL)
@@ -182,14 +177,14 @@ def _evolved_block(spec, gap, k):
 _LOG_Z = np.exp2(np.arange(-120, 33) / 4)
 
 
-def _law_tail(law, theta, kmax, top):
-    """Upper bounds on mu^theta(>k) over k = kmax..top: the terms up to top
-    summed, and past top E z^X / z^(top + 1) for every z >= 1 (Chernoff),
-    taken at the best z of a fixed grid."""
+def _law_tail(law, theta, pi):
+    """Upper bounds on mu^theta(>k) over k = 0..top from its pmf pi on
+    {0..top}: the terms of pi summed, and past top E z^X / z^(top + 1) for
+    every z >= 1 (Chernoff), taken at the best z of a fixed grid."""
     with np.errstate(all="ignore"):
-        logs = np.log(law.pgf(theta, np.exp(_LOG_Z))) - (top + 1) * _LOG_Z
+        logs = np.log(law.pgf(theta, np.exp(_LOG_Z))) - len(pi) * _LOG_Z
     logs = logs[np.isfinite(logs)]
-    return tail_sums(id_pmf(law, theta, top), math.exp(logs.min()) if logs.size else math.inf)[kmax:]
+    return tail_sums(pi, math.exp(logs.min()) if logs.size else math.inf)
 
 
 class _Markov:
@@ -202,21 +197,15 @@ class _Markov:
     def marginal(self, kmax):
         return id_pmf(self.law, self.theta, kmax)
 
-    def tail_bound(self, kmax, top):
-        """Upper bounds on pi(>k) over k = kmax..top."""
-        return _law_tail(self.law, self.theta, kmax, top)
-
     def stationary_draw(self, rng):
         """One draw from the stationary law."""
         return int(id_sample(self.law, self.theta, rng))
 
-    def exit_bound(self, gap, kmax, top):
-        """(tail, leave, divisor) over the lattices k = kmax..top: upper
-        bounds on pi(>k) and on P_pi(the chain leaves {0..k} within the gap),
-        and a divisor such that leave / divisor bounds the row bounds of
-        ``kernel_block(gap, k)`` on the rows up to kmax; or None, which
-        states no lattice.  Closed-form blocks carry no bound to state."""
-        return None
+    def exit_bound(self, gap, kmax, pi, tail):
+        """(leave, divisor) over the lattices k = kmax..top, from the
+        stationary pmf pi on {0..top} and the bounds tail on pi(>k): see
+        ``tables``.  Closed-form rows miss nothing: (0, 1)."""
+        return 0.0, 1.0
 
     def kernel(self, gap, kmax):
         """``certified_kernel(self, gap, kmax)``, certified once per instance:
@@ -270,31 +259,34 @@ class _ThinningChain(_Markov):
         _check_positive("theta", self.theta)
         _check_rho(self.rho)
 
+    def _raised(self, gap):
+        """Whether the kernel over an integer gap is the one-step kernel
+        raised to it.  Poisson thinning is binomial thinning, which composes
+        with rho^gap, and where rho^gap underflows the kernel is iid; other
+        thinning kernels do not compose within their family."""
+        return gap > 1 and self.rho**gap > 0.0 and not isinstance(self.law, Poisson)
+
     def kernel_block(self, gap, k):
-        """Poisson thinning is binomial thinning, which composes with rho^gap;
-        general thinning kernels do not compose within their family, so the
-        one-step kernel K on {0..k} is raised to the gap.  A path through a
-        state past k is what K^gap misses, so its rows are within the mass
-        that leaves {0..k} in the first gap - 1 steps, 1 - K^(gap-1) 1."""
+        """A raised kernel K^gap on {0..k} misses a path through a state past
+        k, so its rows are within the mass that leaves {0..k} in the first
+        gap - 1 steps, 1 - K^(gap-1) 1; every other block is closed form."""
         gap = _integer_gap(gap)
+        if self._raised(gap):
+            step = thinning_transition_matrix(self.law, self.theta, self.rho, k)
+            head = np.linalg.matrix_power(step, gap - 1)
+            return head @ step, np.maximum(1.0 - head.sum(axis=1), 0.0)
         rho = self.rho**gap
         if rho == 0.0:
             return _exact(_iid_kernel(self, k))
-        if gap == 1 or isinstance(self.law, Poisson):
-            return _exact(thinning_transition_matrix(self.law, self.theta, rho, k))
-        step = thinning_transition_matrix(self.law, self.theta, self.rho, k)
-        head = np.linalg.matrix_power(step, gap - 1)
-        return head @ step, np.maximum(1.0 - head.sum(axis=1), 0.0)
+        return _exact(thinning_transition_matrix(self.law, self.theta, rho, k))
 
-    def exit_bound(self, gap, kmax, top):
-        """A K^gap row x misses P_x(leave {0..k} in the first gap - 1 steps)
-        <= (gap - 1) pi(>k) / pi_x, one stationary tail per step.  The blocks
-        that ``kernel_block`` builds in closed form, the ones whose bound on
-        the one-state lattice {0} is 0, state nothing."""
-        if not self.kernel_block(gap, 0)[1].any():
-            return None
-        tail = self.tail_bound(kmax, top)
-        return tail, (_integer_gap(gap) - 1) * tail, self.marginal(kmax).min()
+    def exit_bound(self, gap, kmax, pi, tail):
+        """A raised K^gap row x misses P_x(leave {0..k} in the first gap - 1
+        steps) <= (gap - 1) pi(>k) / pi_x, one stationary tail per step."""
+        gap = _integer_gap(gap)
+        if not self._raised(gap):
+            return super().exit_bound(gap, kmax, pi, tail)
+        return (gap - 1) * tail, pi[: kmax + 1].min()
 
     def sample_path(self, t0, n, rng):
         return simulate_thinning(self.law, self.theta, self.rho, t0, n, rng)
@@ -839,16 +831,21 @@ def misti_classify(r0, r1, r2, theta1):
 
     (r0, r1, r2) are the first offspring probabilities (the coefficients of
     the one-step descendant pgf) and theta1 the unit jump mass of the
-    marginal.  Degenerate inputs map to Constant/IID; r2 = 0 forces the
-    Poisson branching family; otherwise the negative binomial family with
-    q = (1 - r0 - r1) / (r0 (1 - r0)), alpha = theta1 / q and
-    rho = (1 - r0)^2 / r1.  The remaining offspring probabilities must
-    follow the geometric law r_i = r1 (q r0)^(i-1), which pins r2 = r1 q r0.
+    marginal.  Degenerate inputs map to Constant/IID; r2 = 0 with
+    r0 + r1 = 1 is the Poisson branching family; otherwise the negative
+    binomial family with q = (1 - r0 - r1) / (r0 (1 - r0)),
+    alpha = theta1 / q and rho = (1 - r0)^2 / r1.  The remaining offspring
+    probabilities must follow the geometric law r_i = r1 (q r0)^(i-1), which
+    pins r2 = r1 q r0.
 
     Degenerate families are returned with a canonical Poisson marginal of
     mean theta1 (the inputs do not constrain jump masses beyond size 1).
-    The identities above are checked to within 1e-9.  The returned spec's
-    ``offspring()`` gives (r0, r1, r2, theta1) back.
+    The identities above are checked to within 1e-9, the Poisson ones too:
+    r2 and 1 - r0 - r1 both within 1e-9 of 0 give the Poisson family, where
+    the NB formulas would divide rounding noise: (0.59343, 0.40657 - 1e-16,
+    1e-16, 2) would give q = 4e-16, alpha = 4e15 and an ``offspring()``
+    with theta1 = 1.93.  The returned spec's ``offspring()`` gives
+    (r0, r1, r2, theta1) back.
     """
     tol = 1e-9
     for name, val in (("r0", r0), ("r1", r1), ("r2", r2)):
@@ -864,12 +861,7 @@ def misti_classify(r0, r1, r2, theta1):
         if abs(r0 - 1.0) > tol or r2 > tol:
             raise ValueError("r1 = 0 requires r0 = 1 and r2 = 0 (iid case)")
         return IID(Poisson(), theta1)
-    if r2 == 0.0:
-        if abs(r0 + r1 - 1.0) > tol:
-            raise ValueError(
-                "r2 = 0 forces all higher offspring probabilities to vanish, "
-                f"so r0 + r1 must equal 1; got {r0 + r1}"
-            )
+    if r2 <= tol and abs(1.0 - r0 - r1) <= tol:
         return BranchingPoisson(theta1, r1)
     q = (1.0 - r0 - r1) / (r0 * (1.0 - r0))
     if not 0.0 < q < 1.0:

@@ -203,10 +203,15 @@ def check_mvid(pmf, maxdeg, precision="standard"):
 # ---------------------------------------------------------------------------
 
 def autocorr_exact(spec, lag, kmax):
-    """Autocorrelation at the given lag from the exact bivariate table."""
+    """Autocorrelation at the given lag from the exact bivariate table.  The
+    moments read only the table, so a table that leaked more than 1e-6 of
+    its mass past kmax raises ``ValueError`` instead of giving the moments
+    of a truncated law."""
     if lag == 0:
         return 1.0
     pair = chain_joint_pmf(spec, (0, lag), kmax)
+    if pair.leaked > 1e-6:
+        raise ValueError(f"the pair table on {{0..{kmax}}} leaked {pair.leaked:.3g} of its mass; raise kmax")
     k = np.arange(kmax + 1)
     pa, pb = pair.table.sum(axis=1), pair.table.sum(axis=0)
     ma, mb = pa @ k, pb @ k

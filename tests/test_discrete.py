@@ -547,6 +547,18 @@ def test_classify_rejects_inconsistent_sequences():
 
 
 
+def test_classify_takes_the_poisson_family_within_its_tolerance():
+    # r2 and 1 - r0 - r1 are both rounding noise: the NB formulas would give
+    # BranchingNB(4.3e15, 1 - 4e-16, 0.40657), whose offspring() has theta1 1.93
+    got = misti_classify(0.59343, 0.4065699999999999, 1e-16, 2.0)
+    assert got == BranchingPoisson(2.0, 0.4065699999999999)
+    # a small r2 with 1 - r0 - r1 past the tolerance stays negative binomial
+    spec = BranchingNB(1.0, 0.01, 1e-6)
+    r0, r1, r2, theta1 = spec.offspring()
+    assert r2 < 1e-9 < 1.0 - r0 - r1
+    assert type(misti_classify(r0, r1, r2, theta1)) is BranchingNB
+
+
 @pytest.mark.parametrize("name", ["r0", "r1", "r2", "theta1"])
 def test_classify_rejects_nan(name):
     # a NaN passes every `<` and `abs(...) > tol` test of the classification

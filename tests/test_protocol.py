@@ -5,6 +5,7 @@ that asks a spec for its type instead."""
 
 import ast
 import dataclasses
+import itertools
 import time
 import tracemalloc
 from pathlib import Path
@@ -24,6 +25,7 @@ from misti.discrete import (
     Constant,
     Thinning,
     _evolved_block,
+    _law_tail,
     misti_classify,
     rm_joint_pmf,
     simulate_chain,
@@ -208,8 +210,7 @@ def test_stationary_start_reuses_the_lattices_of_the_kernel(spec, monkeypatch):
     # the three tables of a stationarity check from time 0 certify the gap-1
     # kernel and the stationary start evolved over gaps 1 and 2, and no spec
     # keeps a build for another: each certification is one build, at the
-    # lattice its stationary law states (the thinning chain also builds the
-    # one-state lattice {0} of each gap, to tell closed-form blocks apart)
+    # lattice its stationary law states
     builds = []
     kernel_block = type(spec).kernel_block
 
@@ -219,7 +220,7 @@ def test_stationary_start_reuses_the_lattices_of_the_kernel(spec, monkeypatch):
 
     monkeypatch.setattr(type(spec), "kernel_block", spy)
     assert check_stationarity(dataclasses.replace(spec), 3, 16).passed
-    assert sorted(gap for gap, k in builds if k > 0) == [1, 1, 2]
+    assert sorted(gap for gap, k in builds) == [1, 1, 2]
 
 
 # real gaps for the birth-death chains, powers of the one-step kernel for the
@@ -258,7 +259,9 @@ def test_the_stated_lattice_certifies_on_its_first_build(family, data, kmax):
     ids=["poisson-thinning", "gap-1", "branching-nb"],
 )
 def test_closed_form_blocks_state_no_lattice(spec, gap):
-    assert spec.exit_bound(gap, 10, 84) is None
+    pi = spec.marginal(84)
+    leave, _ = spec.exit_bound(gap, 10, pi, _law_tail(spec.law, spec.theta, pi)[10:])
+    assert np.all(leave == 0.0)
     assert discrete._stated_start(spec, gap, 10) == 10
 
 
@@ -309,9 +312,9 @@ def test_a_start_that_cannot_be_met_stops_at_the_cap(spec, gap, monkeypatch):
     tops = []
     exit_bound = type(spec).exit_bound
 
-    def spy(self, gap, kmax, top):
-        tops.append(top)
-        return exit_bound(self, gap, kmax, top)
+    def spy(self, gap, kmax, pi, tail):
+        tops.append(len(pi) - 1)
+        return exit_bound(self, gap, kmax, pi, tail)
 
     monkeypatch.setattr(type(spec), "exit_bound", spy)
     start = time.perf_counter()
@@ -325,6 +328,64 @@ def test_a_start_that_cannot_be_met_stops_at_the_cap(spec, gap, monkeypatch):
     assert max(tops) == MAX_LATTICE
     assert time.perf_counter() - start < 1.0
     assert peak < 2**20  # the dense block of the cap lattice is 64 MB
+
+
+# one spec per Markov family, and gaps over which its blocks are closed form
+# and, for the thinning powers and the birth-death chains, carry a bound
+STATEMENTS = {
+    "thinning-poisson": (Thinning(Poisson(), 2.0, 0.6), (1, 2, 3)),
+    "thinning-nb": (Thinning(NegBinomial(0.5), 2.0, 0.6), (1, 2, 3)),
+    "thinning-levy": (Thinning(GenericLevy(((1, 1.0), (2, 0.5), (3, 0.2))), 2.0, 0.6), (1, 2, 3)),
+    "branching-poisson": (BranchingPoisson(2.0, 0.6), (1, 2, 3)),
+    "branching-nb": (BranchingNB(2.0, 0.5, 0.6), (1, 2, 3)),
+    "iid": (IID(NegBinomial(0.5), 2.0), (1, 2, 3)),
+    "constant": (Constant(NegBinomial(0.5), 2.0), (1, 2, 3)),
+    "poisson-bd": (PoissonBD(4.0, 0.5), (0.5, 1, 2.5)),
+    "nb-bd": (NBBD(2.0, 0.5, 0.5), (0.5, 1, 2.5)),
+}
+
+
+@pytest.mark.parametrize("family", STATEMENTS)
+def test_a_statement_builds_no_kernel(family, monkeypatch):
+    # a lattice is stated from the stationary law alone, for the kernel and
+    # for the evolved start, whether or not the blocks are closed form
+    spec, gaps = STATEMENTS[family]
+    builds = []
+    kernel_block = type(spec).kernel_block
+
+    def spy(self, gap, k):
+        builds.append((gap, k))
+        return kernel_block(self, gap, k)
+
+    monkeypatch.setattr(type(spec), "kernel_block", spy)
+    for gap, evolved in itertools.product(gaps, (False, True)):
+        discrete._stated_start(spec, gap, 10, evolved)
+    assert builds == []
+    spec.kernel(gaps[-1], 10)
+    assert builds  # the spy sees the builds of a certification
+
+
+@pytest.mark.parametrize("evolved", [False, True])
+def test_a_birth_death_statement_builds_its_law_once_per_range(evolved, monkeypatch):
+    # each searched range {0..top} builds the stationary pmf once, and both
+    # the tail and the exit bound read it
+    tops, pmfs = [], []
+    exit_bound = NBBD.exit_bound
+
+    def exit_spy(self, gap, kmax, pi, tail):
+        tops.append(len(pi) - 1)
+        return exit_bound(self, gap, kmax, pi, tail)
+
+    def pmf_spy(law, theta, kmax):
+        pmfs.append(kmax)
+        return id_pmf(law, theta, kmax)
+
+    monkeypatch.setattr(NBBD, "exit_bound", exit_spy)
+    monkeypatch.setattr(discrete, "id_pmf", pmf_spy)
+    # an NB(2, 0.05) tail reaches 1e-13 some 700 states out, a few ranges away
+    assert discrete._stated_start(NBBD(2.0, 0.05, 1.0), 1.0, 10, evolved) > 10
+    assert len(tops) > 1
+    assert pmfs == tops
 
 
 @pytest.mark.parametrize("spec", [PoissonBD(1.0, 0.5), NBBD(2.0, 0.5, 1.0)])
@@ -365,6 +426,32 @@ def test_truncation_bound_holds(family, data, gap, k):
     assert np.abs(larger_evolved[: k + 1] - evolved).max() <= evolved_bound + ROUNDING
 
 
+# integer gaps for every family, and real ones too for the birth-death chains
+PROOF_GAPS = {family: st.integers(1, 3) for family in MARKOV} | {
+    family: st.one_of(st.integers(1, 3), st.floats(0.05, 3.0)) for family in ("poisson-bd", "nb-bd")
+}
+
+
+@pytest.mark.parametrize("family", MARKOV)
+@PROPERTY
+@given(data=st.data(), kmax=st.integers(1, 12))
+def test_the_stated_bounds_hold_at_every_lattice(family, data, kmax):
+    # the proofs behind a statement, at every lattice it reads and not only
+    # the first it states: the row bounds of each build on the rows up to
+    # kmax, and the bound of the stationary start evolved over the gap
+    spec, gap = data.draw(MARKOV[family]), data.draw(PROOF_GAPS[family])
+    pi = spec.marginal(kmax + 24)
+    tail = _law_tail(spec.law, spec.theta, pi)[kmax:]
+    leave, divisor = (np.broadcast_to(b, tail.shape) for b in spec.exit_bound(gap, kmax, pi, tail))
+    for i, k in enumerate(range(kmax, kmax + 25)):
+        rows = spec.kernel_block(gap, k)[1][: kmax + 1].max()
+        if leave[i] == 0.0:
+            assert rows == 0.0
+        else:
+            assert rows <= leave[i] / divisor[i] + ROUNDING
+        assert _evolved_block(spec, gap, k)[1] <= 2.0 * tail[i] + leave[i] + ROUNDING
+
+
 def _type_switches(node, scope=()):
     """(scope, source) of every isinstance call whose first argument is
     ``spec``, ``model`` or ``self``, or an attribute of one."""
@@ -388,7 +475,7 @@ def test_no_caller_switches_on_spec_type():
         for path in sorted(Path(misti.__file__).parent.glob("*.py"))
         for site in _type_switches(ast.parse(path.read_text()))
     ]
-    assert found == [("discrete.py", "_ThinningChain.kernel_block", "isinstance(self.law, Poisson)")]
+    assert found == [("discrete.py", "_ThinningChain._raised", "isinstance(self.law, Poisson)")]
 
 
 CACHES = ("cache", "lru_cache", "cached_property")

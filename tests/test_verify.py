@@ -485,6 +485,15 @@ def test_autocorr_exact_degenerate_flagged():
         autocorr_exact(IID(GenericLevy({}), 1.0), 1, 10)
 
 
+def test_autocorr_exact_fails_loudly_on_a_leaked_table():
+    # NB(2, 0.1) has mean 18: on {0..10} the pair table misses 82% of its
+    # mass, and its moments gave 0.767 for an autocorrelation of 0.5
+    spec = BranchingNB(2.0, 0.1, 0.5)
+    with pytest.raises(ValueError, match=r"\{0\.\.10\} leaked 0\.821"):
+        autocorr_exact(spec, 1, 10)
+    assert autocorr_exact(spec, 1, 200) == pytest.approx(0.5, abs=1e-5)
+
+
 def test_autocorr_mc_matches_exact():
     rng = np.random.default_rng(1001)
     spec = BranchingPoisson(1.0, 0.5)
