@@ -5,6 +5,11 @@ nonnegative-integer stationary reversible process families: thinning chains
 and random-measure processes over an infinitely divisible semigroup, the
 Poisson and negative binomial branching chains, their degenerate constant /
 iid relatives, and the matching continuous-time birth-death chains.
+
+The imports below are the public API, listed once: no module declares an
+``__all__`` of its own.  The closed forms that only the tests compare the
+engine with (bivariate pgfs, the negative-trinomial pair law, the
+conditional pgf of NB thinning) are not part of it.
 """
 
 from .ctmc import (
@@ -13,7 +18,6 @@ from .ctmc import (
     NBBD,
     PoissonBD,
     bd_rates,
-    generator_residual,
     gillespie,
     stationary_bd,
     transition_uniformized,
@@ -27,24 +31,17 @@ from .discrete import (
     RandomMeasure,
     Thinning,
     Trajectory,
-    beta_binomial_pmf,
     branching_nb_transition_matrix,
     branching_step_nb,
     cell_measures,
-    cond_pgf_nb_thinning,
     misti_classify,
     nb_random_measure_020,
     nb_thinning_020,
-    negtrinomial_pmf,
-    pgf2_nb_branching,
-    pgf2_nb_thinning,
-    pgf2_poisson,
     rm_joint_pmf,
     rm_simulate,
     simulate_chain,
     simulate_thinning,
     thinning_conditional,
-    thinning_transition,
     thinning_transition_matrix,
 )
 from .idlaw import (
@@ -52,7 +49,6 @@ from .idlaw import (
     IDLaw,
     NegBinomial,
     Poisson,
-    id_pgf,
     id_pmf,
     id_sample,
     levy_masses,
@@ -70,7 +66,6 @@ from .verify import (
     check_mvid,
     check_reversibility,
     check_stationarity,
-    reversibility_violation,
 )
 
 __version__ = "0.1.0"

@@ -3,7 +3,8 @@
 Commands are deterministic given (config, seed).  Trajectories and tables
 stream as CSV, verification reports as JSON lines.  Exit codes: 0 success,
 1 a verification check landed on the wrong side of its expected polarity,
-2 configuration error.
+2 configuration error, 141 (128 + SIGPIPE) when the reader of stdout closes
+it early, as ``misti simulate ... | head`` does; that exit prints nothing.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import dataclasses
 import functools
 import itertools
 import json
+import os
 import sys
 from dataclasses import dataclass
 
@@ -475,7 +477,14 @@ def main(argv=None):
             "verify": cmd_verify,
             "classify": cmd_classify,
         }[cfg.command]
-        return handler(cfg)
+        code = handler(cfg)
+        sys.stdout.flush()  # so a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the "Note on SIGPIPE" of the ``signal`` docs: stdout goes to devnull,
+        # so the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

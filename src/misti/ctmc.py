@@ -45,36 +45,31 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .discrete import _check_nonneg, _check_positive, _check_prob, _Markov
 from .idlaw import NegBinomial, Poisson
 
-__all__ = [
-    "PoissonBD",
-    "NBBD",
-    "BDModel",
-    "EventPath",
-    "GeneratorResidual",
-    "bd_rates",
-    "gillespie",
-    "stationary_bd",
-    "generator_residual",
-    "transition_uniformized",
-]
+
+def _finite_time(gap):
+    """A gap t as a float, checked to be finite and >= 0: exp(tQ) at t = inf
+    is no kernel that a lattice can certify."""
+    if not 0.0 <= gap < math.inf:
+        raise ValueError(f"time must be finite and >= 0, got {gap}")
+    return float(gap)
+
 
 class _BirthDeath(_Markov):
-    """Kernel protocol of the Markov specs (see ``discrete``); any gap t >= 0."""
+    """Kernel protocol of the Markov specs (see ``discrete``); any finite gap
+    t >= 0."""
 
     def kernel_block(self, gap, k):
-        if not gap >= 0.0:
-            raise ValueError(f"time must be >= 0, got {gap}")
-        return _uniformized_block(self, float(gap), k)
+        return _uniformized_block(self, _finite_time(gap), k)
 
     def exit_bound(self, gap, kmax, pi, tail):
         """The bound of the module docstring on the lattices kmax..top."""
+        gap = _finite_time(gap)
         births = self.rates(np.arange(kmax, len(pi), dtype=float))[0]
         pi = pi[kmax:]
         return tail + gap * pi * births, np.maximum.accumulate(pi)
@@ -273,29 +268,6 @@ def stationary_bd(model, kmax):
     logw = logw[: np.argmax(tail) + 1]
     weights = np.exp(logw - logw.max())
     return weights[: kmax + 1] / weights.sum()
-
-
-class GeneratorResidual(NamedTuple):
-    interior: float
-    boundary: float
-
-
-def generator_residual(model, pmf, kmax):
-    """Max |sum_i pi_i Q_ij| of the truncated balance equations.
-
-    Columns 0..kmax-1 are complete on the truncated space ("interior"); the
-    last column is missing the inflow from state kmax+1 and is reported
-    separately instead of being mixed into the headline residual.
-    """
-    pmf = np.asarray(pmf, dtype=float)
-    if pmf.shape != (kmax + 1,):
-        raise ValueError(f"pmf must have shape ({kmax + 1},), got {pmf.shape}")
-    births, deaths = model.rates(np.arange(kmax + 1.0))
-    resid = -pmf * (births + deaths)
-    resid[1:] += pmf[:-1] * births[:-1]
-    resid[:-1] += pmf[1:] * deaths[1:]
-    interior = float(np.max(np.abs(resid[:kmax]))) if kmax > 0 else 0.0
-    return GeneratorResidual(interior, float(abs(resid[kmax])))
 
 
 def _uniformized_block(model, t, kint):

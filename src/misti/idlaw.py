@@ -37,20 +37,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "Poisson",
-    "NegBinomial",
-    "GenericLevy",
-    "IDLaw",
-    "levy_masses",
-    "levy_total",
-    "pmf_from_levy",
-    "id_pmf",
-    "id_pgf",
-    "id_sample",
-]
-
-
 @dataclass(frozen=True)
 class Poisson:
     """Poisson family: scale theta is the mean; all jump mass sits at size 1."""
@@ -283,16 +269,6 @@ def id_pmf(law, theta, kmax):
         out[0] = 1.0
         return out
     return law.pmf(theta, kmax)
-
-
-def id_pgf(law, theta, z):
-    """Probability generating function of the scale-theta member at z in [0,1]."""
-    _check_nonneg("theta", theta)
-    z = np.asarray(z, dtype=float)
-    if np.any(z < 0.0) or np.any(z > 1.0):
-        raise ValueError("pgf argument must lie in [0,1]")
-    val = law.pgf(theta, z)
-    return float(val) if val.ndim == 0 else val
 
 
 def id_sample(law, theta, rng, size=None):

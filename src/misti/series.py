@@ -30,9 +30,6 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["ts_log", "ts_from_joint_pmf", "graded_order", "graded_exp_log"]
-
-
 @lru_cache(maxsize=None)
 def _degrees(nvars, maxdeg):
     deg = np.indices((maxdeg + 1,) * nvars).sum(axis=0)

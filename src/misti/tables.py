@@ -74,11 +74,6 @@ class JointPMF:
     def ntimes(self):
         return len(self.times)
 
-    def marginal(self, axis):
-        """Exact one-time marginal on {0..k} (still missing ``leaked``-ish tail)."""
-        other = tuple(i for i in range(self.ntimes) if i != axis)
-        return self.table.sum(axis=other) if other else self.table.copy()
-
     def reorder(self, perm):
         """Table with time axes permuted (e.g. reversed for reflection checks)."""
         return np.transpose(self.table, perm)

@@ -18,19 +18,6 @@ import numpy as np
 
 from .series import graded_exp_log, graded_order, ts_from_joint_pmf, ts_log
 
-__all__ = [
-    "VerifyReport",
-    "chain_joint_pmf",
-    "check_stationarity",
-    "check_reversibility",
-    "reversibility_violation",
-    "check_markov_triple",
-    "check_mvid",
-    "autocorr_exact",
-    "autocorr_mc",
-]
-
-
 @dataclass(frozen=True)
 class VerifyReport:
     """Outcome of one check: passes iff violation <= tolerance.
@@ -106,12 +93,6 @@ def check_stationarity(spec, window, kmax, initial=None):
     return VerifyReport(
         "stationarity", worst, witness, 1e-9, extra={"shift": worst_shift}
     )
-
-
-def reversibility_violation(pmf, trans):
-    """sup |pi_x q(y|x) - pi_y q(x|y)| and its witness for explicit (pi, Q)."""
-    flux = np.asarray(pmf)[:, None] * np.asarray(trans)
-    return _worst(np.abs(flux - flux.T))
 
 
 def check_reversibility(spec, kmax):

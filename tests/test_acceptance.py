@@ -19,12 +19,18 @@ import time
 import numpy as np
 import pytest
 from _helpers import chi2_gof_pvalue
+from _oracles import (
+    generator_residual,
+    negtrinomial_pmf,
+    pgf2_nb_branching,
+    pgf2_nb_thinning,
+    pgf2_poisson,
+)
 from numpy.polynomial.polynomial import polyval2d
 
 from misti.ctmc import (
     NBBD,
     PoissonBD,
-    generator_residual,
     stationary_bd,
     transition_uniformized,
 )
@@ -37,12 +43,8 @@ from misti.discrete import (
     Thinning,
     branching_nb_transition_matrix,
     cell_measures,
-    negtrinomial_pmf,
     nb_random_measure_020,
     nb_thinning_020,
-    pgf2_nb_branching,
-    pgf2_nb_thinning,
-    pgf2_poisson,
     simulate_chain,
     thinning_transition_matrix,
 )

@@ -543,3 +543,25 @@ def test_cli_import_leaves_heavy_modules_unloaded():
         "print(report.passed, 'decimal' in sys.modules, sys.modules['mpmath'])"
     )
     assert probe(extended) == "True True None"
+
+
+def test_a_reader_that_closes_the_pipe_ends_the_run_quietly():
+    # `misti simulate ... | head -2`: the reader closes the pipe after two
+    # lines, and the run exits 141 (128 + SIGPIPE) with nothing on stderr
+    src = str(Path(misti.__file__).resolve().parent.parent)
+    path = [src, *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    argv = ["simulate", "--process", "iid", "--law", "poisson", "--theta", "2", "--steps", "200000"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "misti.cli", *argv],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    head = [proc.stdout.readline() for _ in range(2)]
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert head[0] == b"t,x\n" and head[1].startswith(b"0,")
+    assert stderr == b""

@@ -10,6 +10,7 @@ import mpmath
 import numpy as np
 import pytest
 from _helpers import chi2_gof_pvalue, joint_gof_pvalue
+from _oracles import generator_residual
 
 import misti
 from misti.ctmc import (
@@ -17,7 +18,6 @@ from misti.ctmc import (
     PoissonBD,
     _uniformized_block,
     bd_rates,
-    generator_residual,
     gillespie,
     stationary_bd,
     transition_uniformized,
@@ -100,6 +100,21 @@ def test_stationary_detailed_balance():
             birth = bd_rates(model, j)[0]
             death_next = bd_rates(model, j + 1)[1]
             assert pi[j] * birth == pytest.approx(pi[j + 1] * death_next, rel=1e-13)
+
+
+def test_an_infinite_gap_is_refused_before_a_lattice_is_stated(monkeypatch):
+    # exp(tQ) at t = inf is no kernel a lattice can certify: the gap is refused
+    # with no warning on the way, and no stated lattice reaches the ladder
+    stated = []
+    monkeypatch.setattr(misti.discrete, "stabilize", lambda *args: stated.append(args))
+    for model in (PoissonBD(1.0, 0.5), NBBD(2.0, 0.5, 0.5)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                model.kernel(math.inf, 5)
+            with pytest.raises(ValueError, match="finite"):
+                chain_joint_pmf(model, (0, math.inf), 5)
+    assert stated == []
 
 
 def test_generator_residual_stationary_is_zero():

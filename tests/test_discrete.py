@@ -3,6 +3,16 @@ import math
 import numpy as np
 import pytest
 from _helpers import chi2_gof_pvalue, enumerated_cell_table, tent_area, tent_overlap
+from _oracles import (
+    beta_binomial_pmf,
+    cond_pgf_nb_thinning,
+    negtrinomial_pmf,
+    pgf2_nb_branching,
+    pgf2_nb_thinning,
+    pgf2_poisson,
+    reversibility_violation,
+    thinning_transition,
+)
 
 from misti.discrete import (
     BranchingNB,
@@ -11,28 +21,21 @@ from misti.discrete import (
     IID,
     RandomMeasure,
     Thinning,
-    beta_binomial_pmf,
     branching_step_nb,
     branching_nb_transition_matrix,
     cell_measures,
-    cond_pgf_nb_thinning,
     misti_classify,
     nb_random_measure_020,
     nb_thinning_020,
-    negtrinomial_pmf,
-    pgf2_nb_branching,
-    pgf2_nb_thinning,
-    pgf2_poisson,
     rm_joint_pmf,
     rm_simulate,
     simulate_chain,
     simulate_thinning,
     thinning_conditional,
-    thinning_transition,
     thinning_transition_matrix,
 )
 from misti.idlaw import GenericLevy, NegBinomial, Poisson, id_pmf, id_sample
-from misti.verify import autocorr_mc, chain_joint_pmf, reversibility_violation
+from misti.verify import autocorr_mc, chain_joint_pmf
 
 NB = NegBinomial(0.5)
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from _helpers import chi2_gof_pvalue
+from _oracles import id_pgf
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,7 +11,6 @@ from misti.idlaw import (
     GenericLevy,
     NegBinomial,
     Poisson,
-    id_pgf,
     id_pmf,
     id_sample,
     levy_masses,

@@ -5,6 +5,7 @@ that asks a spec for its type instead."""
 
 import ast
 import dataclasses
+import inspect
 import itertools
 import time
 import tracemalloc
@@ -12,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from _oracles import reversibility_violation
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -31,8 +33,9 @@ from misti.discrete import (
     simulate_chain,
 )
 from misti.idlaw import GenericLevy, NegBinomial, Poisson, id_pmf, id_sample
-from misti.tables import CERTIFIED_TOL, MAX_LATTICE, stabilize
-from misti.verify import chain_joint_pmf, check_stationarity, reversibility_violation
+from misti.cli import main
+from misti.tables import CERTIFIED_TOL, MAX_ENTRIES, MAX_LATTICE, stabilize
+from misti.verify import chain_joint_pmf, check_stationarity
 
 # deterministic examples, so that tier-1 results never depend on the run
 PROPERTY = settings(derandomize=True, database=None, max_examples=40, deadline=None)
@@ -330,6 +333,28 @@ def test_a_start_that_cannot_be_met_stops_at_the_cap(spec, gap, monkeypatch):
     assert peak < 2**20  # the dense block of the cap lattice is 64 MB
 
 
+@pytest.mark.parametrize(
+    "spec", [BranchingNB(2.0, 0.5, 0.6), NBBD(2.0, 0.5, 0.5)], ids=["branching-nb", "nb-bd"]
+)
+def test_a_table_past_the_dense_cap_stops_before_it_is_built(spec, monkeypatch):
+    # 601^3 entries are 1.6 GiB: the table raises before it certifies a kernel
+    # or allocates a block, and the CLI reports it as a configuration error
+    certified = []
+    monkeypatch.setattr(discrete, "certified_kernel", lambda *args: certified.append(args))
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"cap of {MAX_ENTRIES} entries"):
+            chain_joint_pmf(spec, (0, 1, 2), 600)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert certified == []
+    assert time.perf_counter() - start < 1.0
+    assert peak < 2**20
+    assert main(["verify", "--suite", "theorem2", "--k", "600", "--degree", "2"]) == 2
+
+
 # one spec per Markov family, and gaps over which its blocks are closed form
 # and, for the thinning powers and the birth-death chains, carry a bound
 STATEMENTS = {
@@ -476,6 +501,36 @@ def test_no_caller_switches_on_spec_type():
         for site in _type_switches(ast.parse(path.read_text()))
     ]
     assert found == [("discrete.py", "_ThinningChain._raised", "isinstance(self.law, Poisson)")]
+
+
+# the public API of misti: the names that misti/__init__ imports
+PUBLIC_API = (
+    "BDModel", "BranchingNB", "BranchingPoisson", "Constant", "EventPath", "GenericLevy", "IDLaw",
+    "IID", "JointPMF", "NBBD", "NegBinomial", "Poisson", "PoissonBD", "ProcessSpec",
+    "RandomMeasure", "Thinning", "Trajectory", "VerifyReport", "autocorr_exact", "autocorr_mc",
+    "bd_rates", "branching_nb_transition_matrix", "branching_step_nb", "cell_measures",
+    "chain_joint_pmf", "check_markov_triple", "check_mvid", "check_reversibility",
+    "check_stationarity", "gillespie", "id_pmf", "id_sample", "levy_masses", "levy_total",
+    "misti_classify", "nb_random_measure_020", "nb_thinning_020", "pmf_from_levy",
+    "rm_joint_pmf", "rm_simulate", "simulate_chain", "simulate_thinning", "stationary_bd",
+    "thinning_conditional", "thinning_transition_matrix", "transition_uniformized",
+    "ts_from_joint_pmf", "ts_log",
+)
+
+
+def test_the_public_api_is_declared_once():
+    # the imports of misti/__init__ are the one list of the public API: no
+    # module keeps an __all__ that could drift from it, and the closed forms
+    # that only the tests read (tests/_oracles.py) are not in it
+    found = [
+        (path.name, node.lineno)
+        for path in sorted(Path(misti.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Name) and node.id == "__all__" and isinstance(node.ctx, ast.Store)
+    ]
+    assert found == []
+    public = (name for name, value in vars(misti).items() if not inspect.ismodule(value))
+    assert tuple(sorted(name for name in public if not name.startswith("_"))) == PUBLIC_API
 
 
 CACHES = ("cache", "lru_cache", "cached_property")

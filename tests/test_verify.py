@@ -5,6 +5,7 @@ import time
 
 import numpy as np
 import pytest
+from _oracles import pgf2_poisson, reversibility_violation
 from numpy.polynomial.polynomial import polyval2d
 
 from misti import discrete
@@ -35,7 +36,6 @@ from misti.verify import (
     check_mvid,
     check_reversibility,
     check_stationarity,
-    reversibility_violation,
 )
 
 NB = NegBinomial(0.5)
@@ -78,8 +78,6 @@ def test_chain_joint_pmf_constant_is_diagonal():
 
 def test_chain_joint_pmf_matches_closed_form_pgf_on_grid():
     pmf = chain_joint_pmf(BranchingPoisson(1.0, 0.5), (0, 1), 35)
-    from misti.discrete import pgf2_poisson
-
     grid = np.linspace(0.0, 1.0, 5)
     worst = max(
         abs(polyval2d(s, z, pmf.table) - pgf2_poisson(s, z, 1.0, 0.5)) for s in grid for z in grid
