@@ -67,6 +67,9 @@ class _BirthDeath(_Markov):
     def kernel_block(self, gap, k):
         return _uniformized_block(self, _finite_time(gap), k)
 
+    def closed_form(self, gap):
+        return False
+
     def exit_bound(self, gap, kmax, pi, tail):
         """The bound of the module docstring on the lattices kmax..top."""
         gap = _finite_time(gap)

@@ -31,10 +31,12 @@ thing a spec keeps, and a joint table is the forward product of the
 marginal and those kernels.  Each spec also answers
 ``exit_bound(gap, kmax, pi, tail)`` (see ``tables``) with its own bound on
 how much a row can miss, so the search for that lattice starts where the
-stationary law proves it.  Discrete specs take positive integer gaps only,
-and each also owns its stationary sampler ``sample_path(t0, n, rng)``,
-which draws all state-independent randomness in one call each, so a step
-costs at most two scalar draws.  The Poisson branching chain is the
+stationary law proves it, and ``closed_form(gap)``, whether its rows over
+the gap miss nothing, so a closed-form kernel is stated without a search.
+Discrete specs take positive integer gaps only, and each also owns its
+stationary sampler ``sample_path(t0, n, rng)``, which draws all
+state-independent randomness in one call each, so a step costs at most two
+scalar draws.  The Poisson branching chain is the
 Poisson thinning chain (binomial survivors plus Poisson immigrants), so
 ``BranchingPoisson`` only fixes the law of a thinning chain and shares its
 kernel and sampler.  The chains that
@@ -108,7 +110,11 @@ def _stated_start(spec, gap, kmax, evolved=False):
     k = kmax..top, to ``spec.exit_bound``.  The range doubles from
     2 kmax + 64 up to ``MAX_LATTICE``, the largest lattice ``stabilize`` may
     build, and never past it; where no lattice within it is proven, the
-    start is kmax."""
+    start is kmax.  A kernel whose rows are closed form
+    (``spec.closed_form(gap)``) needs no lattice past kmax, so its statement
+    builds no pi."""
+    if spec.closed_form(gap) and not evolved:
+        return kmax
     top = kmax
     while top < MAX_LATTICE:
         top = min(2 * top + 64, MAX_LATTICE)
@@ -172,6 +178,11 @@ class _Markov:
     def stationary_draw(self, rng):
         """One draw from the stationary law."""
         return int(id_sample(self.law, self.theta, rng))
+
+    def closed_form(self, gap):
+        """Whether the kernel over gap has closed-form rows, which miss
+        nothing on any lattice."""
+        return True
 
     def exit_bound(self, gap, kmax, pi, tail):
         """(leave, divisor) over the lattices k = kmax..top, from the
@@ -240,6 +251,9 @@ class _ThinningChain(_Markov):
         with rho^gap, and where rho^gap underflows the kernel is iid; other
         thinning kernels do not compose within their family."""
         return gap > 1 and self.rho**gap > 0.0 and not isinstance(self.law, Poisson)
+
+    def closed_form(self, gap):
+        return not self._raised(_integer_gap(gap))
 
     def kernel_block(self, gap, k):
         """A raised kernel K^gap on {0..k} misses a path through a state past
@@ -585,6 +599,16 @@ def rm_joint_pmf(law, theta, rho, times, kmax):
     product of the table, along axis i, with the triangular Toeplitz matrix
     of the cell's pmf.  A cell of times i..j adds the same value to each of
     those axes, one shifted slice of the table per value.
+
+    The table starts as the point mass at 0 on a box of one entry, and a
+    cell grows its axes to length kmax + 1, so the box holds only entries
+    that can be nonzero.  The cells are taken by their last time j; within
+    one j, those of several times by increasing span, then the cell of j
+    alone.  Axis j keeps length 1 until a cell ending at j reaches it, so
+    the cells ending at time j work on a box of (kmax + 1)^(j + 1) entries,
+    and only those ending at the last time read the full box: about
+    n (kmax + 1)^(n + 1) products in all, where n(n+1)/2 cells on the full
+    box would take n(n+1)/2 (kmax + 1)^(n + 1).
     """
     if kmax < 0:
         raise ValueError(f"kmax must be >= 0, got {kmax}")
@@ -595,24 +619,18 @@ def rm_joint_pmf(law, theta, rho, times, kmax):
         raise ValueError(
             f"enumeration budget exceeded for {n} times at lattice bound {kmax}"
         )
-    table = np.zeros((kmax + 1,) * n)
-    table[(0,) * n] = 1.0
-    for (i, j), area in cells.items():
-        pmf = id_pmf(law, area, kmax)
+    table = np.ones((1,) * n)
+    for i, j in sorted(cells, key=lambda c: (c[1], c[0] == c[1], c[1] - c[0])):
+        pmf = id_pmf(law, cells[i, j], kmax)
         if i == j:
-            table = np.moveaxis(np.moveaxis(table, i, -1) @ _additions_matrix(pmf, kmax + 1), -1, i)
+            toeplitz = _additions_matrix(pmf, kmax + 1)[: table.shape[i]]
+            table = np.moveaxis(np.moveaxis(table, i, -1) @ toeplitz, -1, i)
             continue
-        new = pmf[0] * table
-        for v in range(1, kmax + 1):
-            if pmf[v] == 0.0:
-                continue
-            dst = tuple(
-                slice(v, kmax + 1) if i <= ax <= j else slice(None) for ax in range(n)
-            )
-            src = tuple(
-                slice(0, kmax + 1 - v) if i <= ax <= j else slice(None)
-                for ax in range(n)
-            )
+        span = range(i, j + 1)
+        new = np.zeros([kmax + 1 if ax in span else size for ax, size in enumerate(table.shape)])
+        for v in np.flatnonzero(pmf).tolist():
+            dst = tuple(slice(v, v + table.shape[ax]) if ax in span else slice(None) for ax in range(n))
+            src = tuple(slice(0, kmax + 1 - v) if ax in span else slice(None) for ax in range(n))
             new[dst] += pmf[v] * table[src]
         table = new
     return JointPMF(times, kmax, table)

@@ -32,6 +32,7 @@ mu^theta(x) underflows.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass
 
@@ -182,15 +183,14 @@ class GenericLevy:
         """The shared part given x by inversion of one uniform per step; the
         CDF rows of ``thinning_conditional`` are cached by state."""
         uniforms = rng.random(size).tolist()
-        cdfs = {}
 
-        def keep(x, i):
-            if x not in cdfs:
-                cdfs[x] = np.cumsum(thinning_conditional(self, theta, rho, x)).tolist()
-            # a uniform above the rounded top of the CDF row keeps all x
-            return min(bisect.bisect_left(cdfs[x], uniforms[i]), x)
+        @functools.cache
+        def cdf(x):
+            row = np.cumsum(thinning_conditional(self, theta, rho, x))
+            row[-1] = 1.0  # a uniform above the rounded top of the row keeps all x
+            return row.tolist()
 
-        return keep
+        return lambda x, i: bisect.bisect_left(cdf(x), uniforms[i])
 
     def jumps(self, rng, size):
         """``size`` jump sizes from the normalised jump masses."""

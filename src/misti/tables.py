@@ -13,14 +13,15 @@ Where the law is stationary, the lattice can be proven in advance.  Row x
 of a kernel cut to {0..k} misses P_x(the chain leaves {0..k} within the
 gap), and since P_pi(A) >= pi_x P_x(A) for a chain started from its
 stationary law pi, that is at most P_pi(leave) / pi_x.  So every Markov
-spec answers one question, ``exit_bound(gap, kmax, pi, tail)``: handed pi
+spec answers ``exit_bound(gap, kmax, pi, tail)``: handed pi
 on {0..top} and upper bounds ``tail`` on pi(>k) over k = kmax..top, it
 returns ``(leave, divisor)``, upper bounds on P_pi(leave) and a divisor
 such that leave / divisor bounds the rows up to kmax, each one number or
-one per k.  Closed-form rows miss nothing and answer (0, 1).  From that
-answer the first lattice whose rows are proven within the tolerance is
-stated before any is built, searched no further than ``MAX_LATTICE``, and
-``stabilize`` starts there.  The build's own bound still decides, so a
+one per k.  Closed-form rows miss nothing and answer (0, 1); a spec also
+says so first, by ``closed_form(gap)``, and such a kernel is stated at
+kmax without building pi.  From the answer the first lattice whose rows
+are proven within the tolerance is stated before any is built, searched no
+further than ``MAX_LATTICE``, and ``stabilize`` starts there.  The build's own bound still decides, so a
 stated lattice that falls short only costs the ladder that follows it.
 """
 

@@ -325,19 +325,25 @@ def test_random_measure_sample_path_is_rm_simulate(t0):
 
 
 ORACLE_CASES = [
-    (times, k)
+    (times, k, 0.6)
     for times in [(0,), (0, 1), (0, 2), (0, 1, 3), (0, 1, 3, 4)]
     for k in (0, 1, 5, 12)
     if len(times) < 4 or k <= 5  # 4 times at k = 12 are ~10^7 assignments
+] + [
+    # every cell order and growth of five axes
+    ((0, 1, 2, 3, 4), k, 0.6) for k in (0, 1, 2, 3)
+] + [
+    # 0.5^3000 underflows: a cell's area is 0 and its pmf the point mass at 0
+    (times, k, 0.5) for times in [(0, 3000), (0, 1, 4000)] for k in (1, 5, 12)
 ]
 
 
 @pytest.mark.parametrize("law", [Poisson(), NB, GenericLevy({1: 1.0, 2: 0.5, 3: 0.2})], ids=repr)
 @pytest.mark.parametrize(
-    "times, k", ORACLE_CASES, ids=[f"times{'-'.join(map(str, t))}-k{k}" for t, k in ORACLE_CASES]
+    "times, k, rho", ORACLE_CASES, ids=[f"times{'-'.join(map(str, t))}-k{k}" for t, k, _ in ORACLE_CASES]
 )
-def test_rm_joint_pmf_matches_cell_enumeration(law, times, k):
-    theta, rho = 2.0, 0.6
+def test_rm_joint_pmf_matches_cell_enumeration(law, times, k, rho):
+    theta = 2.0
     cells = cell_measures(times, theta, rho)
     want, leaked = enumerated_cell_table(
         {cell: id_pmf(law, area, k) for cell, area in cells.items()}, len(times), k

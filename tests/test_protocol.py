@@ -261,11 +261,21 @@ def test_the_stated_lattice_certifies_on_its_first_build(family, data, kmax):
     [(Thinning(Poisson(), 2.0, 0.6), 3), (Thinning(NegBinomial(0.5), 2.0, 0.6), 1), (BranchingNB(2.0, 0.5, 0.6), 2)],
     ids=["poisson-thinning", "gap-1", "branching-nb"],
 )
-def test_closed_form_blocks_state_no_lattice(spec, gap):
+def test_closed_form_blocks_state_no_lattice(spec, gap, monkeypatch):
     pi = spec.marginal(84)
     leave, _ = spec.exit_bound(gap, 10, pi, _law_tail(spec.law, spec.theta, pi)[10:])
     assert np.all(leave == 0.0)
+    assert spec.closed_form(gap)
+    # the statement stops at kmax before it builds a pmf
+    pmfs = []
+
+    def pmf_spy(law, theta, kmax):
+        pmfs.append(kmax)
+        return id_pmf(law, theta, kmax)
+
+    monkeypatch.setattr(discrete, "id_pmf", pmf_spy)
     assert discrete._stated_start(spec, gap, 10) == 10
+    assert pmfs == []
 
 
 # specs and the gaps over which their kernel blocks are closed form; p >= 0.2
@@ -468,6 +478,8 @@ def test_the_stated_bounds_hold_at_every_lattice(family, data, kmax):
     pi = spec.marginal(kmax + 24)
     tail = _law_tail(spec.law, spec.theta, pi)[kmax:]
     leave, divisor = (np.broadcast_to(b, tail.shape) for b in spec.exit_bound(gap, kmax, pi, tail))
+    # a closed-form kernel is stated without a search, so its rows miss nothing
+    assert not (spec.closed_form(gap) and leave.any())
     for i, k in enumerate(range(kmax, kmax + 25)):
         rows = spec.kernel_block(gap, k)[1][: kmax + 1].max()
         if leave[i] == 0.0:

@@ -6,6 +6,8 @@ everything off the lattice (``_helpers.joint_gof_pvalue``), and
 one.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 from _helpers import chi2_gof_pvalue, joint_gof_pvalue
@@ -162,6 +164,15 @@ def test_single_step_paths_are_marginal_draws(spec):
     rng = np.random.default_rng(28)
     draws = [simulate_chain(spec, 4, 1, rng).values[0] for _ in range(5000)]
     assert chi2_gof_pvalue(draws, spec.marginal(25)) > 0.001
+
+
+def test_levy_thinning_path_is_pinned():
+    # the keeper inverts one uniform per step on cached CDF rows: the path of
+    # a seed is fixed, whatever caching the keeper does
+    spec = Thinning(GenericLevy(((1, 1.0), (2, 0.5), (3, 0.2))), 2, 0.6)
+    path = simulate_chain(spec, 0, 10**4, np.random.default_rng(7)).values
+    digest = hashlib.sha256(path.astype("<i8").tobytes()).hexdigest()
+    assert digest == "1c782312394c302481794036981719e55902be8de47bc4ff524595ba47c04fee"
 
 
 def test_empty_law_chains_stay_at_zero():
