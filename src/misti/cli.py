@@ -5,6 +5,17 @@ stream as CSV, verification reports as JSON lines.  Exit codes: 0 success,
 1 a verification check landed on the wrong side of its expected polarity,
 2 configuration error, 141 (128 + SIGPIPE) when the reader of stdout closes
 it early, as ``misti simulate ... | head`` does; that exit prints nothing.
+
+Each setting is declared once, as a ``RunConfig`` field that states how its
+value parses, the commands that read it, its help, and its choices or that
+it is required.  Each subcommand's flags, the parsing of ``--config`` files
+and the checks of the merged settings all come from those fields.  A
+setting that the command (for ``simulate``, ``--process`` with its
+``--law``) does not read is refused: as a flag, since that subcommand does
+not define it, and from a config file whenever it differs from its
+default, so a file written by ``--dump-config`` reads back; a file whose
+``command`` is another command is refused too.  ``--seed``,
+``--out`` and ``--format`` are on every command.
 """
 
 from __future__ import annotations
@@ -58,13 +69,6 @@ FAMILIES = {cls: name for name, (cls, *_) in PROCESSES.items()}
 CT_PROCESSES = tuple(name for name, (*_, axis) in PROCESSES.items() if axis == EVENTS)
 # --law -> (law class, the settings that build it); theta follows as the scale
 LAWS = {"poisson": (Poisson, ()), "nb": (NegBinomial, ("p",))}
-# every setting that some process reads
-PROCESS_SETTINGS = {
-    "law",
-    "theta",
-    *(name for _, names in LAWS.values() for name in names),
-    *(name for *_, names, axis in PROCESSES.values() for name in (*names, *axis)),
-}
 
 
 def _mvid(degree, table):
@@ -104,52 +108,68 @@ SUITES = {
     ),
 }
 FORMATS = ("csv", "jsonl")
+# command -> its help
+COMMANDS = {
+    "simulate": "simulate one trajectory",
+    "table": "discriminating-probability table over a parameter grid",
+    "verify": "run a named check suite with expected polarities",
+    "classify": "identify the family from (r0, r1, r2, theta1)",
+}
+# the commands that read a setting
+SIM, VERIFY, ALL = ("simulate",), ("verify",), tuple(COMMANDS)
 
-# Settings that may come from a flag or from a --config file, so they are
-# checked after the merge rather than by argparse.
-CHOICES = {
-    "process": tuple(PROCESSES),
-    "suite": tuple(SUITES),
-    "law": tuple(LAWS),
-    "format": FORMATS,
-}
-REQUIRED = {
-    "simulate": ("process",),
-    "verify": ("suite",),
-    "classify": ("r0", "r1", "r2", "theta1"),
-}
+
+def _grid_arg(raw):
+    return tuple(float(v) for v in raw.split(","))
+
+
+def _times_arg(raw):
+    return tuple(int(v) for v in raw.split(","))
+
+
+def _setting(parse, commands, help=None, default=None, choices=None, required=False):
+    """A ``RunConfig`` field that is a CLI setting: how a flag or config value
+    parses, the commands that read it, its help, its choices, and whether
+    those commands need it (from a flag or from a config file)."""
+    if required:
+        help = f"{help} (required)"
+    return dataclasses.field(
+        default=default,
+        metadata={"parse": parse, "commands": commands, "help": help, "choices": choices, "required": required},
+    )
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Resolved options of one command; dumps to / parses from `key = value` lines."""
+    """Resolved options of one command; dumps to / parses from `key = value` lines.
+    Every field but ``command`` is the one declaration of a setting."""
 
     command: str
-    process: str | None = None
-    law: str | None = None
-    theta: float | None = None
-    alpha: float | None = None
-    p: float | None = None
-    rho: float | None = None
-    lam: float | None = None
-    steps: int | None = None
-    t0: int = 0
-    x0: int | None = None
-    horizon: float | None = None
-    times: tuple | None = None
-    k: int = 12
-    degree: int = 8
-    seed: int = 0
-    out: str = "-"
-    format: str | None = None
-    suite: str | None = None
-    theta_grid: tuple | None = None
-    p_grid: tuple | None = None
-    rho_grid: tuple | None = None
-    r0: float | None = None
-    r1: float | None = None
-    r2: float | None = None
-    theta1: float | None = None
+    process: str | None = _setting(str, SIM, "process to simulate", choices=tuple(PROCESSES), required=True)
+    law: str | None = _setting(str, SIM, "marginal family for thinning/random-measure/iid/constant", choices=tuple(LAWS))
+    theta: float | None = _setting(float, ("simulate", "verify"))
+    alpha: float | None = _setting(float, SIM)
+    p: float | None = _setting(float, ("simulate", "verify"))
+    rho: float | None = _setting(float, ("simulate", "verify"))
+    lam: float | None = _setting(float, SIM, "continuous-time rate scale")
+    steps: int | None = _setting(int, SIM, "number of discrete ticks")
+    t0: int = _setting(int, SIM, "first time index (default 0)", default=0)
+    x0: int | None = _setting(int, SIM, "continuous-time initial state (default: stationary draw)")
+    horizon: float | None = _setting(float, SIM, "continuous-time horizon")
+    times: tuple | None = _setting(_times_arg, SIM, "explicit comma-separated times (random-measure)")
+    k: int = _setting(int, VERIFY, "lattice bound for exact tables (default 12)", default=12)
+    degree: int = _setting(int, VERIFY, "total-degree bound for log-pgf scans (default 8)", default=8)
+    seed: int = _setting(int, ALL, "RNG seed (default 0)", default=0)
+    out: str = _setting(str, ALL, "output path, '-' for stdout (default)", default="-")
+    format: str | None = _setting(str, ALL, "output format", choices=FORMATS)
+    suite: str | None = _setting(str, VERIFY, "check suite to run", choices=tuple(SUITES), required=True)
+    theta_grid: tuple | None = _setting(_grid_arg, ("table",))
+    p_grid: tuple | None = _setting(_grid_arg, ("table",))
+    rho_grid: tuple | None = _setting(_grid_arg, ("table",))
+    r0: float | None = _setting(float, ("classify",), "probability of no offspring", required=True)
+    r1: float | None = _setting(float, ("classify",), "probability of one offspring", required=True)
+    r2: float | None = _setting(float, ("classify",), "probability of two offspring", required=True)
+    theta1: float | None = _setting(float, ("classify",), "unit jump mass of the marginal", required=True)
 
     def dump(self):
         lines = []
@@ -165,7 +185,8 @@ class RunConfig:
         return "\n".join(lines) + "\n"
 
 
-_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
+SETTINGS = [f for name, f in FIELDS.items() if name != "command"]
 
 
 # rows per CSV template: at 2^14 a chunk's Python floats and strings reuse
@@ -176,17 +197,6 @@ _ROW_CHUNK = 1 << 14
 
 def _fmt(x):
     return f"{x:.17g}" if isinstance(x, float) else str(x)
-
-
-def _parse_value(name, raw):
-    kind = _FIELD_TYPES[name]
-    if kind in ("int", "int | None"):
-        return int(raw)
-    if kind in ("float", "float | None"):
-        return float(raw)
-    if kind == "tuple | None":
-        return _times_arg(raw) if name == "times" else _grid_arg(raw)
-    return raw
 
 
 def parse_config_lines(text):
@@ -200,18 +210,10 @@ def parse_config_lines(text):
             raise ValueError(f"config line {lineno} is not `key = value`: {line!r}")
         key, _, raw = line.partition("=")
         key, raw = key.strip(), raw.strip()
-        if key not in _FIELD_TYPES:
+        if key not in FIELDS:
             raise ValueError(f"unknown config key {key!r} on line {lineno}")
-        out[key] = _parse_value(key, raw)
+        out[key] = FIELDS[key].metadata.get("parse", str)(raw)
     return out
-
-
-def _grid_arg(raw):
-    return tuple(float(v) for v in raw.split(","))
-
-
-def _times_arg(raw):
-    return tuple(int(v) for v in raw.split(","))
 
 
 def build_parser():
@@ -220,78 +222,42 @@ def build_parser():
         description="Simulate, tabulate, and verify stationary reversible integer processes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(sp):
+    for command, help in COMMANDS.items():
+        # no abbreviations: ``table --theta`` must not be read as --theta-grid
+        sp = sub.add_parser(command, help=help, allow_abbrev=False)
         sp.add_argument("--config", help="key = value config file; flags override it")
         sp.add_argument("--dump-config", help="write the resolved config to this path")
-        sp.add_argument("--seed", type=int, help="RNG seed (default 0)")
-        sp.add_argument("--out", help="output path, '-' for stdout (default)")
-        sp.add_argument("--format", choices=FORMATS, help="output format")
-        sp.add_argument("--k", type=int, help="lattice bound for exact tables (default 12)")
-        sp.add_argument("--degree", type=int, help="total-degree bound for log-pgf scans (default 8)")
-
-    sim = sub.add_parser("simulate", help="simulate one trajectory")
-    add_common(sim)
-    sim.add_argument("--process", choices=tuple(PROCESSES), help="process to simulate (required)")
-    sim.add_argument("--law", choices=tuple(LAWS), help="marginal family for thinning/random-measure/iid/constant")
-    sim.add_argument("--theta", type=float)
-    sim.add_argument("--alpha", type=float)
-    sim.add_argument("--p", type=float)
-    sim.add_argument("--rho", type=float)
-    sim.add_argument("--lambda", dest="lam", type=float, help="continuous-time rate scale")
-    sim.add_argument("--steps", type=int, help="number of discrete ticks")
-    sim.add_argument("--t0", type=int, help="first time index (default 0)")
-    sim.add_argument("--x0", type=int, help="continuous-time initial state (default: stationary draw)")
-    sim.add_argument("--horizon", type=float, help="continuous-time horizon")
-    sim.add_argument("--times", type=_times_arg, help="explicit comma-separated times (random-measure)")
-
-    tab = sub.add_parser("table", help="discriminating-probability table over a parameter grid")
-    add_common(tab)
-    tab.add_argument("--theta-grid", type=_grid_arg, dest="theta_grid")
-    tab.add_argument("--p-grid", type=_grid_arg, dest="p_grid")
-    tab.add_argument("--rho-grid", type=_grid_arg, dest="rho_grid")
-
-    ver = sub.add_parser("verify", help="run a named check suite with expected polarities")
-    add_common(ver)
-    ver.add_argument("--suite", choices=tuple(SUITES), help="check suite to run (required)")
-    ver.add_argument("--theta", type=float)
-    ver.add_argument("--p", type=float)
-    ver.add_argument("--rho", type=float)
-
-    cls = sub.add_parser("classify", help="identify the family from (r0, r1, r2, theta1)")
-    add_common(cls)
-    cls.add_argument("--r0", type=float, help="required")
-    cls.add_argument("--r1", type=float, help="required")
-    cls.add_argument("--r2", type=float, help="required")
-    cls.add_argument("--theta1", type=float, help="required")
-
+        for f in SETTINGS:
+            meta = f.metadata
+            if command in meta["commands"]:
+                sp.add_argument(_flag(f.name), dest=f.name, type=meta["parse"], choices=meta["choices"], help=meta["help"])
     return parser
 
 
 def resolve_config(args):
     """Merge config-file values under explicit CLI flags into a RunConfig.
 
-    Required settings and choice-valued settings are checked on the merged
+    Required, choice-valued and unread settings are checked on the merged
     result, so either source may supply them.
     """
-    fields = {f.name for f in dataclasses.fields(RunConfig)}
     merged = {}
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config, encoding="utf-8") as fh:
             merged.update(parse_config_lines(fh.read()))
-    for name in fields:
-        value = getattr(args, name, None)
+    for f in SETTINGS:
+        value = getattr(args, f.name, None)
         if value is not None:
-            merged[name] = value
-    merged["command"] = args.command
+            merged[f.name] = value
+    if merged.setdefault("command", args.command) != args.command:
+        raise ValueError(f"config is for {merged['command']}, not {args.command}")
     cfg = RunConfig(**merged)
-    _require(cfg, *REQUIRED.get(cfg.command, ()))
-    for name, allowed in CHOICES.items():
-        value = getattr(cfg, name)
-        if value is not None and value not in allowed:
-            raise ValueError(
-                f"--{name} must be one of {', '.join(allowed)}; got {value!r}"
-            )
+    for f in SETTINGS:
+        value, choices = getattr(cfg, f.name), f.metadata["choices"]
+        if f.metadata["required"] and cfg.command in f.metadata["commands"]:
+            _require(cfg, f.name)
+        if value is not None and choices and value not in choices:
+            raise ValueError(f"{_flag(f.name)} must be one of {', '.join(choices)}; got {value!r}")
+    _refuse_unread(cfg)
     return cfg
 
 
@@ -350,21 +316,28 @@ def _build_spec(cfg):
 
 
 def _refuse_unread(cfg):
-    """Reject every process setting that differs from its default but that
-    ``--process`` (with its ``--law``) does not read."""
-    _, takes_law, names, axis = PROCESSES[cfg.process]
-    if cfg.times is not None and "times" in axis:
-        axis = ("times",)
-    read = {*(("law", "theta", *LAWS[cfg.law][1]) if takes_law else ()), *names, *axis}
-    unread = PROCESS_SETTINGS - read
-    for f in dataclasses.fields(RunConfig):
+    """Reject every setting that differs from its default but that the command
+    does not read, or, in ``simulate``, that ``--process`` (with its
+    ``--law``, or with every law when none is given) does not read."""
+    unread = {f.name: cfg.command for f in SETTINGS if cfg.command not in f.metadata["commands"]}
+    if cfg.command == "simulate":
+        _, takes_law, names, axis = PROCESSES[cfg.process]
+        if cfg.times is not None and "times" in axis:
+            axis = ("times",)
+        read = {"process", *names, *axis}
+        if takes_law:
+            laws = [LAWS[cfg.law]] if cfg.law else LAWS.values()
+            read |= {"law", "theta", *(name for _, law_names in laws for name in law_names)}
+        for f in SETTINGS:
+            if f.name not in read and f.metadata["commands"] != ALL:
+                unread.setdefault(f.name, f"--process {cfg.process}")
+    for f in SETTINGS:
         if f.name in unread and getattr(cfg, f.name) != f.default:
-            raise ValueError(f"{_flag(f.name)} does not apply to --process {cfg.process}")
+            raise ValueError(f"{_flag(f.name)} does not apply to {unread[f.name]}")
 
 
 def cmd_simulate(cfg):
     spec = _build_spec(cfg)
-    _refuse_unread(cfg)
     rng = np.random.default_rng(cfg.seed)
     if cfg.process in CT_PROCESSES:
         _require(cfg, "horizon")
@@ -463,12 +436,18 @@ def cmd_classify(cfg):
 def main(argv=None):
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extra = parser.parse_known_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        # a flag of another command's setting is one this command does not read
+        for flag in (token.partition("=")[0] for token in extra):
+            if flag in {_flag(f.name) for f in SETTINGS}:
+                raise ValueError(f"{flag} does not apply to {args.command}")
+        if extra:
+            raise ValueError(f"unrecognized arguments: {' '.join(extra)}")
         cfg = resolve_config(args)
-        if getattr(args, "dump_config", None):
+        if args.dump_config:
             with open(args.dump_config, "w", encoding="utf-8", newline="\n") as fh:
                 fh.write(cfg.dump())
         handler = {

@@ -67,7 +67,7 @@ from .idlaw import (
     # module (tests/test_bench_hooks.py fails without it)
     thinning_conditional,
 )
-from .tables import CERTIFIED_TOL, MAX_ENTRIES, MAX_LATTICE, JointPMF, increasing_times, stabilize, tail_sums
+from .tables import CERTIFIED_TOL, MAX_LATTICE, JointPMF, increasing_times, stabilize, table_times, tail_sums
 
 
 def _check_positive(name, value):
@@ -213,9 +213,7 @@ class _Markov:
         whose ``_evolved_block`` bound is within ``CERTIFIED_TOL``, in one
         loop from the lattice the stationary law proves.  A table of more
         than ``MAX_ENTRIES`` entries raises before anything is built."""
-        times = increasing_times(times)
-        if (kmax + 1) ** len(times) > MAX_ENTRIES:
-            raise ValueError(f"a table of {len(times)} times on {{0..{kmax}}} passes the cap of {MAX_ENTRIES} entries")
+        times = table_times(times, kmax)
         if origin is not None and origin > times[0]:
             raise ValueError(f"origin {origin} is after the first time {times[0]}")
         if initial is not None and np.shape(initial) != (kmax + 1,):
@@ -584,11 +582,6 @@ def rm_simulate(law, theta, rho, times, rng):
     return np.cumsum(diff[:-1])
 
 
-# the most products rm_joint_pmf may form: cells x (kmax + 1) cell values x
-# (kmax + 1)^n table entries
-_RM_BUDGET = 2 * 10**8
-
-
 def rm_joint_pmf(law, theta, rho, times, kmax):
     """Exact joint table of the random-measure process on {0..kmax}^n.
 
@@ -608,17 +601,14 @@ def rm_joint_pmf(law, theta, rho, times, kmax):
     the cells ending at time j work on a box of (kmax + 1)^(j + 1) entries,
     and only those ending at the last time read the full box: about
     n (kmax + 1)^(n + 1) products in all, where n(n+1)/2 cells on the full
-    box would take n(n+1)/2 (kmax + 1)^(n + 1).
+    box would take n(n+1)/2 (kmax + 1)^(n + 1).  A table of more than
+    ``MAX_ENTRIES`` entries raises before anything is built.
     """
     if kmax < 0:
         raise ValueError(f"kmax must be >= 0, got {kmax}")
-    times = tuple(times)
+    times = table_times(times, kmax)
     cells = cell_measures(times, theta, rho)
     n = len(times)
-    if len(cells) * (kmax + 1) ** (n + 1) > _RM_BUDGET:
-        raise ValueError(
-            f"enumeration budget exceeded for {n} times at lattice bound {kmax}"
-        )
     table = np.ones((1,) * n)
     for i, j in sorted(cells, key=lambda c: (c[1], c[0] == c[1], c[1] - c[0])):
         pmf = id_pmf(law, cells[i, j], kmax)

@@ -43,6 +43,19 @@ def increasing_times(times):
     return times
 
 
+def table_times(times, kmax):
+    """``increasing_times(times)`` for a joint table on {0..kmax}.  A table of
+    more than ``MAX_ENTRIES`` entries, or a lattice bound past
+    ``MAX_LATTICE`` (whose dense kernel or Toeplitz block would be), raises
+    before anything is built."""
+    times = increasing_times(times)
+    if kmax > MAX_LATTICE:
+        raise ValueError(f"lattice bound {kmax} passes {MAX_LATTICE}: its dense block passes the cap of {MAX_ENTRIES} entries")
+    if (kmax + 1) ** len(times) > MAX_ENTRIES:
+        raise ValueError(f"a table of {len(times)} times on {{0..{kmax}}} passes the cap of {MAX_ENTRIES} entries")
+    return times
+
+
 @dataclass(frozen=True, eq=False)
 class JointPMF:
     """Joint law of a process at finitely many times, restricted to {0..k}^n.
@@ -82,8 +95,12 @@ class JointPMF:
 
 # the proven entrywise error of every certified kernel and evolved marginal
 CERTIFIED_TOL = 1e-13
-# the largest dense lattice block the certified loop may allocate: 2**23
-# float64 entries are 64 MB, so lattices stop below 2896 states
+# the largest dense lattice block the certified loop may allocate, and the
+# largest joint table: 2**23 float64 entries are 64 MB, so lattices stop
+# below 2896 states.  A block's build holds a few such arrays at once (the
+# Toeplitz block of a random-measure cell also holds its int64 index
+# arrays): the largest tables peak at about 360 MB RSS, 2 times at k = 2895
+# for the NB random measure, 290 MB for NB thinning
 MAX_ENTRIES = 2**23
 # the largest lattice bound whose dense block stays within MAX_ENTRIES
 MAX_LATTICE = math.isqrt(MAX_ENTRIES) - 1

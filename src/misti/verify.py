@@ -108,7 +108,8 @@ def check_markov_triple(j3):
 
     Violation is the worst |P[a,c|b] - P[a|b] P[c|b]| over middle values b
     with P[b] >= 1e-12 (thinner rows are skipped and counted, never divided
-    through); the tolerance is 1e-9.
+    through); the tolerance is 1e-9.  A table whose every middle row is
+    skipped has nothing to check, so it raises.
     """
     if j3.ntimes != 3:
         raise ValueError(f"need a table over exactly 3 times, got {j3.ntimes}")
@@ -122,6 +123,8 @@ def check_markov_triple(j3):
         violation, (a, c) = _worst(np.abs(joint - np.outer(joint.sum(axis=1), joint.sum(axis=0))))
         if violation > worst:
             worst, witness = violation, (a, b, c)
+    if skipped == j3.k + 1:
+        raise ValueError(f"every middle value 0..{j3.k} has P[b] < 1e-12: no row to check at k = {j3.k}")
     return VerifyReport(
         "markov-triple", worst, witness, 1e-9, extra={"skipped_rows": skipped}
     )

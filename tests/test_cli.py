@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -11,7 +13,7 @@ import numpy as np
 import pytest
 
 import misti
-from misti.cli import RunConfig, _fmt, _write_rows, main, parse_config_lines
+from misti.cli import COMMANDS, RunConfig, _fmt, _write_rows, build_parser, main, parse_config_lines
 
 
 def run(args):
@@ -511,6 +513,93 @@ def test_config_unknown_key_rejected(tmp_path):
     code = run(["simulate", "--config", str(cfg_path), "--process", "iid", "--law",
                 "poisson", "--theta", "1", "--steps", "5"])
     assert code == 2
+
+
+# a complete invocation of each command
+COMMAND_ARGV = {
+    "simulate": ["simulate", "--process", "branching-nb", "--alpha", "2", "--p", "0.5", "--rho", "0.5", "--steps", "5"],
+    "table": ["table", "--theta-grid", "1", "--p-grid", "0.5", "--rho-grid", "0.5"],
+    "verify": ["verify", "--suite", "poisson-coincidence", "--theta", "1.5", "--k", "10", "--degree", "6"],
+    "classify": ["classify", "--r0", "0.5", "--r1", "0.4", "--r2", "0.08", "--theta1", "0.4"],
+}
+
+
+@pytest.mark.parametrize(
+    "command, key, flag, value",
+    [
+        ("table", "theta", "--theta", "2"),
+        ("table", "k", "--k", "30"),
+        ("table", "degree", "--degree", "4"),
+        ("verify", "alpha", "--alpha", "7"),
+        ("verify", "theta_grid", "--theta-grid", "1,2"),
+        ("classify", "theta", "--theta", "2"),
+        ("classify", "k", "--k", "30"),
+        ("simulate", "degree", "--degree", "4"),
+    ],
+)
+def test_commands_refuse_settings_they_do_not_read(tmp_path, capsys, command, key, flag, value):
+    # from a config file alone, and as a flag, which the subcommand does not define
+    out = tmp_path / "out.txt"
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(f"{key} = {value}\n")
+    for extra in (["--config", str(cfg_path)], [flag, value]):
+        assert run([*COMMAND_ARGV[command], *extra, "--out", str(out)]) == 2
+        assert f"{flag} does not apply to {command}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("command", COMMAND_ARGV)
+def test_commands_refuse_a_config_for_another_command(tmp_path, capsys, command):
+    other = next(c for c in COMMAND_ARGV if c != command)
+    out = tmp_path / "out.txt"
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(f"command = {other}\n")
+    assert run([*COMMAND_ARGV[command], "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert f"config is for {other}, not {command}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_process_with_a_marginal_requires_its_law(capsys):
+    # without --law the law's settings are not refused: the missing law is named
+    argv = ["simulate", "--process", "thinning", "--theta", "1", "--p", "0.5", "--rho", "0.5", "--steps", "5"]
+    assert run(argv) == 2
+    assert "--law is required" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", COMMAND_ARGV)
+def test_every_command_takes_a_seed(tmp_path, command):
+    assert run([*COMMAND_ARGV[command], "--seed", "5", "--out", str(tmp_path / "out.txt")]) == 0
+
+
+@pytest.mark.parametrize("command", COMMAND_ARGV)
+def test_dump_config_rereads_for_every_command(tmp_path, command):
+    out, first, second = tmp_path / "out.txt", tmp_path / "first.cfg", tmp_path / "second.cfg"
+    assert run([*COMMAND_ARGV[command], "--out", str(out), "--dump-config", str(first)]) == 0
+    resolved = RunConfig(**parse_config_lines(first.read_text()))
+    assert resolved.command == command and resolved.out == str(out)
+    assert run([command, "--config", str(first), "--dump-config", str(second)]) == 0
+    assert RunConfig(**parse_config_lines(second.read_text())) == resolved
+
+
+def test_every_setting_is_declared_on_its_field():
+    for f in dataclasses.fields(RunConfig)[1:]:
+        assert callable(f.metadata["parse"]), f.name
+        assert f.metadata["commands"] and set(f.metadata["commands"]) <= set(COMMANDS), f.name
+
+
+def test_each_subcommand_defines_the_flags_of_its_settings_alone():
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(subparsers.choices) == set(COMMANDS)
+    for command, parser in subparsers.choices.items():
+        dests = {action.dest for action in parser._actions} - {"help", "config", "dump_config"}
+        assert dests == {f.name for f in dataclasses.fields(RunConfig) if command in f.metadata.get("commands", ())}
+
+
+def test_verify_refuses_a_lattice_with_no_middle_row_to_check(capsys):
+    # at theta = 60 every value up to k = 12 has mass below 1e-12: the Markov
+    # check has nothing to compare, and says so rather than pass
+    assert run(["verify", "--suite", "theorem3", "--theta", "60", "--k", "12"]) == 2
+    assert "k = 12" in capsys.readouterr().err
 
 
 def test_unknown_flag_exits_two():

@@ -35,6 +35,7 @@ from misti.discrete import (
     thinning_transition_matrix,
 )
 from misti.idlaw import GenericLevy, NegBinomial, Poisson, id_pmf, id_sample
+from misti.tables import MAX_ENTRIES, MAX_LATTICE
 from misti.verify import autocorr_mc, chain_joint_pmf
 
 NB = NegBinomial(0.5)
@@ -360,9 +361,30 @@ def test_rm_joint_pmf_rejects_a_negative_lattice_bound():
 
 
 def test_rm_joint_pmf_budget_guard():
-    # 21 cells x 41^7 products, about 4e12, far past the budget
-    with pytest.raises(ValueError):
+    # 41^6 entries, about 4.8e9, far past the cap of 2^23 on every joint table
+    with pytest.raises(ValueError, match=f"cap of {MAX_ENTRIES} entries"):
         rm_joint_pmf(NB, 1.0, 0.5, tuple(range(6)), 40)
+
+
+@pytest.mark.parametrize("spec", [RandomMeasure(NB, 1.0, 0.5), Thinning(NB, 1.0, 0.5)], ids=["rm", "thinning"])
+def test_a_one_time_table_past_the_dense_lattice_raises(spec):
+    # one time has few entries, but its Toeplitz or kernel block on
+    # {0..k}^2 would pass the cap: it raises before the block is built
+    with pytest.raises(ValueError, match=f"passes {MAX_LATTICE}: its dense block passes the cap of {MAX_ENTRIES} entries"):
+        spec.joint_pmf((0,), MAX_LATTICE + 1)
+
+
+def test_rm_joint_pmf_builds_every_table_within_the_cap():
+    # 11^6 entries are within the cap; a count of 21 cells x 11^7 products
+    # once refused them.  A one-time marginal misses only the mass where some
+    # other time passes k: 0 <= id_pmf - marginal <= 5 P[X > k]
+    n, k = 6, 10
+    j = rm_joint_pmf(NB, 2.0, 0.6, tuple(range(n)), k)
+    pmf = id_pmf(NB, 2.0, k)
+    tail = 1.0 - pmf.sum()
+    for axis in range(n):
+        gap = pmf - j.table.sum(axis=tuple(a for a in range(n) if a != axis))
+        assert np.all(gap >= -1e-15) and np.all(gap <= (n - 1) * tail)
 
 
 # ---------------------------------------------------------------------------

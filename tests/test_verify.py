@@ -284,6 +284,14 @@ def test_markov_triple_skips_thin_rows():
     assert report.extra["skipped_rows"] > 0
 
 
+def test_markov_triple_refuses_a_table_whose_every_row_is_skipped():
+    # at theta = 60 the NB marginal has P[b] < 1e-12 for every b <= 12, so no
+    # row is left to check: a pass there would say nothing
+    j3 = chain_joint_pmf(RandomMeasure(NB, 60.0, 0.5), (0, 1, 2), 12)
+    with pytest.raises(ValueError, match="k = 12"):
+        check_markov_triple(j3)
+
+
 def test_markov_triple_needs_three_times():
     with pytest.raises(ValueError):
         check_markov_triple(chain_joint_pmf(IID(NB, 1.0), (0, 1), 6))
