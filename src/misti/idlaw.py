@@ -18,21 +18,23 @@ each drawn by ``law.jumps(rng, size)`` from the normalised jump masses.
 Each law class owns its formulas for arguments already checked: ``levy``,
 ``total``, ``pmf``, ``log_pmf``, ``pgf`` and ``sample`` of the scale-theta
 member, and
-``keeper(theta, rho, size, rng)``, its split mu^theta = mu^{rho theta} *
-mu^{(1-rho) theta} for the thinning chains: it makes the draws of ``size``
-steps that do not depend on the state, one call for all, and returns
-keep(x, i), the shared component of step i from a state x >= 1.  The module
-functions check their arguments, take the theta = 0 shortcuts and call the
-method.  The conditional pmfs of the split given the state, which the
-thinning kernels and ``thinning_conditional`` read, come from one routine
-over the ``log_pmf`` of the two scales, so they stay representable where
+``keeper(theta, rho, size, rng)``, its own draw of the split mu^theta =
+mu^{rho theta} * mu^{(1-rho) theta} for the thinning chains: it makes the
+draws of ``size`` steps that do not depend on the state, one call for all,
+and returns keep(x, i), the shared component of step i from a state x.  A
+thinning chain draws that component by inverting one uniform on the CDF row
+of the split (``_split_cdf``) for every law, and calls the keeper only for
+the states whose rows it does not keep.  The module functions check their
+arguments, take the theta = 0 shortcuts and call the method.  The
+conditional pmfs of the split given the state, which the thinning kernels,
+``thinning_conditional`` and ``_split_cdf`` read, come from one routine over
+the ``log_pmf`` of the two scales, so they stay representable where
 mu^theta(x) underflows.
 """
 
 from __future__ import annotations
 
 import bisect
-import functools
 import math
 from dataclasses import dataclass
 
@@ -180,17 +182,13 @@ class GenericLevy:
         return sums.astype(np.int64).reshape(np.shape(counts))
 
     def keeper(self, theta, rho, size, rng):
-        """The shared part given x by inversion of one uniform per step; the
-        CDF rows of ``thinning_conditional`` are cached by state."""
+        """The shared part given x by inversion of one uniform per step on
+        the ``_split_cdf`` row of x, built at each call and not kept: the law
+        has no scalar draw of its split, and a chain keeps the rows it can
+        hold itself."""
         uniforms = rng.random(size).tolist()
-
-        @functools.cache
-        def cdf(x):
-            row = np.cumsum(thinning_conditional(self, theta, rho, x))
-            row[-1] = 1.0  # a uniform above the rounded top of the row keeps all x
-            return row.tolist()
-
-        return lambda x, i: bisect.bisect_left(cdf(x), uniforms[i])
+        cdf = _split_cdf(self, theta, rho)
+        return lambda x, i: bisect.bisect_right(cdf(x), uniforms[i])
 
     def jumps(self, rng, size):
         """``size`` jump sizes from the normalised jump masses."""
@@ -279,10 +277,11 @@ def id_sample(law, theta, rng, size=None):
     return law.sample(theta, rng, size)
 
 
-def _thinning_split(law, theta, rho, kmax, first=0):
-    """Rows x = first..kmax of the thinning split, on {0..kmax}: entry xi <= x
-    is mu^{rho theta}(xi) mu^{(1-rho) theta}(x - xi) / mu^theta(x), entries
-    past x are 0, and the row of a state of probability 0 is NaN.
+def _split(logs):
+    """Rows of the thinning split from the logs of their numerators along
+    the last axis: entry xi of row x is mu^{rho theta}(xi)
+    mu^{(1-rho) theta}(x - xi) / mu^theta(x), and its log is -inf past x.
+    The row of a state of probability 0 is NaN.
 
     The numerators are formed from log pmfs and scaled by their largest one
     before exponentiating, and the normaliser is their sum, which equals
@@ -291,14 +290,18 @@ def _thinning_split(law, theta, rho, kmax, first=0):
     even where mu^theta(x) itself underflows, and it sums to 1 to rounding
     (x = 0 gives exactly [1.0]).
     """
+    with np.errstate(invalid="ignore"):
+        joint = np.exp(logs - logs.max(axis=-1, keepdims=True))
+        return joint / joint.sum(axis=-1, keepdims=True)
+
+
+def _thinning_split(law, theta, rho, kmax, first=0):
+    """Rows x = first..kmax of the thinning split, on {0..kmax}."""
     x = np.arange(first, kmax + 1)[:, None]
     xi = np.arange(kmax + 1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        shared = law.log_pmf(rho * theta, kmax)
-        rest = law.log_pmf((1.0 - rho) * theta, kmax)
-        logs = np.where(xi <= x, shared + rest[x - xi], -np.inf)
-        joint = np.exp(logs - logs.max(axis=1, keepdims=True))
-        return joint / joint.sum(axis=1, keepdims=True)
+    with np.errstate(divide="ignore"):  # theta = 0 logs the zero pmf entries
+        shared, rest = law.log_pmf(rho * theta, kmax), law.log_pmf((1.0 - rho) * theta, kmax)
+    return _split(np.where(xi <= x, shared + rest[x - xi], -np.inf))
 
 
 def thinning_conditional(law, theta, rho, x):
@@ -312,3 +315,29 @@ def thinning_conditional(law, theta, rho, x):
     if np.isnan(row[0]):
         raise ValueError(f"conditioning value {x} has zero probability")
     return row
+
+
+def _split_cdf(law, theta, rho):
+    """cdf(x): the CDF of the thinning split given a state x of positive
+    probability, as a list on {0..x} whose last entry is 1.0, so a uniform
+    above the rounded top of the row keeps all of x.
+
+    Rows are sliced from the log pmfs of the two scales on {0..k}, built once
+    and again on a lattice twice as large when a state passes k.  The ratio
+    and jump-mass recursions of ``log_pmf`` are prefix-stable, so a row does
+    not depend on k and is the row of ``thinning_conditional``.
+    """
+    top, shared, rest = -1, None, None
+
+    def cdf(x):
+        nonlocal top, shared, rest
+        if x > top:
+            top = max(2 * top, x)
+            shared, rest = law.log_pmf(rho * theta, top), law.log_pmf((1.0 - rho) * theta, top)
+        row = np.cumsum(_split(shared[: x + 1] + rest[x::-1]))
+        if np.isnan(row[0]):
+            raise ValueError(f"state {x} has zero probability")
+        row[-1] = 1.0
+        return row.tolist()
+
+    return cdf

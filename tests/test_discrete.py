@@ -1,4 +1,5 @@
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from _oracles import (
     thinning_transition,
 )
 
+from misti import discrete
 from misti.discrete import (
     BranchingNB,
     BranchingPoisson,
@@ -21,6 +23,9 @@ from misti.discrete import (
     IID,
     RandomMeasure,
     Thinning,
+    _inversion_walk,
+    _nb_branching_probs,
+    _offspring_rows,
     branching_step_nb,
     branching_nb_transition_matrix,
     cell_measures,
@@ -34,7 +39,7 @@ from misti.discrete import (
     thinning_conditional,
     thinning_transition_matrix,
 )
-from misti.idlaw import GenericLevy, NegBinomial, Poisson, id_pmf, id_sample
+from misti.idlaw import GenericLevy, NegBinomial, Poisson, _split_cdf, id_pmf, id_sample
 from misti.tables import MAX_ENTRIES, MAX_LATTICE
 from misti.verify import autocorr_mc, chain_joint_pmf
 
@@ -177,6 +182,82 @@ def test_simulate_thinning_generic_law():
 def test_simulate_thinning_needs_steps():
     with pytest.raises(ValueError):
         simulate_thinning(Poisson(), 1.0, 0.5, 0, 0, np.random.default_rng(0))
+
+
+class _FixedUniforms:
+    """A stand-in generator whose ``random(size)`` returns given uniforms."""
+
+    def __init__(self, uniforms):
+        self.uniforms = uniforms
+
+    def random(self, size):
+        return np.array(self.uniforms[:size])
+
+
+def test_inversion_skips_the_leading_zeros_of_a_row():
+    # u = 0 and u equal to an entry land on the first entry past u, which
+    # has positive mass: bisect_left would land on the zeros
+    row = [0.0, 0.0, 0.5, 1.0]
+    path = _inversion_walk(0, [0, 0], lambda x, room: row, None, _FixedUniforms([0.0, 0.5]))
+    assert path == [0, 2, 3]
+    # Binomial(2000, 0.6) survivors: the first entries of the split underflow
+    cdf = _split_cdf(Poisson(), 1.0, 0.6)(2000)
+    pmf = thinning_conditional(Poisson(), 1.0, 0.6, 2000)
+    assert cdf[0] == 0.0
+    for u in (0.0, cdf[bisect_right(cdf, 0.5)]):
+        assert pmf[bisect_right(cdf, u)] > 0.0
+
+
+def _recorded_split_cdf(kept):
+    """``_split_cdf`` whose rows append their lengths to kept."""
+
+    def make(law, theta, rho):
+        cdf = _split_cdf(law, theta, rho)
+
+        def recorded(x):
+            row = cdf(x)
+            kept.append(len(row))
+            return row
+
+        return recorded
+
+    return make
+
+
+def _recorded_offspring_rows(kept):
+    """``_offspring_rows`` whose rows append their lengths to kept."""
+
+    def make(keep, succ):
+        row = _offspring_rows(keep, succ)
+
+        def recorded(x, room):
+            cdf = row(x, room)
+            if cdf is not None:
+                kept.append(len(cdf))
+            return cdf
+
+        return recorded
+
+    return make
+
+
+@pytest.mark.parametrize(
+    "spec, name, recorder",
+    [
+        (Thinning(NegBinomial(0.001), 2.0, 0.6), "_split_cdf", _recorded_split_cdf),
+        (BranchingNB(2.0, 0.001, 0.999), "_offspring_rows", _recorded_offspring_rows),
+    ],
+    ids=["thinning-nb", "branching-nb"],
+)
+def test_kept_rows_never_exceed_the_path_length(monkeypatch, spec, name, recorder):
+    # states spread over thousands of values: the walk keeps every row it
+    # builds while they fit, and every other state takes the spec's own draw
+    kept = []
+    monkeypatch.setattr(discrete, name, recorder(kept))
+    n = 10**4
+    path = simulate_chain(spec, 0, n, np.random.default_rng(5)).values
+    assert 0 < sum(kept) <= n
+    assert len(kept) < len(set(path.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -445,6 +526,19 @@ def test_branching_nb_lag_one_autocorrelation():
         states[i] = x
     se = math.sqrt((1.0 - rho**2) / states.size)
     assert abs(autocorr_mc(states, 1) - rho) <= 4 * se
+
+
+@pytest.mark.parametrize("alpha, p, rho", [(2.0, 0.5, 0.6), (0.5, 0.2, 0.9), (3.0, 0.9, 0.1)])
+def test_branching_nb_rows_with_the_immigrants_are_the_kernel_rows(alpha, p, rho):
+    # survivors and offspring of x, then the NB(alpha, s) immigrants
+    k = 30
+    keep, succ = _nb_branching_probs(p, rho)
+    immigrants = id_pmf(NegBinomial(succ), alpha, k)
+    block, _ = BranchingNB(alpha, p, rho).kernel_block(1, k)
+    row = _offspring_rows(keep, succ)
+    for x in range(k + 1):
+        pmf = np.diff(row(x, math.inf), prepend=0.0)
+        assert np.abs(np.convolve(pmf, immigrants)[: k + 1] - block[x]).max() <= 1e-14
 
 
 def test_branching_step_validation():

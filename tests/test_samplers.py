@@ -13,6 +13,7 @@ import pytest
 from _helpers import chi2_gof_pvalue, joint_gof_pvalue
 from scipy.stats import chi2_contingency
 
+from misti import discrete
 from misti.discrete import (
     BranchingNB,
     BranchingPoisson,
@@ -128,6 +129,30 @@ def test_simulate_chain_lag1_pairs_match_chain_joint_pmf(spec):
     traj = simulate_chain(spec, 0, 2 * 10**5, np.random.default_rng(6174))
     draws = windows(traj.values, 2, 20)
     assert joint_gof_pvalue(draws, chain_joint_pmf(spec, (0, 1), 25)) > 0.001
+
+
+@pytest.mark.parametrize(
+    "spec", [Thinning(NegBinomial(0.5), 40.0, 0.6), BranchingNB(20.0, 0.5, 0.6)], ids=lambda s: type(s).__name__
+)
+def test_short_paths_that_fill_the_row_budget_match_chain_joint_pmf(monkeypatch, spec):
+    # the rows of these states have ~40 entries, so a 100-step path keeps the
+    # rows of two or three states and its other states take the spec's own
+    # draw: lag-1 pairs through both draws must follow the exact table
+    fell_back = []
+    walk = discrete._inversion_walk
+
+    def counted(x, fixed, row, keeper, rng):
+        def counted_keeper():
+            fell_back.append(x)
+            return keeper()
+
+        return walk(x, fixed, row, counted_keeper, rng)
+
+    monkeypatch.setattr(discrete, "_inversion_walk", counted)
+    rng = np.random.default_rng(1618)
+    draws = np.concatenate([windows(simulate_chain(spec, 0, 100, rng).values, 2, 20) for _ in range(3000)])
+    assert len(fell_back) > 2500
+    assert joint_gof_pvalue(draws, chain_joint_pmf(spec, (0, 1), 100)) > 0.001
 
 
 @pytest.mark.parametrize("rho", [1e-12, 1.0 - 1e-12])
