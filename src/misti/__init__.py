@@ -51,8 +51,6 @@ from .idlaw import (
     Poisson,
     id_pmf,
     id_sample,
-    levy_masses,
-    levy_total,
     pmf_from_levy,
 )
 from .series import ts_from_joint_pmf, ts_log

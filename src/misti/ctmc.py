@@ -38,7 +38,9 @@ Both chains are linear: immigration at a constant rate plus individuals that
 each give birth and die at constant rates, independently (Kendall, Ann. Math.
 Statist. 19, 1948).  So ``gillespie`` draws a path as immigration plus
 independent families, one generation at a time, exact in law; it keeps its
-event-by-event name only because the benchmark's tracer looks it up.
+event-by-event name only because the benchmark's tracer looks it up.  A
+spec's ``sample_path(t0, n, rng)`` reads one such path at integer times, so
+``simulate_chain`` serves these chains as it serves the discrete ones.
 """
 
 from __future__ import annotations
@@ -48,8 +50,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discrete import _check_nonneg, _check_positive, _check_prob, _Markov
-from .idlaw import NegBinomial, Poisson
+from .discrete import Trajectory, _check_nonneg, _check_positive, _Markov, _NBFamily
+from .idlaw import Poisson
 
 
 def _finite_time(gap):
@@ -69,6 +71,13 @@ class _BirthDeath(_Markov):
 
     def closed_form(self, gap):
         return False
+
+    def sample_path(self, t0, n, rng):
+        """The chain at times t0..t0+n-1: one ``gillespie`` path over horizon
+        n from the stationary draw, read at 0..n-1.  At integer times it is
+        the branching chain with rho = exp(-lambda)."""
+        path = gillespie(self, self.stationary_draw(rng), n, rng)
+        return Trajectory(t0, path.at(np.arange(n)))
 
     def exit_bound(self, gap, kmax, pi, tail):
         """The bound of the module docstring on the lattices kmax..top."""
@@ -97,7 +106,7 @@ class PoissonBD(_BirthDeath):
 
 
 @dataclass(frozen=True)
-class NBBD(_BirthDeath):
+class NBBD(_BirthDeath, _NBFamily):
     """Birth-death chain with NB(alpha, p) stationary law and time scale lambda."""
 
     alpha: float
@@ -105,21 +114,12 @@ class NBBD(_BirthDeath):
     lam: float
 
     def __post_init__(self):
-        _check_positive("alpha", self.alpha)
-        _check_prob("p", self.p)
+        super().__post_init__()
         _check_nonneg("lambda", self.lam)
 
     def rates(self, j):
         """(birth rate, death rate) out of the state(s) j."""
         return self.lam * (self.alpha + j) * (1.0 - self.p) / self.p, self.lam * j / self.p
-
-    @property
-    def law(self):
-        return NegBinomial(self.p)
-
-    @property
-    def theta(self):
-        return self.alpha
 
 
 BDModel = PoissonBD | NBBD
@@ -137,8 +137,10 @@ class EventPath:
     """Piecewise-constant path stored as change points (times[i], states[i]).
 
     ``states[i]`` holds on [times[i], times[i+1]); the path is defined up to
-    ``horizon``.  Grid sampling is index arithmetic on the stored arrays, no
-    copy of the path is made.
+    ``horizon``.  The times must strictly increase and stay below the
+    horizon, and the states be >= 0, or ``at`` would misread the path.
+    Grid sampling is index arithmetic on the stored arrays, no copy of the
+    path is made.
     """
 
     times: np.ndarray
@@ -150,6 +152,10 @@ class EventPath:
         s = np.asarray(self.states, dtype=np.int64)
         if t.shape != s.shape or t.ndim != 1 or t.size < 1:
             raise ValueError("times and states must be matching nonempty 1-d arrays")
+        if not (np.all(t[1:] > t[:-1]) and t[-1] < self.horizon):
+            raise ValueError(f"times must strictly increase and stay below the horizon {self.horizon}")
+        if np.any(s < 0):
+            raise ValueError("states must be >= 0")
         t.setflags(write=False)
         s.setflags(write=False)
         object.__setattr__(self, "times", t)

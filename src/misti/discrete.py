@@ -19,7 +19,8 @@ table time reversal must leave unchanged: a pair for a Markov chain
 (detailed balance), a triple for the random measure, which is not Markov.
 The stationary law of every Markov spec (the chains here and the
 birth-death chains of ``ctmc``, whose laws are Poisson or NB) is an ID law,
-which the spec names as ``law`` at scale ``theta``.  From it ``_Markov``
+which the spec names as ``law`` at scale ``theta`` (the two NB chains
+inherit both from ``_NBFamily``).  From it ``_Markov``
 takes the spec's pmf ``marginal(kmax)`` and ``stationary_draw(rng)``.
 Each spec owns its ``kernel_block(gap, k)``: its transition matrix built on
 {0..k} and a proven bound on the error of each row's entries.  Closed-form
@@ -67,8 +68,6 @@ from .idlaw import (
     _thinning_split,
     id_pmf,
     id_sample,
-    levy_masses,
-    levy_total,
     # not called here: the benchmark's tracer counts the calls of
     # misti.discrete.thinning_conditional, so the name must resolve in this
     # module (tests/test_bench_hooks.py fails without it)
@@ -306,10 +305,7 @@ class RandomMeasure:
     rho: float
 
     reversal_times = (0, 1, 2)  # a class attribute, not a field
-
-    def __post_init__(self):
-        _check_positive("theta", self.theta)
-        _check_rho(self.rho)
+    __post_init__ = _ThinningChain.__post_init__
 
     def joint_pmf(self, times, kmax, initial=None, origin=None):
         """``rm_joint_pmf`` at the times; the process is stationary by
@@ -336,19 +332,15 @@ class BranchingPoisson(_ThinningChain):
         return 1.0 - self.rho, self.rho, 0.0, self.theta
 
 
-@dataclass(frozen=True)
-class BranchingNB(_Markov):
-    """Branching chain with NB(alpha, p) marginal and autocorrelation rho;
-    its gap-d kernel is the one-step kernel at rho^d, as for BranchingPoisson."""
-
-    alpha: float
-    p: float
-    rho: float
+class _NBFamily(_Markov):
+    """The stationary law NB(alpha, p), ``NegBinomial(p)`` at scale alpha,
+    and the checks of alpha and p, for the two NB chains: ``BranchingNB``
+    and ``ctmc.NBBD``.  A subclass declares the fields ``alpha`` and ``p``
+    and checks its own time scale."""
 
     def __post_init__(self):
         _check_positive("alpha", self.alpha)
         _check_prob("p", self.p)
-        _check_rho(self.rho)
 
     @property
     def law(self):
@@ -357,6 +349,20 @@ class BranchingNB(_Markov):
     @property
     def theta(self):
         return self.alpha
+
+
+@dataclass(frozen=True)
+class BranchingNB(_NBFamily):
+    """Branching chain with NB(alpha, p) marginal and autocorrelation rho;
+    its gap-d kernel is the one-step kernel at rho^d, as for BranchingPoisson."""
+
+    alpha: float
+    p: float
+    rho: float
+
+    def __post_init__(self):
+        super().__post_init__()
+        _check_rho(self.rho)
 
     def kernel_block(self, gap, k):
         rho = self.rho ** _integer_gap(gap)
@@ -404,7 +410,7 @@ class Constant(_Markov):
         return _exact(np.eye(k + 1))
 
     def offspring(self):
-        return 0.0, 1.0, 0.0, float(levy_masses(self.law, self.theta, 1)[0])
+        return 0.0, 1.0, 0.0, float(self.law.levy(self.theta, 1)[0])
 
     def sample_path(self, t0, n, rng):
         return Trajectory(t0, np.full(n, id_sample(self.law, self.theta, rng), dtype=np.int64))
@@ -425,7 +431,7 @@ class IID(_Markov):
         return _exact(_iid_kernel(self, k))
 
     def offspring(self):
-        return 1.0, 0.0, 0.0, float(levy_masses(self.law, self.theta, 1)[0])
+        return 1.0, 0.0, 0.0, float(self.law.levy(self.theta, 1)[0])
 
     def sample_path(self, t0, n, rng):
         return Trajectory(t0, id_sample(self.law, self.theta, rng, size=n))
@@ -485,7 +491,7 @@ def thinning_transition_matrix(law, theta, rho, kmax):
     _check_rho(rho)
     split = _thinning_split(law, theta, rho, kmax)
     zero = np.isnan(split[:, 0])
-    if zero.any() and levy_total(law, theta) > 0.0:
+    if zero.any() and law.total(theta) > 0.0:
         x = int(np.argmax(zero))
         raise ValueError(f"state {x} underflows to probability 0 at theta={theta}, rho={rho}")
     split[zero] = np.eye(kmax + 1)[zero]
@@ -603,7 +609,7 @@ def rm_simulate(law, theta, rho, times, rng):
     cell (i, j) has area theta a_i rho^(t_j - t_i) b_j, and the areas of the
     cells that start at i sum to theta a_i (the b_j telescope), so:
 
-    * Poisson(theta sum(a) levy_total(law, 1)) atoms;
+    * Poisson(theta sum(a) law.total(1)) atoms;
     * each atom's first time i with probability proportional to a_i;
     * its reach E / log(1/rho), E standard exponential, which covers the
       lag t_j - t_i with probability rho^(t_j - t_i), so its last time is j
@@ -622,7 +628,7 @@ def rm_simulate(law, theta, rho, times, rng):
     offsets = np.array([int(t) - int(times[0]) for t in times])
     n = len(times)
     mass = np.cumsum(a)
-    atoms = rng.poisson(theta * mass[-1] * levy_total(law, 1.0))
+    atoms = rng.poisson(theta * mass[-1] * law.total(1.0))
     first = np.searchsorted(mass, rng.random(atoms) * mass[-1], side="right")
     first = np.minimum(first, n - 1)  # u * mass[-1] may round up to mass[-1]
     # an integer lag is covered iff it is at most floor(reach), capped at 2^62

@@ -10,9 +10,9 @@ The Poisson and negative binomial pmfs follow first-order ratio recursions
 (Panjer's (a, b, 0) class): P(k+1)/P(k) = theta/(k+1) for Poisson and
 (theta+k) q/(k+1) for NB(theta, p), q = 1 - p.  Their ``log_pmf`` is the
 running sums of the log ratios anchored at the exact log P(0) =
--levy_total(law, theta), i.e. -theta and theta log p, and ``pmf`` its exp.
+-law.total(theta), i.e. -theta and theta log p, and ``pmf`` its exp.
 
-Every member is compound Poisson: Poisson(levy_total(law, theta)) jumps,
+Every member is compound Poisson: Poisson(law.total(theta)) jumps,
 each drawn by ``law.jumps(rng, size)`` from the normalised jump masses.
 
 Each law class owns its formulas for arguments already checked: ``levy``,
@@ -212,20 +212,6 @@ def _check_rho(rho):
             f"rho must lie strictly in (0,1), got {rho}; "
             "rho=0 is the iid case and rho=1 the constant case"
         )
-
-
-def levy_masses(law, theta, jmax):
-    """Jump masses (nu_1, ..., nu_jmax) of the scale-theta member."""
-    _check_nonneg("theta", theta)
-    if jmax < 1:
-        raise ValueError(f"jmax must be >= 1, got {jmax}")
-    return law.levy(theta, jmax)
-
-
-def levy_total(law, theta):
-    """Total jump mass of the scale-theta member (exact, no truncation)."""
-    _check_nonneg("theta", theta)
-    return law.total(theta)
 
 
 def pmf_from_levy(masses, total, kmax):

@@ -14,6 +14,7 @@ from _oracles import generator_residual
 
 import misti
 from misti.ctmc import (
+    EventPath,
     NBBD,
     PoissonBD,
     _uniformized_block,
@@ -22,7 +23,7 @@ from misti.ctmc import (
     stationary_bd,
     transition_uniformized,
 )
-from misti.discrete import branching_nb_transition_matrix, thinning_transition_matrix
+from misti.discrete import BranchingNB, branching_nb_transition_matrix, thinning_transition_matrix
 from misti.idlaw import NegBinomial, Poisson, id_pmf
 from misti.verify import chain_joint_pmf
 
@@ -63,8 +64,12 @@ def test_model_validation():
         lambda v: NBBD(v, 0.5, 1.0),
         lambda v: NBBD(1.0, v, 1.0),
         lambda v: NBBD(1.0, 0.5, v),
+        lambda v: BranchingNB(v, 0.5, 0.5),
+        lambda v: BranchingNB(1.0, v, 0.5),
     ],
-    ids=["poisson-theta", "poisson-lambda", "nb-alpha", "nb-p", "nb-lambda"],
+    ids=[
+        "poisson-theta", "poisson-lambda", "nb-alpha", "nb-p", "nb-lambda", "branching-nb-alpha", "branching-nb-p"
+    ],
 )
 def test_model_rejects_infinite_and_nan_parameters(build, bad):
     with pytest.raises(ValueError):
@@ -145,6 +150,16 @@ def test_gillespie_frozen_when_lambda_zero():
     assert np.array_equal(path.states, [4])
     assert path.at(9.99) == 4
 
+
+@pytest.mark.parametrize(
+    "times, states",
+    [([0.0, 2.0, 1.0], [1, 2, 3]), ([0.0, 1.0, 3.0], [1, 2, 3]), ([0.0, 1.0, 2.0], [1, -1, 0])],
+    ids=["unsorted-times", "time-at-horizon", "negative-state"],
+)
+def test_event_path_refuses_a_path_it_would_misread(times, states):
+    # at(1.5) would read 1 on the unsorted times: searchsorted needs sorted ones
+    with pytest.raises(ValueError):
+        EventPath(times, states, 3.0)
 
 
 def test_gillespie_rejects_an_infinite_horizon():

@@ -13,8 +13,6 @@ from misti.idlaw import (
     Poisson,
     id_pmf,
     id_sample,
-    levy_masses,
-    levy_total,
     pmf_from_levy,
     thinning_conditional,
 )
@@ -23,19 +21,19 @@ LAWS = [Poisson(), NegBinomial(0.5), NegBinomial(0.8), GenericLevy({1: 0.7, 3: 0
 
 
 def test_levy_masses_poisson():
-    assert np.allclose(levy_masses(Poisson(), 2.0, 3), [2.0, 0.0, 0.0])
+    assert np.allclose(Poisson().levy(2.0, 3), [2.0, 0.0, 0.0])
 
 
 def test_levy_masses_nb_geometric_over_j():
     # theta * q^j / j with q = 0.5
-    got = levy_masses(NegBinomial(0.5), 2.0, 3)
+    got = NegBinomial(0.5).levy(2.0, 3)
     assert np.allclose(got, [1.0, 0.25, 1.0 / 12.0], atol=0, rtol=1e-15)
 
 
 def test_levy_masses_generic_scales_with_theta():
     law = GenericLevy({1: 0.5, 2: 0.3})
-    assert np.allclose(levy_masses(law, 1.0, 2), [0.5, 0.3])
-    assert np.allclose(levy_masses(law, 2.5, 2), [1.25, 0.75])
+    assert np.allclose(law.levy(1.0, 2), [0.5, 0.3])
+    assert np.allclose(law.levy(2.5, 2), [1.25, 0.75])
 
 
 def test_generic_levy_rejects_missing_unit_mass():
@@ -90,7 +88,7 @@ def test_id_pmf_rejects_negative_bound():
 def test_closed_forms_agree_with_levy_recursion(law, theta):
     kmax = 30
     closed = id_pmf(law, theta, kmax)
-    recursed = pmf_from_levy(levy_masses(law, theta, kmax), levy_total(law, theta), kmax)
+    recursed = pmf_from_levy(law.levy(theta, kmax), law.total(theta), kmax)
     assert np.max(np.abs(closed - recursed)) <= 1e-12
 
 
@@ -114,7 +112,7 @@ def _dense_levy_recursion(masses, total, kmax):
 )
 def test_levy_recursion_over_the_nonzero_jumps_matches_the_dense_one(unit, rest, theta, kmax):
     law = GenericLevy({1: unit, **rest})
-    masses, total = levy_masses(law, theta, max(kmax, 1)), levy_total(law, theta)
+    masses, total = law.levy(theta, max(kmax, 1)), law.total(theta)
     want = _dense_levy_recursion(masses, total, kmax)
     got = pmf_from_levy(masses, total, kmax)
     assert np.all(np.abs(got - want) <= 1e-14 * want)
@@ -199,7 +197,7 @@ def test_keeper_draws_from_the_thinning_conditional(law):
 def test_jumps_follow_the_normalised_jump_masses(law):
     # jump sizes above 40 share the last bin; Poisson jumps are all ones
     draws = np.minimum(law.jumps(np.random.default_rng(19), 20000), 40)
-    masses = levy_masses(law, 1.0, 40) / levy_total(law, 1.0)
+    masses = law.levy(1.0, 40) / law.total(1.0)
     support = np.flatnonzero(masses > 0.0)
     assert np.all(masses[draws - 1] > 0.0)
     if support.size > 1:
@@ -211,7 +209,7 @@ def test_generic_levy_batched_draws_sum_their_own_jumps():
     law, theta = GenericLevy({1: 0.7, 3: 0.2}), 1.5
     got = id_sample(law, theta, np.random.default_rng(3), size=(40, 5))
     rng = np.random.default_rng(3)
-    counts = rng.poisson(levy_total(law, theta), (40, 5)).ravel()
+    counts = rng.poisson(law.total(theta), (40, 5)).ravel()
     jumps = law.jumps(rng, int(counts.sum()))
     stops = np.cumsum(counts)
     want = [int(jumps[stop - count : stop].sum()) for count, stop in zip(counts, stops)]

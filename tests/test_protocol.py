@@ -522,11 +522,10 @@ PUBLIC_API = (
     "RandomMeasure", "Thinning", "Trajectory", "VerifyReport", "autocorr_exact", "autocorr_mc",
     "bd_rates", "branching_nb_transition_matrix", "branching_step_nb", "cell_measures",
     "chain_joint_pmf", "check_markov_triple", "check_mvid", "check_reversibility",
-    "check_stationarity", "gillespie", "id_pmf", "id_sample", "levy_masses", "levy_total",
-    "misti_classify", "nb_random_measure_020", "nb_thinning_020", "pmf_from_levy",
-    "rm_joint_pmf", "rm_simulate", "simulate_chain", "simulate_thinning", "stationary_bd",
-    "thinning_conditional", "thinning_transition_matrix", "transition_uniformized",
-    "ts_from_joint_pmf", "ts_log",
+    "check_stationarity", "gillespie", "id_pmf", "id_sample", "misti_classify",
+    "nb_random_measure_020", "nb_thinning_020", "pmf_from_levy", "rm_joint_pmf", "rm_simulate",
+    "simulate_chain", "simulate_thinning", "stationary_bd", "thinning_conditional",
+    "thinning_transition_matrix", "transition_uniformized", "ts_from_joint_pmf", "ts_log",
 )
 
 

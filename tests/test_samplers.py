@@ -14,6 +14,7 @@ from _helpers import chi2_gof_pvalue, joint_gof_pvalue
 from scipy.stats import chi2_contingency
 
 from misti import discrete
+from misti.ctmc import NBBD, PoissonBD
 from misti.discrete import (
     BranchingNB,
     BranchingPoisson,
@@ -120,6 +121,8 @@ CHAINS = [
     BranchingNB(2.0, 0.5, 0.6),
     Thinning(LEVY, 1.0, 0.6),
     BranchingPoisson(2.0, 0.6),
+    NBBD(2.0, 0.5, 1.0),
+    PoissonBD(2.0, 1.0),
 ]
 
 

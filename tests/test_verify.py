@@ -23,7 +23,7 @@ from misti.discrete import (
     simulate_chain,
     thinning_transition_matrix,
 )
-from misti.idlaw import GenericLevy, NegBinomial, Poisson, id_pmf, levy_masses
+from misti.idlaw import GenericLevy, NegBinomial, Poisson, id_pmf
 from misti.tables import MAX_ENTRIES, stabilize
 from misti.series import graded_exp_log, graded_order, ts_from_joint_pmf
 from misti.verify import (
@@ -416,7 +416,7 @@ def test_mvid_univariate_log_coefficients_are_levy_masses():
         from misti.series import ts_from_joint_pmf, ts_log
 
         coeffs = ts_log(ts_from_joint_pmf(marg, 10))
-        want = levy_masses(law, theta, 10)
+        want = law.levy(theta, 10)
         assert np.max(np.abs(coeffs[1:] - want)) <= 1e-10
 
 
