@@ -9,18 +9,25 @@ it early, as ``misti simulate ... | head`` does; that exit prints nothing.
 Each setting is declared once, as a ``RunConfig`` field that states how its
 value parses, the commands that read it, its help, and its choices or that
 it is required.  Each subcommand's flags, the parsing of ``--config`` files
-and the checks of the merged settings all come from those fields.  A
-setting that the command (for ``simulate``, ``--process`` with its
-``--law``) does not read is refused: as a flag, since that subcommand does
-not define it, and from a config file whenever it differs from its
+and the checks of the merged settings all come from those fields.
+
+A process's settings are the fields of its spec class and those of its
+time axis: ``simulate`` builds the spec from the settings its fields name,
+and fills a ``law`` field with the law class that ``--law`` names, built
+from its own fields alike; ``classify`` reports the fields of the spec it
+finds.  A setting that the command (for ``simulate``, ``--process`` with
+its ``--law``) does not read is refused: as a flag, since that subcommand
+does not define it, and from a config file whenever it differs from its
 default, so a file written by ``--dump-config`` reads back; a file whose
-``command`` is another command is refused too.  ``--seed``,
-``--out`` and ``--format`` are on every command.
+``command`` is another command is refused too.  ``--seed``, ``--out`` and
+``--format`` are on every command.  Every output opens its stream in
+``_output``, and every CSV is written by ``_write_rows``.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import itertools
@@ -48,27 +55,26 @@ from .discrete import (
     simulate_chain,
 )
 from .idlaw import id_pmf
-from .verify import VerifyReport, _worst, chain_joint_pmf, check_markov_triple, check_mvid
+from .verify import chain_joint_pmf, check_coincidence, check_markov_triple, check_mvid
 
 # the settings of a time axis: ticks from t0, or an event path from x0 up to
 # a horizon; explicit --times replace the ticks
 TICKS, EVENTS = ("steps", "t0"), ("x0", "horizon")
-# process -> (spec class, takes a --law marginal, the settings that follow it,
-# the settings of its time axis)
+# process -> (spec class, the settings of its time axis); the settings that
+# build the spec are its fields
 PROCESSES = {
-    "thinning": (Thinning, True, ("rho",), TICKS),
-    "random-measure": (RandomMeasure, True, ("rho",), (*TICKS, "times")),
-    "branching-poisson": (BranchingPoisson, False, ("theta", "rho"), TICKS),
-    "branching-nb": (BranchingNB, False, ("alpha", "p", "rho"), TICKS),
-    "iid": (IID, True, (), TICKS),
-    "constant": (Constant, True, (), TICKS),
-    "ct-poisson-bd": (PoissonBD, False, ("theta", "lam"), EVENTS),
-    "ct-nb-bd": (NBBD, False, ("alpha", "p", "lam"), EVENTS),
+    "thinning": (Thinning, TICKS),
+    "random-measure": (RandomMeasure, (*TICKS, "times")),
+    "branching-poisson": (BranchingPoisson, TICKS),
+    "branching-nb": (BranchingNB, TICKS),
+    "iid": (IID, TICKS),
+    "constant": (Constant, TICKS),
+    "ct-poisson-bd": (PoissonBD, EVENTS),
+    "ct-nb-bd": (NBBD, EVENTS),
 }
-FAMILIES = {cls: name for name, (cls, *_) in PROCESSES.items()}
-CT_PROCESSES = tuple(name for name, (*_, axis) in PROCESSES.items() if axis == EVENTS)
-# --law -> (law class, the settings that build it); theta follows as the scale
-LAWS = {"poisson": (Poisson, ()), "nb": (NegBinomial, ("p",))}
+FAMILIES = {cls: name for name, (cls, _) in PROCESSES.items()}
+# --law -> the law class of a spec's ``law`` field, built from its own fields
+LAWS = {"poisson": Poisson, "nb": NegBinomial}
 
 
 def _mvid(degree, table):
@@ -80,7 +86,7 @@ def _markov(degree, table):
 
 
 def _coincide(degree, a, b):
-    return VerifyReport("tables-coincide-poisson", *_worst(np.abs(a.table - b.table)), 1e-10)
+    return check_coincidence(a, b)
 
 
 # suite -> rows (label, check, the specs whose (0, 1, 2) tables it reads, as a
@@ -119,12 +125,20 @@ COMMANDS = {
 SIM, VERIFY, ALL = ("simulate",), ("verify",), tuple(COMMANDS)
 
 
-def _grid_arg(raw):
-    return tuple(float(v) for v in raw.split(","))
+def _comma_separated(kind, what):
+    """The parser of a comma-separated list of ``kind`` values, as a tuple; a
+    malformed list is refused with a message that says what was expected."""
+
+    def parse(raw):
+        try:
+            return tuple(kind(v) for v in raw.split(","))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected comma-separated {what}, got {raw!r}") from None
+
+    return parse
 
 
-def _times_arg(raw):
-    return tuple(int(v) for v in raw.split(","))
+_integers, _numbers = _comma_separated(int, "integers"), _comma_separated(float, "numbers")
 
 
 def _setting(parse, commands, help=None, default=None, choices=None, required=False):
@@ -156,16 +170,16 @@ class RunConfig:
     t0: int = _setting(int, SIM, "first time index (default 0)", default=0)
     x0: int | None = _setting(int, SIM, "continuous-time initial state (default: stationary draw)")
     horizon: float | None = _setting(float, SIM, "continuous-time horizon")
-    times: tuple | None = _setting(_times_arg, SIM, "explicit comma-separated times (random-measure)")
+    times: tuple | None = _setting(_integers, SIM, "explicit comma-separated times (random-measure)")
     k: int = _setting(int, VERIFY, "lattice bound for exact tables (default 12)", default=12)
     degree: int = _setting(int, VERIFY, "total-degree bound for log-pgf scans (default 8)", default=8)
     seed: int = _setting(int, ALL, "RNG seed (default 0)", default=0)
     out: str = _setting(str, ALL, "output path, '-' for stdout (default)", default="-")
     format: str | None = _setting(str, ALL, "output format", choices=FORMATS)
     suite: str | None = _setting(str, VERIFY, "check suite to run", choices=tuple(SUITES), required=True)
-    theta_grid: tuple | None = _setting(_grid_arg, ("table",))
-    p_grid: tuple | None = _setting(_grid_arg, ("table",))
-    rho_grid: tuple | None = _setting(_grid_arg, ("table",))
+    theta_grid: tuple | None = _setting(_numbers, ("table",))
+    p_grid: tuple | None = _setting(_numbers, ("table",))
+    rho_grid: tuple | None = _setting(_numbers, ("table",))
     r0: float | None = _setting(float, ("classify",), "probability of no offspring", required=True)
     r1: float | None = _setting(float, ("classify",), "probability of one offspring", required=True)
     r2: float | None = _setting(float, ("classify",), "probability of two offspring", required=True)
@@ -261,10 +275,11 @@ def resolve_config(args):
     return cfg
 
 
-def _open_out(cfg):
+def _output(cfg):
+    """The stream of ``--out``: stdout, left open, or the file, closed on exit."""
     if cfg.out == "-":
-        return sys.stdout, False
-    return open(cfg.out, "w", encoding="utf-8", newline="\n"), True
+        return contextlib.nullcontext(sys.stdout)
+    return open(cfg.out, "w", encoding="utf-8", newline="\n")
 
 
 def _write_rows(cfg, header, columns, default_format="csv"):
@@ -275,8 +290,7 @@ def _write_rows(cfg, header, columns, default_format="csv"):
     fmt = cfg.format or default_format
     columns = [np.asarray(column) for column in columns]
     row = ",".join("%.17g" if column.dtype.kind == "f" else "%s" for column in columns) + "\n"
-    stream, owned = _open_out(cfg)
-    try:
+    with _output(cfg) as stream:
         if fmt == "csv":
             stream.write(",".join(header) + "\n")
         for start in range(0, len(columns[0]), _ROW_CHUNK):
@@ -286,33 +300,31 @@ def _write_rows(cfg, header, columns, default_format="csv"):
             else:
                 lines = (json.dumps(dict(zip(header, values))) for values in zip(*chunk))
                 stream.write("\n".join(lines) + "\n")
-    finally:
-        if owned:
-            stream.close()
 
 
 def _flag(name):
     return "--" + {"lam": "lambda"}.get(name, name).replace("_", "-")
 
 
-def _require(cfg, *names):
-    for name in names:
-        if getattr(cfg, name) is None:
-            raise ValueError(f"{_flag(name)} is required for this invocation")
+def _require(cfg, name):
+    """The value of a setting, refused when it is missing."""
+    value = getattr(cfg, name)
+    if value is None:
+        raise ValueError(f"{_flag(name)} is required for this invocation")
+    return value
 
 
-def _marginal_law(cfg):
-    _require(cfg, "law")
-    cls, names = LAWS[cfg.law]
-    _require(cfg, "theta", *names)
-    return cls(*(getattr(cfg, name) for name in names)), cfg.theta
+def _names(cls):
+    return [f.name for f in dataclasses.fields(cls)]
 
 
-def _build_spec(cfg):
-    cls, takes_law, names, _ = PROCESSES[cfg.process]
-    lead = _marginal_law(cfg) if takes_law else ()
-    _require(cfg, *names)
-    return cls(*lead, *(getattr(cfg, name) for name in names))
+def _build(cfg, cls):
+    """The spec or law class ``cls`` built from the settings its fields name;
+    a ``law`` field holds the law class that ``--law`` names, built alike."""
+    values = {name: _require(cfg, name) for name in _names(cls)}
+    if "law" in values:
+        values["law"] = _build(cfg, LAWS[cfg.law])
+    return cls(**values)
 
 
 def _refuse_unread(cfg):
@@ -321,13 +333,12 @@ def _refuse_unread(cfg):
     ``--law``, or with every law when none is given) does not read."""
     unread = {f.name: cfg.command for f in SETTINGS if cfg.command not in f.metadata["commands"]}
     if cfg.command == "simulate":
-        _, takes_law, names, axis = PROCESSES[cfg.process]
+        cls, axis = PROCESSES[cfg.process]
         if cfg.times is not None and "times" in axis:
             axis = ("times",)
-        read = {"process", *names, *axis}
-        if takes_law:
-            laws = [LAWS[cfg.law]] if cfg.law else LAWS.values()
-            read |= {"law", "theta", *(name for _, law_names in laws for name in law_names)}
+        read = {"process", *_names(cls), *axis}
+        if "law" in read:
+            read.update(*map(_names, [LAWS[cfg.law]] if cfg.law else LAWS.values()))
         for f in SETTINGS:
             if f.name not in read and f.metadata["commands"] != ALL:
                 unread.setdefault(f.name, f"--process {cfg.process}")
@@ -337,19 +348,19 @@ def _refuse_unread(cfg):
 
 
 def cmd_simulate(cfg):
-    spec = _build_spec(cfg)
+    cls, axis = PROCESSES[cfg.process]
+    spec = _build(cfg, cls)
     rng = np.random.default_rng(cfg.seed)
-    if cfg.process in CT_PROCESSES:
-        _require(cfg, "horizon")
+    if axis == EVENTS:
+        horizon = _require(cfg, "horizon")
         x0 = cfg.x0 if cfg.x0 is not None else spec.stationary_draw(rng)
-        path = gillespie(spec, x0, cfg.horizon, rng)
+        path = gillespie(spec, x0, horizon, rng)
         _write_rows(cfg, ("time", "state"), (path.times, path.states))
         return 0
     if cfg.times is not None:  # only the random measure reads --times
         columns = (cfg.times, rm_simulate(spec.law, spec.theta, spec.rho, cfg.times, rng))
     else:
-        _require(cfg, "steps")
-        if cfg.steps < 1:
+        if _require(cfg, "steps") < 1:
             raise ValueError("--steps must be >= 1")
         traj = simulate_chain(spec, cfg.t0, cfg.steps, rng)
         columns = (np.arange(traj.t0, traj.t0 + len(traj)), traj.values)
@@ -394,41 +405,30 @@ def _suite_checks(cfg):
 
 
 def cmd_verify(cfg):
-    checks = _suite_checks(cfg)
-    fmt = cfg.format or "jsonl"
-    stream, owned = _open_out(cfg)
-    all_matched = True
-    try:
-        if fmt == "csv":
-            stream.write("name,violation,witness,tolerance,pass,expected_pass,matched\n")
-        for label, report, expected in checks:
-            matched = report.passed == expected
-            all_matched &= matched
-            if fmt == "jsonl":
-                payload = json.loads(report.to_json())
-                payload["name"] = label
-                payload["expected_pass"] = expected
-                payload["matched"] = matched
+    """One row per check of the suite: a CSV row of ``_write_rows``, or the
+    report's JSON object with its label, polarity and match."""
+    rows = [(label, report, expected, report.passed == expected) for label, report, expected in _suite_checks(cfg)]
+    if cfg.format == "csv":
+        header = ("name", "violation", "witness", "tolerance", "pass", "expected_pass", "matched")
+        cells = [
+            (label, r.violation, ";".join(map(str, r.witness or ())), r.tolerance, r.passed, expected, matched)
+            for label, r, expected, matched in rows
+        ]
+        _write_rows(cfg, header, tuple(zip(*cells)))
+    else:
+        with _output(cfg) as stream:
+            for label, report, expected, matched in rows:
+                payload = {**json.loads(report.to_json()), "name": label, "expected_pass": expected, "matched": matched}
                 stream.write(json.dumps(payload) + "\n")
-            else:
-                witness = "" if report.witness is None else ";".join(map(str, report.witness))
-                stream.write(
-                    f"{label},{_fmt(report.violation)},{witness},"
-                    f"{_fmt(report.tolerance)},{report.passed},{expected},{matched}\n"
-                )
-    finally:
-        if owned:
-            stream.close()
-    return 0 if all_matched else 1
+    return 0 if all(matched for *_, matched in rows) else 1
 
 
 def cmd_classify(cfg):
     spec = misti_classify(cfg.r0, cfg.r1, cfg.r2, cfg.theta1)
-    family = FAMILIES[type(spec)]
-    _, takes_law, names, _ = PROCESSES[family]
+    names = _names(type(spec))
     # a degenerate family's law is the canonical Poisson of mean theta1
-    fields = {"theta1": spec.theta} if takes_law else {name: getattr(spec, name) for name in names}
-    columns = [[value] for value in (family, *fields.values())]
+    fields = {"theta1": spec.theta} if "law" in names else {name: getattr(spec, name) for name in names}
+    columns = [[value] for value in (FAMILIES[type(spec)], *fields.values())]
     _write_rows(cfg, ("family", *fields), columns, default_format="jsonl")
     return 0
 
@@ -464,7 +464,7 @@ def main(argv=None):
         # so the flush at exit cannot raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, argparse.ArgumentTypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -103,6 +103,15 @@ def check_reversibility(spec, kmax):
     return VerifyReport("reversibility", *_worst(np.abs(table.table - reflected)), 1e-10)
 
 
+def check_coincidence(a, b):
+    """Entrywise agreement of two joint tables over the same times and lattice
+    (tolerance 1e-10), such as the Poisson thinning chain's and the Poisson
+    random measure's."""
+    if a.times != b.times or a.k != b.k:
+        raise ValueError(f"tables differ in times or lattice: {a.times} on {{0..{a.k}}}, {b.times} on {{0..{b.k}}}")
+    return VerifyReport("coincidence", *_worst(np.abs(a.table - b.table)), 1e-10)
+
+
 def check_markov_triple(j3):
     """Conditional independence of the outer times given the middle one.
 

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import time
@@ -251,6 +252,15 @@ STDOUT_DIGESTS = {
     "table --format jsonl": "13706617f161a220",
     "classify --r0 0.5 --r1 0.4 --r2 0.08 --theta1 0.4": "a2dba65d640a230c",
     "classify --r0 0.5 --r1 0.4 --r2 0.08 --theta1 0.4 --format csv": "2b22b2c62dc092c3",
+    "classify --r0 0.3 --r1 0.7 --r2 0 --theta1 1.1": "fb14d5c1b2e360bb",
+    "classify --r0 0 --r1 1 --r2 0 --theta1 1.5": "125317d4cd9919da",
+    "classify --r0 1 --r1 0 --r2 0 --theta1 1.5": "1c27b47d19719cd8",
+    "verify --suite theorem2": "e5848dc1cf0acd08",
+    "verify --suite theorem2 --format csv": "d9b08691060714e3",
+    "verify --suite theorem3": "cd500dc82abbb7a0",
+    "verify --suite theorem3 --format csv": "8fac8d71dae0b70c",
+    "verify --suite poisson-coincidence": "2741bb0d78740c68",
+    "verify --suite poisson-coincidence --format csv": "9cb70185a38a8d1a",
 }
 
 
@@ -260,6 +270,23 @@ def test_stdout_bytes_are_unchanged(capsys, argv):
     assert run([*argv.split(), *steps]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest[:16] == STDOUT_DIGESTS[argv]
+
+
+# the same for the runs that take no --steps: event paths up to a horizon,
+# and the random measure at explicit times
+UNSTEPPED_DIGESTS = {
+    "simulate --process ct-nb-bd --alpha 1 --p 0.5 --lambda 0.7 --horizon 50 --seed 3": "6f3a8fe246249713",
+    "simulate --process ct-poisson-bd --theta 2 --lambda 0.7 --horizon 50 --seed 3": "a4f8dd923ee42754",
+    "simulate --process random-measure --law poisson --theta 1 --rho 0.5 --times 0,2,5 --seed 9": "343b10e479ffc178",
+    "simulate --process random-measure --law nb --theta 2 --p 0.5 --rho 0.6 --times 0,2,5 --seed 9": "3a0afbf769c31fec",
+}
+
+
+@pytest.mark.parametrize("argv", UNSTEPPED_DIGESTS)
+def test_unstepped_stdout_bytes_are_unchanged(capsys, argv):
+    assert run(argv.split()) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest[:16] == UNSTEPPED_DIGESTS[argv]
 
 
 def test_table_grid_point(tmp_path):
@@ -507,6 +534,47 @@ def test_config_value_outside_choices_rejected(tmp_path, capsys, command, text, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("# a comment\nprocess thinning\n", "config line 2 is not `key = value`: 'process thinning'"),
+        ("proces = thinning\n", "unknown config key 'proces' on line 1"),
+    ],
+    ids=["no-equals-sign", "unknown-key"],
+)
+def test_config_lines_that_are_not_settings_are_refused(text, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        parse_config_lines(text)
+
+
+@pytest.mark.parametrize(
+    "argv, key, value, expected",
+    [
+        (
+            ["simulate", "--process", "random-measure", "--law", "poisson", "--theta", "1", "--rho", "0.5"],
+            "times",
+            "0,1.5",
+            "comma-separated integers",
+        ),
+        (["table"], "theta_grid", "1,x", "comma-separated numbers"),
+        (["table"], "rho_grid", "0.5,", "comma-separated numbers"),
+    ],
+    ids=["times", "theta-grid", "rho-grid"],
+)
+def test_a_malformed_list_names_what_it_expects(tmp_path, capsys, argv, key, value, expected):
+    # as a flag, argparse names the flag; from a config file, main reports it
+    out = tmp_path / "out.txt"
+    assert run([*argv, "--" + key.replace("_", "-"), value, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"argument --{key.replace('_', '-')}: expected {expected}, got {value!r}" in err
+    assert "_arg" not in err
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(f"{key} = {value}\n")
+    assert run([*argv, "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: expected {expected}, got {value!r}\n"
+    assert not out.exists()
+
+
 def test_config_unknown_key_rejected(tmp_path):
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text("proces = thinning\n")
@@ -585,6 +653,21 @@ def test_every_setting_is_declared_on_its_field():
     for f in dataclasses.fields(RunConfig)[1:]:
         assert callable(f.metadata["parse"]), f.name
         assert f.metadata["commands"] and set(f.metadata["commands"]) <= set(COMMANDS), f.name
+
+
+def test_every_spec_and_law_field_is_a_simulate_setting():
+    # simulate builds each process and law from its dataclass fields, so a
+    # field with no setting would fail a user's run, not this test
+    classes = [cls for cls, _ in misti.cli.PROCESSES.values()] + list(misti.cli.LAWS.values())
+    fields = {field.name for cls in classes for field in dataclasses.fields(cls)}
+    settings = {f.name: f for f in dataclasses.fields(RunConfig)}
+    for name in fields:
+        assert name in settings and "simulate" in settings[name].metadata["commands"], name
+    # the axis settings too, and together they are every setting simulate reads
+    axes = {name for _, axis in misti.cli.PROCESSES.values() for name in axis}
+    assert {"law", "theta", "rho", "alpha", "p", "lam"} <= fields
+    simulate = {name for name, f in settings.items() if "simulate" in f.metadata.get("commands", ())}
+    assert simulate - fields - axes == {"process", "seed", "out", "format"}
 
 
 def test_each_subcommand_defines_the_flags_of_its_settings_alone():

@@ -153,8 +153,14 @@ def test_gillespie_frozen_when_lambda_zero():
 
 @pytest.mark.parametrize(
     "times, states",
-    [([0.0, 2.0, 1.0], [1, 2, 3]), ([0.0, 1.0, 3.0], [1, 2, 3]), ([0.0, 1.0, 2.0], [1, -1, 0])],
-    ids=["unsorted-times", "time-at-horizon", "negative-state"],
+    [
+        ([0.0, 2.0, 1.0], [1, 2, 3]),
+        ([0.0, 1.0, 3.0], [1, 2, 3]),
+        ([0.0, 1.0, 2.0], [1, -1, 0]),
+        ([0.0, 1.0], [1]),
+        ([], []),
+    ],
+    ids=["unsorted-times", "time-at-horizon", "negative-state", "ragged-path", "empty-path"],
 )
 def test_event_path_refuses_a_path_it_would_misread(times, states):
     # at(1.5) would read 1 on the unsorted times: searchsorted needs sorted ones
@@ -436,3 +442,23 @@ def test_stationary_draw_follows_the_marginal(model):
     draws = [model.stationary_draw(rng) for _ in range(20000)]
     assert all(type(x) is int for x in draws[:10])
     assert chi2_gof_pvalue(draws, model.marginal(40)) > 0.001
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: bd_rates(PoissonBD(1.0, 1.0), -1), "state must be a nonnegative integer"),
+        (lambda: bd_rates(PoissonBD(1.0, 1.0), 1.5), "state must be a nonnegative integer"),
+        (lambda: EventPath([0.5, 1.0], [1, 2], 2.0).at(0.25), "outside the simulated window"),
+        (lambda: EventPath([0.5, 1.0], [1, 2], 2.0).at([1.0, 2.5]), "outside the simulated window"),
+        (lambda: gillespie(PoissonBD(1.0, 1.0), 1.5, 5.0, np.random.default_rng(0)), "initial state must be"),
+        (lambda: stationary_bd(NBBD(2.0, 0.5, 1.0), -1), "kmax must be >= 0"),
+    ],
+    ids=[
+        "negative-rate-state", "fractional-rate-state", "query-before-start",
+        "query-past-horizon", "fractional-start", "negative-kmax",
+    ],
+)
+def test_ctmc_refuses_malformed_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

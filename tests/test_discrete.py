@@ -791,3 +791,21 @@ def test_branching_nb_matrix_binomial_weights(p, rho):
     scipy_sum_error = np.abs(with_scipy.sum(axis=1) - exact.sum(axis=1)).max()
     assert np.abs(got - with_scipy).max() <= 1e-15 + scipy_error
     assert np.abs(got.sum(axis=1) - with_scipy.sum(axis=1)).max() <= 1e-15 + scipy_sum_error
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: discrete.Trajectory(0, []), "nonempty 1-d integer sequence"),
+        (lambda: discrete.Trajectory(0, [[1, 2]]), "nonempty 1-d integer sequence"),
+        # IID's own sampler does not check n, so only simulate_chain names the count
+        (lambda: simulate_chain(IID(Poisson(), 1.0), 0, 0, np.random.default_rng(0)), "at least one step, got 0"),
+        (lambda: misti_classify(0.7, 0.5, 0.0, 1.0), r"r0 \+ r1 must be <= 1"),
+        (lambda: misti_classify(0.5, 0.0, 0.0, 1.0), "r1 = 0 requires r0 = 1"),
+        (lambda: misti_classify(1.0, 0.0, 0.2, 1.0), "r1 = 0 requires r0 = 1"),
+    ],
+    ids=["empty-values", "2d-values", "no-steps", "r0-plus-r1", "iid-with-r0", "iid-with-r2"],
+)
+def test_discrete_refuses_malformed_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -11,6 +11,7 @@ from misti.idlaw import (
     GenericLevy,
     NegBinomial,
     Poisson,
+    _split_cdf,
     id_pmf,
     id_sample,
     pmf_from_levy,
@@ -271,3 +272,23 @@ def test_id_pmf_matches_40_digit_values(law, theta, bound):
     kmax = int(mean + 12.0 * math.sqrt(var)) + 40
     err = np.max(np.abs(id_pmf(law, theta, kmax) - _pmf_40_digits(law, theta, kmax)))
     assert err <= bound
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: pmf_from_levy([1.0], 1.0, -1), "kmax must be >= 0"),
+        (lambda: thinning_conditional(Poisson(), 1.0, 0.5, -1), "nonnegative integer, got -1"),
+        (lambda: thinning_conditional(Poisson(), 1.0, 0.5, 1.5), "nonnegative integer, got 1.5"),
+        # at theta = 0 every state above 0 has probability 0
+        pytest.param(
+            lambda: _split_cdf(Poisson(), 0.0, 0.5)(1),
+            "state 1 has zero probability",
+            marks=pytest.mark.filterwarnings("ignore:divide by zero"),
+        ),
+    ],
+    ids=["negative-kmax", "negative-state", "fractional-state", "zero-probability-row"],
+)
+def test_idlaw_refuses_malformed_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

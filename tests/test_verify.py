@@ -24,7 +24,7 @@ from misti.discrete import (
     thinning_transition_matrix,
 )
 from misti.idlaw import GenericLevy, NegBinomial, Poisson, id_pmf
-from misti.tables import MAX_ENTRIES, stabilize
+from misti.tables import MAX_ENTRIES, JointPMF, increasing_times, stabilize
 from misti.series import graded_exp_log, graded_order, ts_from_joint_pmf
 from misti.verify import (
     VerifyReport,
@@ -32,6 +32,7 @@ from misti.verify import (
     autocorr_exact,
     autocorr_mc,
     chain_joint_pmf,
+    check_coincidence,
     check_markov_triple,
     check_mvid,
     check_reversibility,
@@ -551,3 +552,55 @@ def test_reports_reproducible():
     a = check_mvid(chain_joint_pmf(Thinning(NB, 1.0, 0.5), (0, 1, 2), 12), 8)
     b = check_mvid(chain_joint_pmf(Thinning(NB, 1.0, 0.5), (0, 1, 2), 12), 8)
     assert a == b
+
+
+def _pair_table(table):
+    return JointPMF((0, 1), len(table) - 1, np.array(table))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: increasing_times(()), "need at least one time"),
+        (lambda: JointPMF((0, 1), 2, np.zeros((3, 2))), r"table must have shape \(3, 3\)"),
+        (lambda: JointPMF((0,), 1, np.array([0.5, -0.1])), "negative table entry"),
+        (lambda: stabilize(lambda k: (np.zeros(k + 1), 0.0), -1, 1e-9), "kmax must be >= 0"),
+    ],
+    ids=["no-times", "wrong-shape", "negative-entry", "negative-kmax"],
+)
+def test_tables_refuse_malformed_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: check_stationarity(Thinning(NB, 1.0, 0.5), 0, 8), "window must be >= 1, got 0"),
+        (lambda: check_mvid(_pair_table([[0.0, 0.5], [0.25, 0.25]]), 1), "no mass at the origin"),
+        (lambda: check_mvid(_pair_table([[0.5, 0.25], [0.25, 0.0]]), 0), "maxdeg must be >= 1, got 0"),
+        (lambda: autocorr_mc(np.array([3, 3, 3, 3]), 1), "degenerate variance"),
+        (lambda: autocorr_mc(np.array([1, 3, 3, 3]), 1), "degenerate variance"),
+    ],
+    ids=["empty-window", "no-origin-mass", "degree-zero", "constant-path", "constant-tail"],
+)
+def test_verify_refuses_malformed_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_autocorrelation_at_lag_zero_is_one():
+    # no pair table at equal times: (0, 0) does not strictly increase
+    assert autocorr_exact(Thinning(NB, 1.0, 0.5), 0, 8) == 1.0
+
+
+def test_coincidence_compares_tables_over_the_same_times_and_lattice():
+    thinning, rm = Thinning(Poisson(), 1.0, 0.5), RandomMeasure(Poisson(), 1.0, 0.5)
+    report = check_coincidence(chain_joint_pmf(thinning, (0, 1, 2), 10), chain_joint_pmf(rm, (0, 1, 2), 10))
+    assert report.passed and report.violation < 1e-15 and report.tolerance == 1e-10
+    nb = chain_joint_pmf(Thinning(NB, 1.0, 0.5), (0, 1, 2), 10)
+    failing = check_coincidence(nb, chain_joint_pmf(thinning, (0, 1, 2), 10))
+    assert not failing.passed and len(failing.witness) == 3
+    for other in (chain_joint_pmf(thinning, (0, 1, 3), 10), chain_joint_pmf(thinning, (0, 1, 2), 9)):
+        with pytest.raises(ValueError, match="tables differ in times or lattice"):
+            check_coincidence(nb, other)
