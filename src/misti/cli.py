@@ -125,20 +125,22 @@ COMMANDS = {
 SIM, VERIFY, ALL = ("simulate",), ("verify",), tuple(COMMANDS)
 
 
-def _comma_separated(kind, what):
-    """The parser of a comma-separated list of ``kind`` values, as a tuple; a
-    malformed list is refused with a message that says what was expected."""
+def _expecting(what, convert):
+    """The parser of a setting's value: ``convert``, whose refusal of a value
+    says what was expected."""
 
     def parse(raw):
         try:
-            return tuple(kind(v) for v in raw.split(","))
+            return convert(raw)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"expected comma-separated {what}, got {raw!r}") from None
+            raise argparse.ArgumentTypeError(f"expected {what}, got {raw!r}") from None
 
     return parse
 
 
-_integers, _numbers = _comma_separated(int, "integers"), _comma_separated(float, "numbers")
+_int, _float = _expecting("an integer", int), _expecting("a number", float)
+_integers = _expecting("comma-separated integers", lambda raw: tuple(int(v) for v in raw.split(",")))
+_numbers = _expecting("comma-separated numbers", lambda raw: tuple(float(v) for v in raw.split(",")))
 
 
 def _setting(parse, commands, help=None, default=None, choices=None, required=False):
@@ -161,29 +163,29 @@ class RunConfig:
     command: str
     process: str | None = _setting(str, SIM, "process to simulate", choices=tuple(PROCESSES), required=True)
     law: str | None = _setting(str, SIM, "marginal family for thinning/random-measure/iid/constant", choices=tuple(LAWS))
-    theta: float | None = _setting(float, ("simulate", "verify"))
-    alpha: float | None = _setting(float, SIM)
-    p: float | None = _setting(float, ("simulate", "verify"))
-    rho: float | None = _setting(float, ("simulate", "verify"))
-    lam: float | None = _setting(float, SIM, "continuous-time rate scale")
-    steps: int | None = _setting(int, SIM, "number of discrete ticks")
-    t0: int = _setting(int, SIM, "first time index (default 0)", default=0)
-    x0: int | None = _setting(int, SIM, "continuous-time initial state (default: stationary draw)")
-    horizon: float | None = _setting(float, SIM, "continuous-time horizon")
+    theta: float | None = _setting(_float, ("simulate", "verify"))
+    alpha: float | None = _setting(_float, SIM)
+    p: float | None = _setting(_float, ("simulate", "verify"))
+    rho: float | None = _setting(_float, ("simulate", "verify"))
+    lam: float | None = _setting(_float, SIM, "continuous-time rate scale")
+    steps: int | None = _setting(_int, SIM, "number of discrete ticks")
+    t0: int = _setting(_int, SIM, "first time index (default 0)", default=0)
+    x0: int | None = _setting(_int, SIM, "continuous-time initial state (default: stationary draw)")
+    horizon: float | None = _setting(_float, SIM, "continuous-time horizon")
     times: tuple | None = _setting(_integers, SIM, "explicit comma-separated times (random-measure)")
-    k: int = _setting(int, VERIFY, "lattice bound for exact tables (default 12)", default=12)
-    degree: int = _setting(int, VERIFY, "total-degree bound for log-pgf scans (default 8)", default=8)
-    seed: int = _setting(int, ALL, "RNG seed (default 0)", default=0)
+    k: int = _setting(_int, VERIFY, "lattice bound for exact tables (default 12)", default=12)
+    degree: int = _setting(_int, VERIFY, "total-degree bound for log-pgf scans (default 8)", default=8)
+    seed: int = _setting(_int, ALL, "RNG seed (default 0)", default=0)
     out: str = _setting(str, ALL, "output path, '-' for stdout (default)", default="-")
     format: str | None = _setting(str, ALL, "output format", choices=FORMATS)
     suite: str | None = _setting(str, VERIFY, "check suite to run", choices=tuple(SUITES), required=True)
     theta_grid: tuple | None = _setting(_numbers, ("table",))
     p_grid: tuple | None = _setting(_numbers, ("table",))
     rho_grid: tuple | None = _setting(_numbers, ("table",))
-    r0: float | None = _setting(float, ("classify",), "probability of no offspring", required=True)
-    r1: float | None = _setting(float, ("classify",), "probability of one offspring", required=True)
-    r2: float | None = _setting(float, ("classify",), "probability of two offspring", required=True)
-    theta1: float | None = _setting(float, ("classify",), "unit jump mass of the marginal", required=True)
+    r0: float | None = _setting(_float, ("classify",), "probability of no offspring", required=True)
+    r1: float | None = _setting(_float, ("classify",), "probability of one offspring", required=True)
+    r2: float | None = _setting(_float, ("classify",), "probability of two offspring", required=True)
+    theta1: float | None = _setting(_float, ("classify",), "unit jump mass of the marginal", required=True)
 
     def dump(self):
         lines = []
@@ -226,7 +228,10 @@ def parse_config_lines(text):
         key, raw = key.strip(), raw.strip()
         if key not in FIELDS:
             raise ValueError(f"unknown config key {key!r} on line {lineno}")
-        out[key] = FIELDS[key].metadata.get("parse", str)(raw)
+        try:
+            out[key] = FIELDS[key].metadata.get("parse", str)(raw)
+        except argparse.ArgumentTypeError as exc:
+            raise ValueError(f"config line {lineno}: {key}: {exc}") from None
     return out
 
 

@@ -462,12 +462,14 @@ class Trajectory:
 # thinning construction
 # ---------------------------------------------------------------------------
 
-def _additions_matrix(additions, n):
-    """The n x n matrix of entries additions[s, y - s] for y >= s and 0 below
-    the diagonal: the law of s plus a draw from the pmf additions[s] (one row
-    per s, or one pmf for every s, which makes it Toeplitz)."""
-    lag = np.arange(n) - np.arange(n)[:, None]  # y - s
-    added = np.broadcast_to(additions, (n, n))[np.arange(n)[:, None], np.maximum(lag, 0)]
+def _additions_matrix(additions, n, rows=None):
+    """Rows 0..rows - 1 (all n by default) of the n x n matrix of entries
+    additions[s, y - s] for y >= s and 0 below the diagonal: the law of s plus
+    a draw from the pmf additions[s] (one row per s, or one pmf for every s,
+    which makes it Toeplitz)."""
+    s = np.arange(n if rows is None else rows)[:, None]
+    lag = np.arange(n) - s  # y - s
+    added = np.broadcast_to(additions, (n, n))[s, np.maximum(lag, 0)]
     return np.where(lag >= 0, added, 0.0)
 
 
@@ -647,45 +649,52 @@ def rm_simulate(law, theta, rho, times, rng):
 def rm_joint_pmf(law, theta, rho, times, kmax):
     """Exact joint table of the random-measure process on {0..kmax}^n.
 
-    Convolves the independent cell variables into the joint lattice; cell
-    values above kmax can only land outside the lattice, so the restricted
-    table is exact and the remainder is reported as leaked mass.  A cell of
-    one time i adds its value to axis i alone: that convolution is one
-    product of the table, along axis i, with the triangular Toeplitz matrix
-    of the cell's pmf.  A cell of times i..j adds the same value to each of
-    those axes, one shifted slice of the table per value.
+    Convolves the independent cell variables into the joint lattice.  Every
+    value only grows, so cutting values above kmax at each step loses
+    nothing: the restricted table is exact and the remainder is reported as
+    leaked mass.
 
-    The table starts as the point mass at 0 on a box of one entry, and a
-    cell grows its axes to length kmax + 1, so the box holds only entries
-    that can be nonzero.  The cells are taken by their last time j; within
-    one j, those of several times by increasing span, then the cell of j
-    alone.  Axis j keeps length 1 until a cell ending at j reaches it, so
-    the cells ending at time j work on a box of (kmax + 1)^(j + 1) entries,
-    and only those ending at the last time read the full box: about
-    n (kmax + 1)^(n + 1) products in all, where n(n+1)/2 cells on the full
-    box would take n(n+1)/2 (kmax + 1)^(n + 1).  A table of more than
+    The table starts as the point mass at 0 on a box of one entry, and the
+    times join it one at a time.  The cells of time j go by their first time
+    i = 0..j, so the cell of j alone comes last.  Each multiplies the table
+    along axis j by the triangular Toeplitz matrix of the cell's pmf; axes
+    past j still have length 1, so that is one contiguous matrix product.
+    After the cell (i, j), i < j, axis j holds the sum s of the cells
+    (0..i, j), which are the cells of time j that cover time i, and the shear
+    out[..., x, ..., s] = table[..., x - s, ..., s] (0 where x < s) adds s
+    to axis i once.
+
+    Per time j that is j + 1 products, the first on a new axis of length 1
+    and the other j on the full box of (kmax + 1)^(j + 1) entries, and j
+    shears: about (n - 1) (kmax + 1)^(n + 1) multiply-adds in all, where the
+    n(n+1)/2 cells on the full box would take n(n+1)/2 (kmax + 1)^(n + 1).
+    The build holds at most two tables at once.  A table of more than
     ``MAX_ENTRIES`` entries raises before anything is built.
     """
     if kmax < 0:
         raise ValueError(f"kmax must be >= 0, got {kmax}")
     times = table_times(times, kmax)
     cells = cell_measures(times, theta, rho)
-    n = len(times)
-    table = np.ones((1,) * n)
-    for i, j in sorted(cells, key=lambda c: (c[1], c[0] == c[1], c[1] - c[0])):
-        pmf = id_pmf(law, cells[i, j], kmax)
-        if i == j:
-            toeplitz = _additions_matrix(pmf, kmax + 1)[: table.shape[i]]
-            table = np.moveaxis(np.moveaxis(table, i, -1) @ toeplitz, -1, i)
-            continue
-        span = range(i, j + 1)
-        new = np.zeros([kmax + 1 if ax in span else size for ax, size in enumerate(table.shape)])
-        for v in np.flatnonzero(pmf).tolist():
-            dst = tuple(slice(v, v + table.shape[ax]) if ax in span else slice(None) for ax in range(n))
-            src = tuple(slice(0, kmax + 1 - v) if ax in span else slice(None) for ax in range(n))
-            new[dst] += pmf[v] * table[src]
-        table = new
+    size = kmax + 1
+    table = np.ones((1,) * len(times))
+    for j in range(len(times)):
+        for i in range(j + 1):
+            toeplitz = _additions_matrix(id_pmf(law, cells[i, j], kmax), size, rows=table.shape[j])
+            table = (table.reshape(-1, len(toeplitz)) @ toeplitz).reshape((size,) * (j + 1) + table.shape[j + 1 :])
+            if i < j:
+                table = _shear(table, i, size)
     return JointPMF(times, kmax, table)
+
+
+def _shear(table, i, size):
+    """out[..., x, ..., s] = table[..., x - s, ..., s], and 0 where x < s, for
+    x on axis i and s on the last axis longer than 1, of a table whose axes
+    up to that one have length ``size``."""
+    box = table.reshape(size**i, size, -1, size)
+    out = np.zeros_like(box)
+    for s in range(size):
+        out[:, s:, :, s] = box[:, : size - s, :, s]
+    return out.reshape(table.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -99,8 +99,9 @@ CERTIFIED_TOL = 1e-13
 # largest joint table: 2**23 float64 entries are 64 MB, so lattices stop
 # below 2896 states.  A block's build holds a few such arrays at once (the
 # Toeplitz block of a random-measure cell also holds its int64 index
-# arrays): the largest tables peak at about 360 MB RSS, 2 times at k = 2895
-# for the NB random measure, 290 MB for NB thinning
+# arrays): the largest tables peak at about 295 MB RSS, 2 times at k = 2895
+# for the NB random measure or for NB thinning, and 195 MB for the NB random
+# measure at 3 times and k = 202
 MAX_ENTRIES = 2**23
 # the largest lattice bound whose dense block stays within MAX_ENTRIES
 MAX_LATTICE = math.isqrt(MAX_ENTRIES) - 1

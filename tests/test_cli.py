@@ -248,7 +248,7 @@ STDOUT_DIGESTS = {
     "simulate --process iid --law poisson --theta 2 --seed 12": "b79e2797417135b7",
     "simulate --process constant --law nb --theta 1 --p 0.5 --seed 11": "db566f84fc877b99",
     "simulate --process constant --law nb --theta 1 --p 0.5 --seed 12": "901d6bc9ff2519c5",
-    "table --theta-grid 0.5,1,2 --p-grid 0.3,0.5,0.7 --rho-grid 0.2,0.5,0.8": "9cf653298f236c14",
+    "table --theta-grid 0.5,1,2 --p-grid 0.3,0.5,0.7 --rho-grid 0.2,0.5,0.8": "8c510e909a788e71",
     "table --format jsonl": "13706617f161a220",
     "classify --r0 0.5 --r1 0.4 --r2 0.08 --theta1 0.4": "a2dba65d640a230c",
     "classify --r0 0.5 --r1 0.4 --r2 0.08 --theta1 0.4 --format csv": "2b22b2c62dc092c3",
@@ -257,8 +257,8 @@ STDOUT_DIGESTS = {
     "classify --r0 1 --r1 0 --r2 0 --theta1 1.5": "1c27b47d19719cd8",
     "verify --suite theorem2": "e5848dc1cf0acd08",
     "verify --suite theorem2 --format csv": "d9b08691060714e3",
-    "verify --suite theorem3": "cd500dc82abbb7a0",
-    "verify --suite theorem3 --format csv": "8fac8d71dae0b70c",
+    "verify --suite theorem3": "109228f4ba0b31a4",
+    "verify --suite theorem3 --format csv": "d07ba95b51939bdf",
     "verify --suite poisson-coincidence": "2741bb0d78740c68",
     "verify --suite poisson-coincidence --format csv": "9cb70185a38a8d1a",
 }
@@ -558,11 +558,13 @@ def test_config_lines_that_are_not_settings_are_refused(text, message):
         ),
         (["table"], "theta_grid", "1,x", "comma-separated numbers"),
         (["table"], "rho_grid", "0.5,", "comma-separated numbers"),
+        (["simulate", "--process", "thinning", "--law", "poisson", "--rho", "0.5"], "steps", "x", "an integer"),
+        (["simulate", "--process", "thinning", "--law", "poisson", "--rho", "0.5"], "theta", "1e", "a number"),
     ],
-    ids=["times", "theta-grid", "rho-grid"],
+    ids=["times", "theta-grid", "rho-grid", "steps", "theta"],
 )
 def test_a_malformed_list_names_what_it_expects(tmp_path, capsys, argv, key, value, expected):
-    # as a flag, argparse names the flag; from a config file, main reports it
+    # as a flag, argparse names the flag; from a config file, main names its line and key
     out = tmp_path / "out.txt"
     assert run([*argv, "--" + key.replace("_", "-"), value, "--out", str(out)]) == 2
     err = capsys.readouterr().err
@@ -571,7 +573,7 @@ def test_a_malformed_list_names_what_it_expects(tmp_path, capsys, argv, key, val
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(f"{key} = {value}\n")
     assert run([*argv, "--config", str(cfg_path), "--out", str(out)]) == 2
-    assert capsys.readouterr().err == f"error: expected {expected}, got {value!r}\n"
+    assert capsys.readouterr().err == f"error: config line 1: {key}: expected {expected}, got {value!r}\n"
     assert not out.exists()
 
 

@@ -417,6 +417,9 @@ ORACLE_CASES = [
 ] + [
     # 0.5^3000 underflows: a cell's area is 0 and its pmf the point mass at 0
     (times, k, 0.5) for times in [(0, 3000), (0, 1, 4000)] for k in (1, 5, 12)
+] + [
+    # real times: unequal gaps give every cell its own area
+    (times, k, 0.6) for times in [(0, 0.3, 1.7), (0, 0.5, 1, 2.5)] for k in (1, 5)
 ]
 
 
