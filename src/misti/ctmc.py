@@ -19,10 +19,13 @@ matrices on a lattice whose top birth edge is dropped.  So a row deficit is the 
 error of every entry of that row (the finite state projection theorem of
 Munsky & Khammash, J. Chem. Phys. 124, 044104, 2006), and the kernel is
 taken from the first lattice where those bounds are within 1e-13.  The
-series terms are products with the tridiagonal uniformized matrix, O(k^2)
-each on {0..k}; only the s squarings are dense, O(k^3) each, and entries
-below 1e-150 are moved into their row's deficit before each, so no product
-runs on subnormals.
+dropped edge leads to a cemetery state past the lattice, whose column
+carries the deficits: the series of about 20 terms is one matrix
+polynomial in that augmented matrix, evaluated in about 2 sqrt(20) dense
+products (Paterson-Stockmeyer), and the s squarings square it too, so a
+build on {0..k} is about 9 + s products of (k + 2)^2 matrices, O(k^3)
+each.  Entries below 1e-150 are moved into their row's deficit before each
+squaring and at the end, so no product runs on subnormals.
 
 That lattice is stated before any is built, from the stationary law pi.
 Row x on {0..k} misses P_x(the chain reaches k + 1 within t).  A chain
@@ -39,8 +42,9 @@ each give birth and die at constant rates, independently (Kendall, Ann. Math.
 Statist. 19, 1948).  So ``gillespie`` draws a path as immigration plus
 independent families, one generation at a time, exact in law; it keeps its
 event-by-event name only because the benchmark's tracer looks it up.  A
-spec's ``sample_path(t0, n, rng)`` reads one such path at integer times, so
-``simulate_chain`` serves these chains as it serves the discrete ones.
+spec's ``sample_path(t0, n, rng)`` reads such paths, one per segment of at
+most ``_SEGMENT`` unit times, at integer times, so ``simulate_chain`` serves
+these chains as it serves the discrete ones.
 """
 
 from __future__ import annotations
@@ -62,6 +66,11 @@ def _finite_time(gap):
     return float(gap)
 
 
+# the longest horizon of one ``gillespie`` path in ``sample_path``: at the
+# ~8 events per unit time of NBBD(2, 0.5, 1) one such draw peaks at ~2 MB
+_SEGMENT = 4096
+
+
 class _BirthDeath(_Markov):
     """Kernel protocol of the Markov specs (see ``discrete``); any finite gap
     t >= 0."""
@@ -73,11 +82,18 @@ class _BirthDeath(_Markov):
         return False
 
     def sample_path(self, t0, n, rng):
-        """The chain at times t0..t0+n-1: one ``gillespie`` path over horizon
-        n from the stationary draw, read at 0..n-1.  At integer times it is
-        the branching chain with rho = exp(-lambda)."""
-        path = gillespie(self, self.stationary_draw(rng), n, rng)
-        return Trajectory(t0, path.at(np.arange(n)))
+        """The chain at times t0..t0+n-1 from the stationary draw:
+        ``gillespie`` paths over horizons of at most ``_SEGMENT``, each from
+        the state where the last one ended (exact by the Markov property),
+        read at integer times.  So memory is O(n) plus the events of one
+        segment, not O(events).  At integer times it is the branching chain
+        with rho = exp(-lambda)."""
+        values, x = [], self.stationary_draw(rng)
+        for start in range(0, n, _SEGMENT):
+            path = gillespie(self, x, min(_SEGMENT, n - start), rng)
+            values.append(path.at(np.arange(path.horizon)))
+            x = path.states[-1]
+        return Trajectory(t0, np.concatenate(values))
 
     def exit_bound(self, gap, kmax, pi, tail):
         """The bound of the module docstring on the lattices kmax..top."""
@@ -287,51 +303,59 @@ def _uniformized_block(model, t, kint):
 
     With M = I + Q/lam >= 0, exp(uQ) = sum_j Pois(j; lam u) M^j, and at
     u = t/2^s <= 1/lam the weights fall below 1e-20 within about 20 terms.
-    The deficits 1 - M^j 1 = leak + M (1 - M^(j-1) 1) ride along as a last
-    column, and M is tridiagonal, so each term is one banded product: three
-    shifted row updates, O(kint^2).  Per squaring the deficits are d + E d.
-    Both add nonnegative terms only; rows are rescaled to sum to 1 - d, since
-    the row sums of a 2^s-fold product carry 2^s-fold rounding, which could
-    pass for negative leakage.  Before each squaring the entries below
-    1e-150 move into their row's deficit: the block stays below the
-    untruncated kernel and E 1 + d = 1 still holds, so the deficit is still
-    a bound.
+    The dropped edge leads to a cemetery state kint + 1: A = [[M, l], [0, 1]],
+    with l the top birth edge, is stochastic, and the last column of A^j is
+    the deficit 1 - M^j 1.  So the series is one matrix polynomial in A,
+    evaluated by Paterson and Stockmeyer (SIAM J. Comput. 2, 60, 1973): the
+    powers A^0..A^(q-1), q = isqrt(J) + 1 for J + 1 terms, weight each chunk
+    of q terms in one product, and Horner's rule in A^q joins the chunks, so
+    the series costs about 2 sqrt(J) dense products where term by term it
+    cost J banded ones.  The s squarings square A itself, so the deficits
+    d + E d ride along in its last column: about 2 sqrt(J) + s products of
+    (kint + 2)^2 matrices in all.  Every factor and weight is nonnegative,
+    so nothing cancels and the finite state projection bound holds.  Before
+    each squaring, and at the end, E's rows are rescaled to sum to 1 - d,
+    since the row sums of a 2^s-fold product carry 2^s-fold rounding, which
+    could pass for negative leakage, and then the entries below 1e-150 move
+    into their row's deficit: the block stays below the untruncated kernel
+    and E 1 + d = 1 still holds, so the deficit is still a bound, no
+    squaring runs on subnormals, and none is returned (at a tiny t the
+    entries t rate are subnormal).
     """
     births, deaths = model.rates(np.arange(kint + 1.0))
     lam = float(np.max(births + deaths))
     n = kint + 1
     if lam == 0.0 or t == 0.0:
         return np.eye(n), np.zeros(n)
-    # M's diagonal, its edges j -> j+1 (up) and j+1 -> j (down), as columns
-    diag = (1.0 - (births + deaths) / lam)[:, None]
-    up, down = (births[:-1] / lam)[:, None], (deaths[1:] / lam)[:, None]
-    leak = births[-1] / lam  # 1 - M 1 in the last row: the dropped birth edge
+    # M with the cemetery: births / lam above the diagonal, the last the edge to it
+    a = np.diag(np.append(1.0 - (births + deaths) / lam, 1.0)) + np.diag(births / lam, 1)
+    a += np.diag(np.append(deaths[1:], 0.0) / lam, -1)
     squarings = max(0, math.ceil(math.log2(lam * t)))
     mu = lam * t / 2.0**squarings
-    weight = math.exp(-mu)
-    term = np.eye(n, n + 1)  # [M^j | 1 - M^j 1]
-    out = weight * term
-    j = 0
-    while weight > 1e-20:
-        j += 1
-        weight *= mu / j
-        term, previous = diag * term, term  # M @ term in three shifted row updates
-        term[:-1] += up * previous[1:]
-        term[1:] += down * previous[:-1]
-        term[-1, -1] += leak
-        out += weight * term
-    out, deficit = np.ascontiguousarray(out[:, :-1]), out[:, -1].copy()
+    weights = [math.exp(-mu)]
+    while weights[-1] > 1e-20:
+        weights.append(weights[-1] * mu / len(weights))
+    q = math.isqrt(len(weights) - 1) + 1
+    powers = [np.eye(n + 1), a]
+    while len(powers) <= q:
+        powers.append(powers[-1] @ a)
+    weights += [0.0] * (-len(weights) % q)
+    # chunk i is sum_m w_(iq+m) A^m; Horner in A^q from the last chunk down
+    chunks = (np.reshape(weights, (-1, q)) @ np.reshape(powers[:q], (q, -1))).reshape(-1, n + 1, n + 1)
+    out = chunks[-1]
+    for chunk in chunks[-2::-1]:
+        out = out @ powers[q] + chunk
+    out[n, n] = 1.0  # the cemetery keeps its mass, so squarings keep d + E d
     for i in range(squarings + 1):
-        sums = out.sum(axis=1)
-        out *= np.divide(np.maximum(1.0 - deficit, 0.0), sums, out=np.zeros(n), where=sums > 0.0)[:, None]
+        block, deficit = out[:n, :n], out[:n, n]
+        sums = block.sum(axis=1)
+        block *= np.divide(np.maximum(1.0 - deficit, 0.0), sums, out=np.zeros(n), where=sums > 0.0)[:, None]
+        tiny = block < 1e-150
+        deficit += block.sum(axis=1, where=tiny)
+        block[tiny] = 0.0
         if i < squarings:
-            # killing the mass of the smallest entries keeps E 1 + d = 1 and
-            # E below the untruncated kernel, and keeps subnormals out of E E
-            tiny = out < 1e-150
-            deficit += np.where(tiny, out, 0.0).sum(axis=1)
-            out[tiny] = 0.0
-            out, deficit = out @ out, deficit + out @ deficit
-    return out, deficit
+            out = out @ out
+    return np.ascontiguousarray(out[:n, :n]), out[:n, n].copy()
 
 
 def transition_uniformized(model, t, kmax):

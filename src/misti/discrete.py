@@ -13,8 +13,11 @@ autocorrelation rho^|s-t|:
   nondegenerate chains that are simultaneously Markov, stationary,
   time-reversible and jointly infinitely divisible.
 
-Every spec owns ``joint_pmf(times, kmax, initial=None, origin=None)``, its
-exact joint table on {0..kmax}^n, and ``reversal_times``, the times whose
+Every spec owns ``joint_pmf(times, kmax, initial=None)``, its exact joint
+table on {0..kmax}^n, ``shifted_starts(shifts, kmax, initial=None)``, the
+starts of its tables at shifted times (a chain's law there, proven from
+one kernel build; none for the random measure, which is stationary by
+construction), and ``reversal_times``, the times whose
 table time reversal must leave unchanged: a pair for a Markov chain
 (detailed balance), a triple for the random measure, which is not Markov.
 The stationary law of every Markov spec (the chains here and the
@@ -23,7 +26,8 @@ which the spec names as ``law`` at scale ``theta`` (the two NB chains
 inherit both from ``_NBFamily``).  From it ``_Markov``
 takes the spec's pmf ``marginal(kmax)`` and ``stationary_draw(rng)``.
 Each spec owns its ``kernel_block(gap, k)``: its transition matrix built on
-{0..k} and a proven bound on the error of each row's entries.  Closed-form
+{0..k}, never above the kernel, and a proven bound on each row's error,
+summed over the row's entries (so on each entry).  Closed-form
 rows are exact (bound 0); powers and exponentials of truncated kernels
 miss at most the mass that leaves the lattice.  ``kernel(gap, kmax)`` is
 the block on {0..kmax} of the first lattice whose bounds certify it
@@ -88,7 +92,7 @@ def _check_prob(name, value):
 
 def _integer_gap(gap):
     if not (gap > 0 and float(gap).is_integer()):
-        raise ValueError(f"discrete chains need positive integer gaps, got {gap}")
+        raise ValueError(f"need positive integer gaps (of a discrete chain, or shifts), got {gap}")
     return int(gap)
 
 
@@ -105,21 +109,23 @@ def _exact(block):
     return block, np.zeros(len(block))
 
 
-def _stated_start(spec, gap, kmax, evolved=False):
+def _stated_start(spec, gap, kmax, steps=0):
     """The first lattice k >= kmax that the stationary law proves certifies
     the kernel over gap on {0..kmax}: the first whose row bound
     leave / divisor is within ``CERTIFIED_TOL``.  For the stationary start
-    evolved over the gap it is the first whose 2 pi(>k) + leave is: that
-    bounds the start's tail past k plus the row bounds weighted by the
-    start, the bound of ``_evolved_block``.  Each searched range {0..top}
-    builds pi once and hands it, with the bounds on pi(>k) over
-    k = kmax..top, to ``spec.exit_bound``.  The range doubles from
+    evolved by ``steps`` steps of that kernel it is the first whose
+    (steps + 2) pi(>k) + 2 steps leave is: ``_Markov.shifted_starts``
+    proves (steps + 1) pi(>k) + 2 steps leave on its starts, and the build
+    reads its bound off sums of the start and the rows, whose rounding the
+    extra pi(>k) absorbs at the lattice where the tail meets the tolerance.
+    Each searched range {0..top} builds pi once and hands it, with the
+    bounds on pi(>k) over k = kmax..top, to ``spec.exit_bound``.  The range doubles from
     2 kmax + 64 up to ``MAX_LATTICE``, the largest lattice ``stabilize`` may
     build, and never past it; where no lattice within it is proven, the
     start is kmax.  A kernel whose rows are closed form
     (``spec.closed_form(gap)``) needs no lattice past kmax, so its statement
     builds no pi."""
-    if spec.closed_form(gap) and not evolved:
+    if spec.closed_form(gap) and not steps:
         return kmax
     top = kmax
     while top < MAX_LATTICE:
@@ -128,7 +134,7 @@ def _stated_start(spec, gap, kmax, evolved=False):
         tail = _law_tail(spec.law, spec.theta, pi)[kmax:]
         leave, divisor = spec.exit_bound(gap, kmax, pi, tail)
         with np.errstate(divide="ignore", invalid="ignore"):
-            bound = 2.0 * tail + leave if evolved else leave / divisor
+            bound = (steps + 2) * tail + 2 * steps * leave if steps else leave / divisor
         met = np.flatnonzero(bound <= CERTIFIED_TOL)
         if met.size:
             return kmax + int(met[0])
@@ -147,13 +153,18 @@ def certified_kernel(spec, gap, kmax):
     return stabilize(build, kmax, CERTIFIED_TOL, _stated_start(spec, gap, kmax))
 
 
-def _evolved_block(spec, gap, k):
-    """The stationary start evolved over a gap on {0..k}, pi_k K_k, and a
-    proven bound on the error of its entries: the start's tail past k,
-    1 - sum(pi_k), plus the kernel's row bounds weighted by the start."""
-    start = spec.marginal(k)
-    block, bound = spec.kernel_block(gap, k)
-    return start @ block, (1.0 - start.sum()) + start @ bound
+def _evolved_starts(spec, shifts, kmax, k):
+    """The stationary start evolved on {0..k} by the powers ``shifts`` of
+    one build of the gap-1 kernel, as ``stabilize`` takes a build: (the
+    lattice k, the starts cut to {0..kmax}, the bound on each one's entries
+    that ``_Markov.shifted_starts`` proves), and the largest bound."""
+    block, bound = spec.kernel_block(1, k)
+    evolved = [spec.marginal(k)]
+    for _ in range(max(shifts)):
+        evolved.append(evolved[-1] @ block)
+    rows = np.cumsum([v @ bound for v in evolved])
+    bounds = [float(1.0 - evolved[s].sum() + rows[s - 1]) for s in shifts]
+    return (k, [evolved[s][: kmax + 1] for s in shifts], bounds), max(bounds)
 
 
 # log z of the Chernoff bounds on an ID marginal's tail: 2^-30 to 2^8, four
@@ -209,36 +220,60 @@ class _Markov:
             memo[gap, kmax] = block
         return memo[gap, kmax]
 
-    def joint_pmf(self, times, kmax, initial=None, origin=None):
+    def joint_pmf(self, times, kmax, initial=None):
         """Forward product of the start and the certified kernels over the
         gaps of ``times``.  The start is the stationary marginal, or the pmf
-        vector ``initial``; with ``origin`` (at or before ``times[0]``) it is
-        placed there and evolved to ``times[0]``.  A given start has no mass
-        past kmax, so its product with the certified kernel is within the
-        kernel's bound; the stationary start is evolved on the first lattice
-        whose ``_evolved_block`` bound is within ``CERTIFIED_TOL``, in one
-        loop from the lattice the stationary law proves.  A table of more
+        vector ``initial``, which has no mass past kmax, so its product with
+        a certified kernel is within the kernel's bound.  A table of more
         than ``MAX_ENTRIES`` entries raises before anything is built."""
         times = table_times(times, kmax)
-        if origin is not None and origin > times[0]:
-            raise ValueError(f"origin {origin} is after the first time {times[0]}")
         if initial is not None and np.shape(initial) != (kmax + 1,):
             raise ValueError(f"initial pmf must have shape ({kmax + 1},)")
-        if origin is None or times[0] == origin:
-            table = self.marginal(kmax) if initial is None else np.asarray(initial, dtype=float)
-        elif initial is not None:
-            table = np.asarray(initial, dtype=float) @ self.kernel(times[0] - origin, kmax)
-        else:
-            gap = times[0] - origin
-
-            def build(k):
-                evolved, bound = _evolved_block(self, gap, k)
-                return evolved[: kmax + 1], bound
-
-            table = stabilize(build, kmax, CERTIFIED_TOL, _stated_start(self, gap, kmax, evolved=True))
+        table = self.marginal(kmax) if initial is None else np.asarray(initial, dtype=float)
         for t_prev, t_next in zip(times, times[1:]):
             table = table[..., None] * self.kernel(t_next - t_prev, kmax)
         return JointPMF(times, kmax, table)
+
+    def shifted_starts(self, shifts, kmax, initial=None):
+        """The laws on {0..kmax} at the times ``shifts`` (positive integers,
+        the gaps from time 0) of the chain started at time 0 from the pmf
+        vector ``initial``, or from its stationary law, and a record for a
+        report: from the stationary law, the lattice of the shared build and
+        the bound on each start's entries.
+
+        From ``initial`` a start is ``initial @ kernel(s, kmax)``, within the
+        kernel's bound.  From the stationary law pi every start comes from
+        one build on {0..k}, (B, bound) = ``kernel_block(1, k)``:
+        v_0 = pi_k (pi on {0..k}) and v_s = v_(s-1) B, each cut to kmax.
+        Each entry of v_s is within
+
+            1 - sum(v_s) + R,  R = sum_(r<s) v_r . bound,
+
+        of pi, the law at every time.  Proof: let K_k be the kernel cut to
+        {0..k}; every block's row bound covers the summed error of its row,
+        sum_y |K_k - B|(x, y) <= bound(x).  Write pi - v_s on {0..k} as
+        a + b, a = pi - w_s and b = w_s - v_s, with w_s = pi_k K_k^s the mass
+        that stayed in {0..k} up to time s.  Then a >= 0 and
+        sum(a) = pi(<=k) - sum(w_s), and
+        b = sum_(r=1..s) v_(r-1) (K_k - B) K_k^(s-r) with K_k substochastic,
+        so sum |b| <= R.  An entry of a + b is at most
+        sum(a) + b_y = pi(<=k) - sum(v_s) - sum_(z != y) b_z
+        <= 1 - sum(v_s) + R, and at least b_y >= -R, as sum(v_s) <= 1.
+        The first term, 1 - sum(v_s), is the start's tail pi(>k) plus what
+        each step loses at the cut, v_r (1 - B 1); R holds the row bounds.
+
+        The lattice is the first whose bound on every start is within
+        ``CERTIFIED_TOL``, searched by ``stabilize`` from the one that
+        ``_stated_start`` states over as many steps as the largest shift:
+        B <= K_k, so v_r <= pi, and with the one-step exit bound ``leave``,
+        which bounds pi . bound, a step loses at most pi(>k) + leave at the
+        cut and its rows add at most leave."""
+        shifts = [_integer_gap(s) for s in shifts]
+        if initial is not None:
+            return [np.asarray(initial, dtype=float) @ self.kernel(s, kmax) for s in shifts], {}
+        build = functools.partial(_evolved_starts, self, shifts, kmax)
+        k, starts, bounds = stabilize(build, kmax, CERTIFIED_TOL, _stated_start(self, 1, kmax, max(shifts)))
+        return starts, {"start_lattice": k, "start_bounds": bounds}
 
 
 class _ThinningChain(_Markov):
@@ -307,12 +342,19 @@ class RandomMeasure:
     reversal_times = (0, 1, 2)  # a class attribute, not a field
     __post_init__ = _ThinningChain.__post_init__
 
-    def joint_pmf(self, times, kmax, initial=None, origin=None):
-        """``rm_joint_pmf`` at the times; the process is stationary by
-        construction, so ``origin`` changes nothing."""
+    def joint_pmf(self, times, kmax, initial=None):
+        """``rm_joint_pmf`` at the times."""
         if initial is not None:
             raise ValueError("random-measure processes have no chain initial state")
         return rm_joint_pmf(self.law, self.theta, self.rho, times, kmax)
+
+    def shifted_starts(self, shifts, kmax, initial=None):
+        """No start for any shift: the process is stationary by construction,
+        so its table at shifted times is its own law there, and it has no
+        chain state to start from."""
+        if initial is not None:
+            raise ValueError("random-measure processes have no chain initial state")
+        return [None] * len(shifts), {}
 
     def sample_path(self, t0, n, rng):
         return Trajectory(t0, rm_simulate(self.law, self.theta, self.rho, range(t0, t0 + n), rng))

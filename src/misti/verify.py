@@ -54,12 +54,12 @@ class VerifyReport:
 # exact joint tables for every construction
 # ---------------------------------------------------------------------------
 
-def chain_joint_pmf(spec, times, kmax, initial=None, origin=None):
+def chain_joint_pmf(spec, times, kmax, initial=None):
     """Exact joint table of the process at the given times on {0..kmax}^n,
-    ``spec.joint_pmf``.  With ``initial`` (a pmf vector) and ``origin`` a
-    chain is started from that distribution at time ``origin`` instead of
-    from stationarity, which is how non-stationary starts are probed."""
-    return spec.joint_pmf(tuple(times), kmax, initial, origin)
+    ``spec.joint_pmf``.  With ``initial`` (a pmf vector) a chain is started
+    from that distribution at ``times[0]`` instead of from stationarity,
+    which is how non-stationary starts are probed."""
+    return spec.joint_pmf(tuple(times), kmax, initial)
 
 
 # ---------------------------------------------------------------------------
@@ -74,24 +74,25 @@ def _worst(diff):
 def check_stationarity(spec, window, kmax, initial=None):
     """Compare the window-joint law with its shifts by 1 and 2 (tolerance 1e-9).
 
-    Both tables start from the same reference distribution at time 0 (the
-    stationary marginal unless ``initial`` overrides it) and are evolved to
-    the window, so a kernel that fails to preserve the marginal shows up as
-    a shift violation.
+    The chain starts at time 0 from the stationary marginal, or from
+    ``initial``, and every table is evolved from it: the shifted ones from
+    the spec's ``shifted_starts``, the chain's laws at times 1 and 2.  So a
+    kernel that fails to preserve the marginal shows up as a shift
+    violation.  ``extra`` records the worst shift and the spec's record of
+    its starts (the lattice of their build and each start's proven bound).
     """
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
-    base = chain_joint_pmf(spec, tuple(range(window)), kmax, initial=initial, origin=0)
+    base = chain_joint_pmf(spec, tuple(range(window)), kmax, initial)
+    starts, provenance = spec.shifted_starts((1, 2), kmax, initial)
     worst, witness, worst_shift = 0.0, None, None
-    for s in (1, 2):
-        shifted = chain_joint_pmf(
-            spec, tuple(range(s, s + window)), kmax, initial=initial, origin=0
-        )
+    for s, start in enumerate(starts, start=1):
+        shifted = chain_joint_pmf(spec, tuple(range(s, s + window)), kmax, start)
         violation, at = _worst(np.abs(base.table - shifted.table))
         if violation > worst:
             worst, witness, worst_shift = violation, at, s
     return VerifyReport(
-        "stationarity", worst, witness, 1e-9, extra={"shift": worst_shift}
+        "stationarity", worst, witness, 1e-9, extra={"shift": worst_shift, **provenance}
     )
 
 

@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 from _helpers import chi2_gof_pvalue, joint_gof_pvalue
 from _oracles import generator_residual
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import misti
 from misti.ctmc import (
@@ -25,6 +27,7 @@ from misti.ctmc import (
 )
 from misti.discrete import BranchingNB, branching_nb_transition_matrix, thinning_transition_matrix
 from misti.idlaw import NegBinomial, Poisson, id_pmf
+from misti.discrete import simulate_chain
 from misti.verify import chain_joint_pmf
 
 LAM = math.log(2.0)  # one-step autocorrelation exp(-lam) = 1/2
@@ -269,6 +272,20 @@ def test_gillespie_costs_nothing_per_starting_individual():
     assert peak < 2**20
 
 
+def test_a_long_birth_death_path_holds_no_event_path():
+    # ~8 events per unit time: the path of 2e5 unit times has ~1.6e6 events,
+    # ~50 MB as one event path, and the trajectory is 1.6 MB
+    rng = np.random.default_rng(11)
+    tracemalloc.start()
+    try:
+        traj = simulate_chain(NBBD(2.0, 0.5, 1.0), 0, 2 * 10**5, rng)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(traj) == 2 * 10**5
+    assert peak < 8 * 2**20
+
+
 def test_uniformized_squarings_run_on_no_subnormals():
     # the block entries below 1e-150 move into their row's deficit before each
     # squaring, so each product sums products of normal numbers, and the
@@ -359,6 +376,27 @@ def test_uniformized_matches_expm_of_the_generator(model, t, kmax):
     big = 4 * kmax + 100
     want = expm(t * _generator(model, big))[: kmax + 1, : kmax + 1]
     assert np.max(np.abs(transition_uniformized(model, t, kmax) - want)) <= 1e-13
+
+
+# theta and alpha in [0.2, 4], p in [0.1, 0.95], lambda in [0.1, 3]
+MODELS = st.one_of(
+    st.builds(PoissonBD, st.floats(0.2, 4.0), st.floats(0.1, 3.0)),
+    st.builds(NBBD, st.floats(0.2, 4.0), st.floats(0.1, 0.95), st.floats(0.1, 3.0)),
+)
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(model=MODELS, t=st.one_of(st.floats(0.0, 3.0), st.floats(0.0, 0.05)), kint=st.integers(1, 120))
+def test_uniformized_matches_expm_over_its_domain(model, t, kint):
+    # the whole block, deficits and all, against scipy's expm of the same
+    # truncated generator; small t has lambda t <= 1 and no squarings
+    from scipy.linalg import expm
+
+    block, deficit = _uniformized_block(model, t, kint)
+    assert np.abs(block - expm(t * _generator(model, kint))).max() <= 1e-13
+    assert block.min() >= 0.0 and deficit.min() >= 0.0
+    assert np.abs(block.sum(axis=1) + deficit - 1.0).max() <= 1e-13
+    assert not np.any((block > 0.0) & (block < np.finfo(float).tiny))
 
 
 def test_uniformized_leaves_scipy_linalg_unloaded():

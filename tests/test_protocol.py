@@ -26,7 +26,7 @@ from misti.discrete import (
     BranchingPoisson,
     Constant,
     Thinning,
-    _evolved_block,
+    _evolved_starts,
     _law_tail,
     misti_classify,
     rm_joint_pmf,
@@ -211,9 +211,8 @@ def test_a_spec_certifies_each_kernel_once(spec, monkeypatch):
 )
 def test_stationary_start_reuses_the_lattices_of_the_kernel(spec, monkeypatch):
     # the three tables of a stationarity check from time 0 certify the gap-1
-    # kernel and the stationary start evolved over gaps 1 and 2, and no spec
-    # keeps a build for another: each certification is one build, at the
-    # lattice its stationary law states
+    # kernel, and the stationary starts at times 1 and 2 come from one more
+    # build of it: each is one build, at the lattice its stationary law states
     builds = []
     kernel_block = type(spec).kernel_block
 
@@ -222,8 +221,10 @@ def test_stationary_start_reuses_the_lattices_of_the_kernel(spec, monkeypatch):
         return kernel_block(self, gap, k)
 
     monkeypatch.setattr(type(spec), "kernel_block", spy)
-    assert check_stationarity(dataclasses.replace(spec), 3, 16).passed
-    assert sorted(gap for gap, k in builds) == [1, 1, 2]
+    report = check_stationarity(dataclasses.replace(spec), 3, 16)
+    assert report.passed
+    assert builds == [(1, discrete._stated_start(spec, 1, 16)), (1, discrete._stated_start(spec, 1, 16, steps=2))]
+    assert report.extra["start_lattice"] == builds[1][1]
 
 
 # real gaps for the birth-death chains, powers of the one-step kernel for the
@@ -292,25 +293,41 @@ CLOSED_FORM = {
 }
 
 
+def _shared_start_certifies_on_its_first_build(spec, steps, kmax, monkeypatch):
+    # the lattice stated for the starts at times 1..steps is past kmax, the
+    # one build there certifies them, and they are the starts that the
+    # ladder from kmax certifies
+    shifts = tuple(range(1, steps + 1))
+    start = discrete._stated_start(spec, 1, kmax, steps)
+    assert start >= kmax
+    starts, record = spec.shifted_starts(shifts, kmax)
+    assert record["start_lattice"] == start
+    assert max(record["start_bounds"]) <= CERTIFIED_TOL
+    monkeypatch.setattr(discrete, "_stated_start", lambda spec, gap, kmax, steps=0: kmax)
+    ladder, _ = spec.shifted_starts(shifts, kmax)
+    for got, want in zip(starts, ladder):
+        assert np.abs(got - want).max() <= 2 * CERTIFIED_TOL
+
+
 @pytest.mark.parametrize("family", CLOSED_FORM)
 @PROPERTY
 @given(data=st.data(), kmax=st.integers(1, 15))
 def test_the_stated_start_over_a_closed_form_gap_certifies_on_its_first_build(family, data, kmax):
-    # the stationary start evolved over a closed-form gap misses only its own
-    # tail, so the lattice that its tail states certifies it in one build,
-    # and it is the start that the ladder from kmax certifies
-    spec, gap = (data.draw(strategy) for strategy in CLOSED_FORM[family])
-    start = discrete._stated_start(spec, gap, kmax, evolved=True)
-    assert start >= kmax
-    evolved, bound = _evolved_block(spec, gap, start)
-    assert bound <= CERTIFIED_TOL
+    # the starts of a closed-form one-step kernel miss only what leaves the
+    # lattice, so the lattice their tails state certifies them in one build;
+    # the family's gaps serve as the number of steps
+    spec, steps = (data.draw(strategy) for strategy in CLOSED_FORM[family])
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _shared_start_certifies_on_its_first_build(spec, steps, kmax, monkeypatch)
 
-    def build(k):
-        ladder, ladder_bound = _evolved_block(spec, gap, k)
-        return ladder[: kmax + 1], ladder_bound
 
-    ladder = stabilize(build, kmax, CERTIFIED_TOL)
-    assert np.abs(evolved[: kmax + 1] - ladder).max() <= 2 * CERTIFIED_TOL
+@pytest.mark.parametrize("family", ["poisson-bd", "nb-bd"])
+@PROPERTY
+@given(data=st.data(), steps=st.integers(1, 3), kmax=st.integers(1, 15))
+def test_the_stated_birth_death_start_certifies_on_its_first_build(family, data, steps, kmax):
+    # the uniformized blocks carry a bound, and the statement covers it too
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _shared_start_certifies_on_its_first_build(data.draw(MARKOV[family]), steps, kmax, monkeypatch)
 
 
 @pytest.mark.parametrize(
@@ -333,7 +350,7 @@ def test_a_start_that_cannot_be_met_stops_at_the_cap(spec, gap, monkeypatch):
     start = time.perf_counter()
     tracemalloc.start()
     try:
-        stated = [discrete._stated_start(spec, gap, 10, evolved) for evolved in (False, True)]
+        stated = [discrete._stated_start(spec, gap, 10, steps) for steps in (0, 2)]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -393,8 +410,8 @@ def test_a_statement_builds_no_kernel(family, monkeypatch):
         return kernel_block(self, gap, k)
 
     monkeypatch.setattr(type(spec), "kernel_block", spy)
-    for gap, evolved in itertools.product(gaps, (False, True)):
-        discrete._stated_start(spec, gap, 10, evolved)
+    for gap, steps in itertools.product(gaps, (0, 2)):
+        discrete._stated_start(spec, gap, 10, steps)
     assert builds == []
     spec.kernel(gaps[-1], 10)
     assert builds  # the spy sees the builds of a certification
@@ -418,7 +435,7 @@ def test_a_birth_death_statement_builds_its_law_once_per_range(evolved, monkeypa
     monkeypatch.setattr(NBBD, "exit_bound", exit_spy)
     monkeypatch.setattr(discrete, "id_pmf", pmf_spy)
     # an NB(2, 0.05) tail reaches 1e-13 some 700 states out, a few ranges away
-    assert discrete._stated_start(NBBD(2.0, 0.05, 1.0), 1.0, 10, evolved) > 10
+    assert discrete._stated_start(NBBD(2.0, 0.05, 1.0), 1.0, 10, steps=2 if evolved else 0) > 10
     assert len(tops) > 1
     assert pmfs == tops
 
@@ -456,9 +473,12 @@ def test_truncation_bound_holds(family, data, gap, k):
     larger, _ = spec.kernel_block(gap, 2 * k + 1)
     error = np.abs(larger[: k + 1, : k + 1] - block).max(axis=1)
     assert np.all(error <= bound + ROUNDING)
-    evolved, evolved_bound = _evolved_block(spec, gap, k)
-    larger_evolved, _ = _evolved_block(spec, gap, 2 * k + 1)
-    assert np.abs(larger_evolved[: k + 1] - evolved).max() <= evolved_bound + ROUNDING
+    # and the starts at times 1..gap from one build of the one-step kernel
+    shifts = tuple(range(1, gap + 1))
+    (_, starts, bounds), _ = _evolved_starts(spec, shifts, k, k)
+    (_, larger_starts, _), _ = _evolved_starts(spec, shifts, k, 2 * k + 1)
+    for start, larger_start, start_bound in zip(starts, larger_starts, bounds):
+        assert np.abs(larger_start - start).max() <= start_bound + ROUNDING
 
 
 # integer gaps for every family, and real ones too for the birth-death chains
@@ -473,11 +493,13 @@ PROOF_GAPS = {family: st.integers(1, 3) for family in MARKOV} | {
 def test_the_stated_bounds_hold_at_every_lattice(family, data, kmax):
     # the proofs behind a statement, at every lattice it reads and not only
     # the first it states: the row bounds of each build on the rows up to
-    # kmax, and the bound of the stationary start evolved over the gap
+    # kmax, and the bound of the stationary starts at times 1 and 2 from
+    # one build of the one-step kernel
     spec, gap = data.draw(MARKOV[family]), data.draw(PROOF_GAPS[family])
     pi = spec.marginal(kmax + 24)
     tail = _law_tail(spec.law, spec.theta, pi)[kmax:]
     leave, divisor = (np.broadcast_to(b, tail.shape) for b in spec.exit_bound(gap, kmax, pi, tail))
+    step = np.broadcast_to(spec.exit_bound(1, kmax, pi, tail)[0], tail.shape)
     # a closed-form kernel is stated without a search, so its rows miss nothing
     assert not (spec.closed_form(gap) and leave.any())
     for i, k in enumerate(range(kmax, kmax + 25)):
@@ -486,7 +508,7 @@ def test_the_stated_bounds_hold_at_every_lattice(family, data, kmax):
             assert rows == 0.0
         else:
             assert rows <= leave[i] / divisor[i] + ROUNDING
-        assert _evolved_block(spec, gap, k)[1] <= 2.0 * tail[i] + leave[i] + ROUNDING
+        assert _evolved_starts(spec, (1, 2), kmax, k)[1] <= 3.0 * tail[i] + 4.0 * step[i] + ROUNDING
 
 
 def _type_switches(node, scope=()):

@@ -13,7 +13,7 @@ import pytest
 from _helpers import chi2_gof_pvalue, joint_gof_pvalue
 from scipy.stats import chi2_contingency
 
-from misti import discrete
+from misti import ctmc, discrete
 from misti.ctmc import NBBD, PoissonBD
 from misti.discrete import (
     BranchingNB,
@@ -132,6 +132,17 @@ def test_simulate_chain_lag1_pairs_match_chain_joint_pmf(spec):
     traj = simulate_chain(spec, 0, 2 * 10**5, np.random.default_rng(6174))
     draws = windows(traj.values, 2, 20)
     assert joint_gof_pvalue(draws, chain_joint_pmf(spec, (0, 1), 25)) > 0.001
+
+
+@pytest.mark.parametrize("spec", [NBBD(2.0, 0.5, 1.0), PoissonBD(2.0, 1.0)], ids=lambda s: type(s).__name__)
+def test_birth_death_path_segments_join_in_law(spec, monkeypatch):
+    # with segments of 3 unit times a third of the lag-1 pairs straddle a
+    # join, so a segment that did not start where the last one ended would
+    # show in their law
+    monkeypatch.setattr(ctmc, "_SEGMENT", 3)
+    traj = simulate_chain(spec, 0, 6 * 10**4, np.random.default_rng(2718))
+    assert len(traj) == 6 * 10**4
+    assert joint_gof_pvalue(windows(traj.values, 2, 20), chain_joint_pmf(spec, (0, 1), 25)) > 0.001
 
 
 @pytest.mark.parametrize(

@@ -114,17 +114,19 @@ def test_chain_joint_pmf_rejects_times_that_do_not_increase(spec, times):
 
 
 @pytest.mark.parametrize("spec", CHAINS, ids=lambda s: type(s).__name__)
-def test_chain_joint_pmf_rejects_an_origin_after_the_first_time(spec):
-    with pytest.raises(ValueError, match="origin 3 is after the first time 0"):
-        chain_joint_pmf(spec, (0, 1), 5, origin=3)
-    with pytest.raises(ValueError, match="origin 3 is after the first time 0"):
-        chain_joint_pmf(spec, (0, 1), 5, initial=np.eye(6)[0], origin=3)
+def test_shifted_starts_reject_a_shift_that_is_not_a_positive_integer(spec):
+    # a shift is the gap from the start at time 0 to a table's first time
+    for shifts in [(1, 0), (-3,), (1, 1.5)]:
+        with pytest.raises(ValueError, match="positive integer gaps"):
+            spec.shifted_starts(shifts, 5)
+        with pytest.raises(ValueError, match="positive integer gaps"):
+            spec.shifted_starts(shifts, 5, initial=np.eye(6)[0])
 
 
 @pytest.mark.parametrize("spec", CHAINS, ids=lambda s: type(s).__name__)
 def test_chain_joint_pmf_rejects_an_initial_pmf_of_the_wrong_shape(spec):
     with pytest.raises(ValueError, match=r"initial pmf must have shape \(9,\)"):
-        chain_joint_pmf(spec, (0, 1), 8, initial=np.full(5, 0.2), origin=0)
+        chain_joint_pmf(spec, (0, 1), 8, initial=np.full(5, 0.2))
 
 
 def test_random_measure_has_no_chain_initial_state():
@@ -197,6 +199,35 @@ def test_stationarity_all_specs(spec):
     report = check_stationarity(spec, 2, 16)
     assert report.passed, report
     assert report.violation <= 1e-9
+
+
+@pytest.mark.parametrize("spec", CHAINS, ids=lambda s: type(s).__name__)
+def test_shifted_starts_are_within_their_bounds_of_a_larger_lattice(spec):
+    # the starts at times 1 and 2 from one build, against the same starts
+    # evolved on a lattice 40 states larger: the larger build is closer to
+    # the chain's law, so the distance is an error the stated bounds cover
+    starts, record = spec.shifted_starts((1, 2), 16)
+    (_, larger, _), _ = discrete._evolved_starts(spec, (1, 2), 16, record["start_lattice"] + 40)
+    assert len(starts) == len(record["start_bounds"]) == 2
+    for start, wider, bound in zip(starts, larger, record["start_bounds"]):
+        assert np.abs(start - wider).max() <= bound + 1e-15
+
+
+@pytest.mark.parametrize(
+    "spec", [NBBD(1.0, 0.5, LAM), Thinning(NB, 1.0, 0.5), RandomMeasure(NB, 1.0, 0.5)], ids=lambda s: type(s).__name__
+)
+def test_stationarity_reports_the_lattice_and_bounds_of_its_starts(spec):
+    # a chain's report names the lattice of the one build behind its starts
+    # and each start's proven bound; the random measure has no starts
+    report = check_stationarity(spec, 2, 16)
+    record = json.loads(report.to_json())
+    if isinstance(spec, RandomMeasure):
+        assert "start_lattice" not in record and "start_bounds" not in record
+    else:
+        assert record["start_lattice"] >= 16
+        assert len(record["start_bounds"]) == 2
+        assert 0.0 <= min(record["start_bounds"]) and max(record["start_bounds"]) <= 1e-13
+    assert {"violation", "tolerance", "pass"} <= record.keys()
 
 
 def test_stationarity_constant_exact():
