@@ -423,8 +423,7 @@ def cmd_verify(cfg):
     else:
         with _output(cfg) as stream:
             for label, report, expected, matched in rows:
-                payload = {**json.loads(report.to_json()), "name": label, "expected_pass": expected, "matched": matched}
-                stream.write(json.dumps(payload) + "\n")
+                stream.write(report.to_json(name=label, expected_pass=expected, matched=matched) + "\n")
     return 0 if all(matched for *_, matched in rows) else 1
 
 

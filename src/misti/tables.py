@@ -61,8 +61,9 @@ class JointPMF:
     """Joint law of a process at finitely many times, restricted to {0..k}^n.
 
     Entries are exact probabilities of the lattice points (never
-    renormalized); ``leaked`` is the mass of the complement, so that
-    ``table.sum() + leaked == 1`` up to float rounding.
+    renormalized), so a negative or non-finite entry raises; ``leaked`` is
+    the mass of the complement, so that ``table.sum() + leaked == 1`` up to
+    float rounding.
     """
 
     times: tuple
@@ -76,6 +77,8 @@ class JointPMF:
         table = np.asarray(self.table, dtype=float)
         if table.shape != shape:
             raise ValueError(f"table must have shape {shape}, got {table.shape}")
+        if not np.isfinite(table).all():
+            raise ValueError("non-finite table entry")
         if table.min() < -1e-12:
             raise ValueError(f"negative table entry {table.min()}")
         table = np.maximum(table, 0.0)

@@ -1,11 +1,14 @@
 """Executable checks on exact truncated tables.
 
 Every check reduces a distributional property (stationarity, reversibility,
-the Markov factorization, joint infinite divisibility) to a worst-case
-violation over a truncated lattice, reported with its witness point when the
-check fails.  The tables come from the specs (``spec.joint_pmf``), so no
-check asks which construction it reads.  Checks are pure functions of their
-inputs and reproducible bit for bit.
+the Markov factorization, joint infinite divisibility) to an array of
+violations over a truncated lattice, and one reducer, ``_worst``, finds its
+worst point: the largest violation, reported with its witness point when the
+check fails.  Ties go to the first point in the array's order, and a worst
+point that is not finite raises ``ValueError``, so a NaN or an overflow is
+never read as a pass.  The tables come from the specs (``spec.joint_pmf``),
+so no check asks which construction it reads.  Checks are pure functions of
+their inputs and reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -38,7 +41,8 @@ class VerifyReport:
         if self.passed:
             object.__setattr__(self, "witness", None)
 
-    def to_json(self):
+    def to_json(self, **fields):
+        """The report as one JSON object; ``fields`` are set after its own keys."""
         payload = {
             "name": self.name,
             "violation": self.violation,
@@ -46,7 +50,7 @@ class VerifyReport:
             "tolerance": self.tolerance,
             "pass": self.passed,
         }
-        payload.update(self.extra)
+        payload.update(self.extra, **fields)
         return json.dumps(payload)
 
 
@@ -67,32 +71,43 @@ def chain_joint_pmf(spec, times, kmax, initial=None):
 # ---------------------------------------------------------------------------
 
 def _worst(diff):
-    """The largest entry of an array of violations and the index where it sits."""
-    return float(diff.max()), tuple(int(i) for i in np.unravel_index(diff.argmax(), diff.shape))
+    """The largest entry of an array of violations and the index where it sits.
+
+    Ties go to the first index in C order, and a largest entry that is not
+    finite (a NaN anywhere, or an infinity on top) raises ``ValueError``:
+    no verdict can be read from it.
+    """
+    at = tuple(int(i) for i in np.unravel_index(diff.argmax(), diff.shape))
+    worst = float(diff[at])
+    if not math.isfinite(worst):
+        raise ValueError(f"the worst violation is {worst}: the check cannot decide")
+    return worst, at
 
 
 def check_stationarity(spec, window, kmax, initial=None):
     """Compare the window-joint law with its shifts by 1 and 2 (tolerance 1e-9).
 
     The chain starts at time 0 from the stationary marginal, or from
-    ``initial``, and every table is evolved from it: the shifted ones from
-    the spec's ``shifted_starts``, the chain's laws at times 1 and 2.  So a
-    kernel that fails to preserve the marginal shows up as a shift
-    violation.  ``extra`` records the worst shift and the spec's record of
-    its starts (the lattice of their build and each start's proven bound).
+    ``initial``, a pmf on {0..kmax}, and every table is evolved from it: the
+    shifted ones from the spec's ``shifted_starts``, the chain's laws at
+    times 1 and 2.  So a kernel that fails to preserve the marginal shows up
+    as a shift violation.  ``extra`` records the worst shift (the first on
+    ties, None when no entry differs) and the spec's record of its starts
+    (the lattice of their build and each start's proven bound).
     """
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
+    if initial is not None and not (np.min(initial) >= 0.0 and abs(np.sum(initial) - 1.0) <= 1e-9):
+        raise ValueError("initial must be a pmf: finite entries >= 0 that sum to 1 within 1e-9")
     base = chain_joint_pmf(spec, tuple(range(window)), kmax, initial)
     starts, provenance = spec.shifted_starts((1, 2), kmax, initial)
-    worst, witness, worst_shift = 0.0, None, None
-    for s, start in enumerate(starts, start=1):
-        shifted = chain_joint_pmf(spec, tuple(range(s, s + window)), kmax, start)
-        violation, at = _worst(np.abs(base.table - shifted.table))
-        if violation > worst:
-            worst, witness, worst_shift = violation, at, s
+    shifts = [
+        _worst(np.abs(base.table - chain_joint_pmf(spec, tuple(range(s, s + window)), kmax, start).table))
+        for s, start in enumerate(starts, start=1)
+    ]
+    worst, (at,) = _worst(np.array([violation for violation, _ in shifts]))
     return VerifyReport(
-        "stationarity", worst, witness, 1e-9, extra={"shift": worst_shift, **provenance}
+        "stationarity", worst, shifts[at][1], 1e-9, extra={"shift": at + 1 if worst else None, **provenance}
     )
 
 
@@ -118,25 +133,24 @@ def check_markov_triple(j3):
 
     Violation is the worst |P[a,c|b] - P[a|b] P[c|b]| over middle values b
     with P[b] >= 1e-12 (thinner rows are skipped and counted, never divided
-    through); the tolerance is 1e-9.  A table whose every middle row is
-    skipped has nothing to check, so it raises.
+    through), its witness the first worst (a, b, c) by b, then a, then c;
+    the tolerance is 1e-9.  A table whose every middle row is skipped has
+    nothing to check, so it raises.
     """
     if j3.ntimes != 3:
         raise ValueError(f"need a table over exactly 3 times, got {j3.ntimes}")
     mid = j3.table.sum(axis=(0, 2))
-    worst, witness, skipped = 0.0, None, 0
-    for b in range(j3.k + 1):
-        if mid[b] < 1e-12:
-            skipped += 1
-            continue
-        joint = j3.table[:, b, :] / mid[b]
-        violation, (a, c) = _worst(np.abs(joint - np.outer(joint.sum(axis=1), joint.sum(axis=0))))
-        if violation > worst:
-            worst, witness = violation, (a, b, c)
-    if skipped == j3.k + 1:
+    kept = np.flatnonzero(mid >= 1e-12)
+    if kept.size == 0:
         raise ValueError(f"every middle value 0..{j3.k} has P[b] < 1e-12: no row to check at k = {j3.k}")
+    # the kept rows read as (b, a, c) but left in the table's (a, b, c) memory
+    # order, so each row sums in the order it would on its own
+    joint = j3.table[:, kept, :].transpose(1, 0, 2)
+    joint /= mid[kept, None, None]
+    gaps = joint.sum(axis=2)[:, :, None] * joint.sum(axis=1)[:, None, :]
+    violation, (row, a, c) = _worst(np.abs(np.subtract(joint, gaps, out=gaps), out=gaps))
     return VerifyReport(
-        "markov-triple", worst, witness, 1e-9, extra={"skipped_rows": skipped}
+        "markov-triple", violation, (a, int(kept[row]), c), 1e-9, extra={"skipped_rows": j3.k + 1 - kept.size}
     )
 
 
@@ -181,15 +195,12 @@ def check_mvid(pmf, maxdeg, precision="standard"):
     pgf = ts_from_joint_pmf(pmf, maxdeg)
     logs = _log_coefficients(pgf, precision)
     nonconstant = np.concatenate([level[0] for level in graded_order(n, maxdeg)[1:]])
-    best = nonconstant[np.argmin(logs[nonconstant])]  # the first minimum by degree
-    min_coeff = float(logs[best])
-    return VerifyReport(
-        "mvid",
-        max(0.0, -min_coeff),
-        tuple(int(i) for i in np.unravel_index(best, pgf.shape)),
-        tolerance,
-        extra={"min_coefficient": min_coeff, "precision": precision},
-    )
+    # Decimal coefficients become floats before the sign flips: negating a
+    # Decimal here would round it in the caller's decimal context
+    worst, (at,) = _worst(-logs[nonconstant].astype(float))  # the first minimum by degree
+    witness = tuple(int(i) for i in np.unravel_index(nonconstant[at], pgf.shape))
+    extra = {"min_coefficient": -worst, "precision": precision}
+    return VerifyReport("mvid", max(0.0, worst), witness, tolerance, extra=extra)
 
 
 # ---------------------------------------------------------------------------

@@ -135,6 +135,8 @@ def test_random_measure_has_no_chain_initial_state():
         chain_joint_pmf(spec, (0, 1), 8, initial=np.eye(9)[0])
     with pytest.raises(ValueError, match="no chain initial state"):
         check_stationarity(spec, 2, 8, initial=np.eye(9)[0])
+    with pytest.raises(ValueError, match="no chain initial state"):
+        spec.shifted_starts((1, 2), 8, initial=np.eye(9)[0])
 
 
 def test_chain_joint_pmf_leak_accounting():
@@ -242,6 +244,39 @@ def test_stationarity_detects_nonstationary_start():
     assert report.violation > 1e-3
 
 
+def _shift_gaps(spec, kmax, initial):
+    """The largest entrywise gap of the pair table at times (0, 1) from each
+    of its shifts by 1 and 2."""
+    base = chain_joint_pmf(spec, (0, 1), kmax, initial).table
+    starts, _ = spec.shifted_starts((1, 2), kmax, initial)
+    return [
+        np.abs(base - chain_joint_pmf(spec, (s, s + 1), kmax, start).table).max()
+        for s, start in enumerate(starts, start=1)
+    ]
+
+
+def test_stationarity_reports_the_first_worst_shift():
+    # the random measure equals its own shifts, so no shift is worst
+    assert check_stationarity(RandomMeasure(NB, 1.0, 0.5), 2, 12).extra["shift"] is None
+    # from a point mass an iid chain is at its marginal from time 1 on, so its
+    # two shifts tie and the first is named; a thinning chain is furthest
+    # from its start at the second
+    point = np.eye(13)[1]
+    for spec, shift, tie in ((IID(NB, 1.0), 1, True), (Thinning(Poisson(), 1.0, 0.5), 2, False)):
+        gaps = _shift_gaps(spec, 12, point)
+        report = check_stationarity(spec, 2, 12, initial=point)
+        assert bool(gaps[0] == gaps[1]) is tie, gaps
+        assert report.extra["shift"] == shift and report.violation == gaps[shift - 1] == max(gaps)
+
+
+@pytest.mark.parametrize(
+    "initial", [np.zeros(13), np.full(13, np.nan), 0.5 * np.eye(13)[3]], ids=["zeros", "nan", "half-point-mass"]
+)
+def test_stationarity_refuses_a_start_that_is_not_a_pmf(initial):
+    with pytest.raises(ValueError, match="initial must be a pmf"):
+        check_stationarity(Thinning(NegBinomial(0.5), 2, 0.6), 2, 12, initial=initial)
+
+
 # ---------------------------------------------------------------------------
 # reversibility
 # ---------------------------------------------------------------------------
@@ -322,6 +357,18 @@ def test_markov_triple_refuses_a_table_whose_every_row_is_skipped():
     j3 = chain_joint_pmf(RandomMeasure(NB, 60.0, 0.5), (0, 1, 2), 12)
     with pytest.raises(ValueError, match="k = 12"):
         check_markov_triple(j3)
+
+
+def test_markov_triple_witness_is_the_first_worst_by_b_then_a_then_c():
+    # middle value 0 is independent; 1 and 2 share the worst gap 5/32, each
+    # at two (a, c) points: (1, 2) and (2, 0) given b = 1, (0, 2) and (1, 0)
+    # given b = 2.  Dyadic entries keep every gap exact, so the four tie.
+    law = np.array([0.5, 0.25, 0.25])
+    cond = np.array([[1, 2, 1], [0, 0, 2], [2, 0, 0]]) / 8
+    table = np.stack([np.outer(law, law) / 2, cond / 4, cond[::-1, ::-1] / 4], axis=1)
+    report = check_markov_triple(JointPMF((0, 1, 2), 2, table))
+    assert report.violation == 5 / 32
+    assert report.witness == (1, 1, 2)
 
 
 def test_markov_triple_needs_three_times():
@@ -450,6 +497,17 @@ def test_mvid_univariate_log_coefficients_are_levy_masses():
         coeffs = ts_log(ts_from_joint_pmf(marg, 10))
         want = law.levy(theta, 10)
         assert np.max(np.abs(coeffs[1:] - want)) <= 1e-10
+
+
+def test_mvid_refuses_a_table_whose_log_coefficients_overflow():
+    # a near-zero origin overflows the log recursion; its NaN or infinite
+    # coefficients decide nothing, in either precision
+    table = np.full((9, 9), (1 - 1e-200) / 80)
+    table[0, 0] = 1e-200
+    pmf = JointPMF((0, 1), 8, table)
+    for precision in ("standard", "extended"):
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="the check cannot decide"):
+            check_mvid(pmf, 8, precision)
 
 
 def test_mvid_validates_inputs():
@@ -602,6 +660,16 @@ def _pair_table(table):
 def test_tables_refuse_malformed_input(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+def test_tables_refuse_a_non_finite_entry(entry):
+    table = np.full((3, 3, 3), 1 / 27)
+    table[1, 1, 1] = entry
+    with pytest.raises(ValueError, match="non-finite table entry"):
+        JointPMF((0, 1, 2), 2, table)
+    with pytest.raises(ValueError, match="non-finite table entry"):
+        JointPMF((0, 1, 2), 2, np.full((3, 3, 3), entry))
 
 
 @pytest.mark.parametrize(
