@@ -365,9 +365,7 @@ def cmd_simulate(cfg):
     if cfg.times is not None:  # only the random measure reads --times
         columns = (cfg.times, rm_simulate(spec.law, spec.theta, spec.rho, cfg.times, rng))
     else:
-        if _require(cfg, "steps") < 1:
-            raise ValueError("--steps must be >= 1")
-        traj = simulate_chain(spec, cfg.t0, cfg.steps, rng)
+        traj = simulate_chain(spec, cfg.t0, _require(cfg, "steps"), rng)
         columns = (np.arange(traj.t0, traj.t0 + len(traj)), traj.values)
     _write_rows(cfg, ("t", "x"), columns)
     return 0

@@ -72,8 +72,8 @@ _SEGMENT = 4096
 
 
 class _BirthDeath(_Markov):
-    """Kernel protocol of the Markov specs (see ``discrete``); any finite gap
-    t >= 0."""
+    """The gap rule of ``discrete._Markov`` for exp(tQ): any finite gap
+    t >= 0, never closed form."""
 
     def kernel_block(self, gap, k):
         return _uniformized_block(self, _finite_time(gap), k)
@@ -320,7 +320,9 @@ def _uniformized_block(model, t, kint):
     into their row's deficit: the block stays below the untruncated kernel
     and E 1 + d = 1 still holds, so the deficit is still a bound, no
     squaring runs on subnormals, and none is returned (at a tiny t the
-    entries t rate are subnormal).
+    entries t rate are subnormal).  Once E holds no mass (rates so large
+    that every row leaves the lattice at once), a squaring keeps E = 0 and
+    d, so the squarings stop there.
     """
     births, deaths = model.rates(np.arange(kint + 1.0))
     lam = float(np.max(births + deaths))
@@ -353,8 +355,9 @@ def _uniformized_block(model, t, kint):
         tiny = block < 1e-150
         deficit += block.sum(axis=1, where=tiny)
         block[tiny] = 0.0
-        if i < squarings:
-            out = out @ out
+        if i == squarings or not block.any():
+            break
+        out = out @ out
     return np.ascontiguousarray(out[:n, :n]), out[:n, n].copy()
 
 

@@ -25,17 +25,24 @@ birth-death chains of ``ctmc``, whose laws are Poisson or NB) is an ID law,
 which the spec names as ``law`` at scale ``theta`` (the two NB chains
 inherit both from ``_NBFamily``).  From it ``_Markov``
 takes the spec's pmf ``marginal(kmax)`` and ``stationary_draw(rng)``.
-Each spec owns its ``kernel_block(gap, k)``: its transition matrix built on
-{0..k}, never above the kernel, and a proven bound on each row's error,
-summed over the row's entries (so on each entry).  Closed-form
-rows are exact (bound 0); powers and exponentials of truncated kernels
-miss at most the mass that leaves the lattice.  ``kernel(gap, kmax)`` is
+``_Markov`` owns the gap rule, ``kernel_block(gap, k)``: the transition
+matrix over the gap built on {0..k}, never above the kernel, and a proven
+bound on each row's error, summed over the row's entries (so on each
+entry).  A chain declares its lag-1 overlap ``rho`` and ``step_kernel(rho,
+k)``, its one-step kernel at any overlap, and the rule takes the step
+kernel at rho^gap, or the marginal in every row where rho^gap underflows,
+or, where the chain says so (``_raised``), the one-step kernel raised to
+the gap.  ``Constant`` and ``IID``, the paper's two degenerate cases, are
+the ends rho = 1 and rho = 0 of that family; the birth-death chains of
+``ctmc`` override the rule with the exponentials of their generators.
+Closed-form rows are exact (bound 0); powers and exponentials of truncated
+kernels miss at most the mass that leaves the lattice.  ``kernel(gap, kmax)`` is
 the block on {0..kmax} of the first lattice whose bounds certify it
 (``certified_kernel``), certified once per spec instance and the only
 thing a spec keeps, and a joint table is the forward product of the
-marginal and those kernels.  Each spec also answers
-``exit_bound(gap, kmax, pi, tail)`` (see ``tables``) with its own bound on
-how much a row can miss, so the search for that lattice starts where the
+marginal and those kernels.  The rule also answers
+``exit_bound(gap, kmax, pi, tail)`` (see ``tables``), its bound on how much
+a row can miss, so the search for that lattice starts where the
 stationary law proves it, and ``closed_form(gap)``, whether its rows over
 the gap miss nothing, so a closed-form kernel is stated without a search.
 Discrete specs take positive integer gaps only, and each also owns its
@@ -94,19 +101,6 @@ def _integer_gap(gap):
     if not (gap > 0 and float(gap).is_integer()):
         raise ValueError(f"need positive integer gaps (of a discrete chain, or shifts), got {gap}")
     return int(gap)
-
-
-def _iid_kernel(spec, kmax):
-    """Every row the marginal.  It is also the gap kernel of a thinning or
-    branching chain whose rho^gap underflows: from x the surviving component
-    has mean rho^gap x, so it is nonzero with a probability below float
-    resolution on any lattice."""
-    return np.tile(spec.marginal(kmax), (kmax + 1, 1))
-
-
-def _exact(block):
-    """A kernel block of closed-form rows: its entries need no bound."""
-    return block, np.zeros(len(block))
 
 
 def _stated_start(spec, gap, kmax, steps=0):
@@ -183,9 +177,10 @@ def _law_tail(law, theta, pi):
 
 
 class _Markov:
-    """Marginal, stationary draw, ``kernel(gap, kmax)`` and joint tables of a
-    spec that owns ``kernel_block(gap, k)`` and names its stationary law:
-    the ID law ``law`` at scale ``theta``."""
+    """Marginal, stationary draw, the gap rule, ``kernel(gap, kmax)`` and
+    joint tables of a chain that names its stationary law, the ID law
+    ``law`` at scale ``theta``, its lag-1 overlap ``rho`` and its one-step
+    kernel at any overlap, ``step_kernel(rho, k)`` on {0..k}."""
 
     reversal_times = (0, 1)
 
@@ -196,16 +191,42 @@ class _Markov:
         """One draw from the stationary law."""
         return int(id_sample(self.law, self.theta, rng))
 
+    def _raised(self, gap):
+        """Whether the kernel over an integer gap is the one-step kernel
+        raised to it, not the step kernel at rho^gap."""
+        return False
+
     def closed_form(self, gap):
         """Whether the kernel over gap has closed-form rows, which miss
         nothing on any lattice."""
-        return True
+        return not self._raised(_integer_gap(gap))
+
+    def kernel_block(self, gap, k):
+        """The step kernel at rho^gap, closed form (bound 0).  Where rho^gap
+        underflows every row is the marginal: from x the surviving component
+        has mean rho^gap x, so it is nonzero with a probability below float
+        resolution on any lattice.  A raised kernel K^gap on {0..k} misses a
+        path through a state past k, so its rows are within the mass that
+        leaves {0..k} in the first gap - 1 steps, 1 - K^(gap-1) 1."""
+        gap = _integer_gap(gap)
+        if self._raised(gap):
+            step = self.step_kernel(self.rho, k)
+            head = np.linalg.matrix_power(step, gap - 1)
+            return head @ step, np.maximum(1.0 - head.sum(axis=1), 0.0)
+        rho = self.rho**gap
+        block = np.tile(self.marginal(k), (k + 1, 1)) if rho == 0.0 else self.step_kernel(rho, k)
+        return block, np.zeros(k + 1)
 
     def exit_bound(self, gap, kmax, pi, tail):
         """(leave, divisor) over the lattices k = kmax..top, from the
         stationary pmf pi on {0..top} and the bounds tail on pi(>k): see
-        ``tables``.  Closed-form rows miss nothing: (0, 1)."""
-        return 0.0, 1.0
+        ``tables``.  Closed-form rows miss nothing: (0, 1).  A raised K^gap
+        row x misses P_x(leave {0..k} in the first gap - 1 steps)
+        <= (gap - 1) pi(>k) / pi_x, one stationary tail per step."""
+        gap = _integer_gap(gap)
+        if not self._raised(gap):
+            return 0.0, 1.0
+        return (gap - 1) * tail, pi[: kmax + 1].min()
 
     def kernel(self, gap, kmax):
         """``certified_kernel(self, gap, kmax)``, certified once per instance:
@@ -277,7 +298,7 @@ class _Markov:
 
 
 class _ThinningChain(_Markov):
-    """Validation, kernel and sampler of the thinning chains; subclasses give
+    """Validation, step kernel and sampler of the thinning chains; subclasses give
     ``law``, ``theta`` and ``rho``."""
 
     def __post_init__(self):
@@ -285,36 +306,13 @@ class _ThinningChain(_Markov):
         _check_rho(self.rho)
 
     def _raised(self, gap):
-        """Whether the kernel over an integer gap is the one-step kernel
-        raised to it.  Poisson thinning is binomial thinning, which composes
-        with rho^gap, and where rho^gap underflows the kernel is iid; other
+        """Poisson thinning is binomial thinning, which composes with
+        rho^gap, and where rho^gap underflows the kernel is iid; other
         thinning kernels do not compose within their family."""
         return gap > 1 and self.rho**gap > 0.0 and not isinstance(self.law, Poisson)
 
-    def closed_form(self, gap):
-        return not self._raised(_integer_gap(gap))
-
-    def kernel_block(self, gap, k):
-        """A raised kernel K^gap on {0..k} misses a path through a state past
-        k, so its rows are within the mass that leaves {0..k} in the first
-        gap - 1 steps, 1 - K^(gap-1) 1; every other block is closed form."""
-        gap = _integer_gap(gap)
-        if self._raised(gap):
-            step = thinning_transition_matrix(self.law, self.theta, self.rho, k)
-            head = np.linalg.matrix_power(step, gap - 1)
-            return head @ step, np.maximum(1.0 - head.sum(axis=1), 0.0)
-        rho = self.rho**gap
-        if rho == 0.0:
-            return _exact(_iid_kernel(self, k))
-        return _exact(thinning_transition_matrix(self.law, self.theta, rho, k))
-
-    def exit_bound(self, gap, kmax, pi, tail):
-        """A raised K^gap row x misses P_x(leave {0..k} in the first gap - 1
-        steps) <= (gap - 1) pi(>k) / pi_x, one stationary tail per step."""
-        gap = _integer_gap(gap)
-        if not self._raised(gap):
-            return super().exit_bound(gap, kmax, pi, tail)
-        return (gap - 1) * tail, pi[: kmax + 1].min()
+    def step_kernel(self, rho, k):
+        return thinning_transition_matrix(self.law, self.theta, rho, k)
 
     def sample_path(self, t0, n, rng):
         return simulate_thinning(self.law, self.theta, self.rho, t0, n, rng)
@@ -406,11 +404,8 @@ class BranchingNB(_NBFamily):
         super().__post_init__()
         _check_rho(self.rho)
 
-    def kernel_block(self, gap, k):
-        rho = self.rho ** _integer_gap(gap)
-        if rho == 0.0:
-            return _exact(_iid_kernel(self, k))
-        return _exact(branching_nb_transition_matrix(self.alpha, self.p, rho, k))
+    def step_kernel(self, rho, k):
+        return branching_nb_transition_matrix(self.alpha, self.p, rho, k)
 
     def offspring(self):
         q = 1.0 - self.p
@@ -438,8 +433,10 @@ class BranchingNB(_NBFamily):
 
 
 @dataclass(frozen=True)
-class Constant(_Markov):
-    """Degenerate case X_t identically equal to one draw from mu^theta."""
+class _Degenerate(_Markov):
+    """The two degenerate chains over mu^theta, the ends of the branching
+    family: overlap rho = 1 (``Constant``) and rho = 0 (``IID``), a class
+    attribute of each, not a field."""
 
     law: IDLaw
     theta: float
@@ -447,33 +444,29 @@ class Constant(_Markov):
     def __post_init__(self):
         _check_positive("theta", self.theta)
 
-    def kernel_block(self, gap, k):
-        _integer_gap(gap)
-        return _exact(np.eye(k + 1))
-
     def offspring(self):
-        return 0.0, 1.0, 0.0, float(self.law.levy(self.theta, 1)[0])
+        return 1.0 - self.rho, self.rho, 0.0, float(self.law.levy(self.theta, 1)[0])
+
+
+@dataclass(frozen=True)
+class Constant(_Degenerate):
+    """Degenerate case X_t identically equal to one draw from mu^theta."""
+
+    rho = 1.0
+
+    def step_kernel(self, rho, k):
+        return np.eye(k + 1)
 
     def sample_path(self, t0, n, rng):
         return Trajectory(t0, np.full(n, id_sample(self.law, self.theta, rng), dtype=np.int64))
 
 
 @dataclass(frozen=True)
-class IID(_Markov):
-    """Degenerate case of independent draws from mu^theta."""
+class IID(_Degenerate):
+    """Degenerate case of independent draws from mu^theta; 0^gap = 0, so
+    every kernel is the marginal in each row and it needs no step kernel."""
 
-    law: IDLaw
-    theta: float
-
-    def __post_init__(self):
-        _check_positive("theta", self.theta)
-
-    def kernel_block(self, gap, k):
-        _integer_gap(gap)
-        return _exact(_iid_kernel(self, k))
-
-    def offspring(self):
-        return 1.0, 0.0, 0.0, float(self.law.levy(self.theta, 1)[0])
+    rho = 0.0
 
     def sample_path(self, t0, n, rng):
         return Trajectory(t0, id_sample(self.law, self.theta, rng, size=n))

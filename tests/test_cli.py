@@ -48,14 +48,18 @@ def test_simulate_deterministic_under_seed(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_simulate_zero_steps_is_config_error(tmp_path):
+def test_simulate_zero_steps_is_config_error(tmp_path, capsys):
+    # simulate_chain refuses the empty path; the CLI writes nothing first
+    out = tmp_path / "x.csv"
     code = run(
         [
             "simulate", "--process", "branching-poisson", "--theta", "1",
-            "--rho", "0.5", "--steps", "0", "--out", str(tmp_path / "x.csv"),
+            "--rho", "0.5", "--steps", "0", "--out", str(out),
         ]
     )
     assert code == 2
+    assert "at least one step" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_simulate_missing_parameter_is_config_error(tmp_path):

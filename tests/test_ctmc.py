@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -293,6 +294,18 @@ def test_uniformized_squarings_run_on_no_subnormals():
     block, deficit = _uniformized_block(PoissonBD(4.0, 0.5), 1.0, 528)
     assert not np.any((block > 0.0) & (block < np.finfo(float).tiny))
     assert np.abs(block.sum(axis=1) + deficit - 1.0).max() <= 1e-13
+
+
+def test_a_block_that_holds_no_mass_stops_squaring():
+    # birth rates of order 1e300 empty every row of the series before its ~997
+    # squarings; squaring the empty block changes no deficit, so they stop
+    model = NBBD(1e300, 0.5, 1.0)
+    model.kernel_block(1, 4)  # the first product of a process starts numpy's BLAS, untimed
+    start = time.perf_counter()
+    block, deficit = model.kernel_block(1, 260)
+    assert time.perf_counter() - start < 0.5
+    assert not block.any()
+    assert np.abs(deficit - 1.0).max() <= 1e-15
 
 
 def test_uniformized_identity_at_zero():

@@ -147,6 +147,17 @@ def test_discrete_kernel_rejects_non_positive_integer_gaps(spec, gap):
         spec.kernel(gap, 5)
 
 
+def test_the_degenerate_chains_are_the_ends_of_the_rho_family():
+    # rho = 1 and rho = 0 are class attributes, so the CLI reads only law and theta
+    constant, iid = Constant(NegBinomial(0.5), 1.5), IID(NegBinomial(0.5), 1.5)
+    assert constant.rho == 1.0 and iid.rho == 0.0
+    for cls in (Constant, IID):
+        assert [f.name for f in dataclasses.fields(cls)] == ["law", "theta"]
+    for gap, k in itertools.product((1, 2, 3, 300), (0, 5, 12)):
+        assert np.array_equal(constant.kernel(gap, k), np.eye(k + 1))
+        assert np.array_equal(iid.kernel(gap, k), np.tile(iid.marginal(k), (k + 1, 1)))
+
+
 MARKOV_SPECS = [*DISCRETE, PoissonBD(1.0, 0.5), NBBD(2.0, 0.5, 1.0)]
 
 
@@ -535,6 +546,19 @@ def test_no_caller_switches_on_spec_type():
         for site in _type_switches(ast.parse(path.read_text()))
     ]
     assert found == [("discrete.py", "_ThinningChain._raised", "isinstance(self.law, Poisson)")]
+
+
+def test_one_gap_rule_serves_every_discrete_chain():
+    # a discrete chain declares rho and step_kernel; the gap rule is _Markov's
+    rule = {"kernel_block", "closed_form", "exit_bound"}
+    found = sorted(
+        (cls.name, node.name)
+        for cls in ast.walk(ast.parse(Path(discrete.__file__).read_text()))
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and node.name in rule
+    )
+    assert found == [("_Markov", name) for name in sorted(rule)]
 
 
 # the public API of misti: the names that misti/__init__ imports
