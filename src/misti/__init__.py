@@ -13,7 +13,6 @@ conditional pgf of NB thinning) are not part of it.
 """
 
 from .ctmc import (
-    BDModel,
     EventPath,
     NBBD,
     PoissonBD,
@@ -27,7 +26,6 @@ from .discrete import (
     BranchingPoisson,
     Constant,
     IID,
-    ProcessSpec,
     RandomMeasure,
     Thinning,
     Trajectory,

@@ -54,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discrete import Trajectory, _check_nonneg, _check_positive, _Markov, _NBFamily
+from .discrete import Trajectory, _check_nonneg, _check_positive, _Markov, _NBFamily, _whole
 from .idlaw import Poisson
 
 
@@ -138,9 +138,6 @@ class NBBD(_BirthDeath, _NBFamily):
         return self.lam * (self.alpha + j) * (1.0 - self.p) / self.p, self.lam * j / self.p
 
 
-BDModel = PoissonBD | NBBD
-
-
 def bd_rates(model, j):
     """(birth rate, death rate) out of state j."""
     if j < 0 or int(j) != j:
@@ -154,7 +151,8 @@ class EventPath:
 
     ``states[i]`` holds on [times[i], times[i+1]); the path is defined up to
     ``horizon``.  The times must strictly increase and stay below the
-    horizon, and the states be >= 0, or ``at`` would misread the path.
+    horizon, and the states be whole numbers >= 0, or ``at`` would misread
+    the path; a query time must lie in [times[0], horizon].
     Grid sampling is index arithmetic on the stored arrays, no copy of the
     path is made.
     """
@@ -165,7 +163,7 @@ class EventPath:
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
-        s = np.asarray(self.states, dtype=np.int64)
+        s = _whole("states", self.states)
         if t.shape != s.shape or t.ndim != 1 or t.size < 1:
             raise ValueError("times and states must be matching nonempty 1-d arrays")
         if not (np.all(t[1:] > t[:-1]) and t[-1] < self.horizon):
@@ -180,7 +178,7 @@ class EventPath:
     def at(self, when):
         """State of the path at the given time(s)."""
         when = np.asarray(when, dtype=float)
-        if np.any(when < self.times[0]) or np.any(when > self.horizon):
+        if not (np.all(when >= self.times[0]) and np.all(when <= self.horizon)):  # NaN is outside
             raise ValueError("query time outside the simulated window")
         idx = np.searchsorted(self.times, when, side="right") - 1
         out = self.states[idx]

@@ -55,8 +55,10 @@ are kept by state while their entries total at most the path length.  The
 Poisson branching chain is the
 Poisson thinning chain (binomial survivors plus Poisson immigrants), so
 ``BranchingPoisson`` only fixes the law of a thinning chain and shares its
-kernel and sampler.  The chains that
-``misti_classify`` returns own ``offspring()``, its inverse.
+kernel and sampler.  The chains of the class, the two branching chains and
+their ends ``Constant`` and ``IID``, share one ``offspring()`` (``_Branching``),
+the NB offspring map in (p, rho), which at p = 1 is the Poisson one;
+``misti_classify`` inverts it.
 """
 
 from __future__ import annotations
@@ -103,6 +105,14 @@ def _integer_gap(gap):
     return int(gap)
 
 
+def _whole(name, values):
+    """``values`` as an int64 array, refusing float entries that are not whole numbers."""
+    v = np.asarray(values)
+    if v.dtype.kind == "f" and not (np.isfinite(v) & (v == np.trunc(v))).all():
+        raise ValueError(f"{name} must be whole numbers")
+    return np.asarray(v, dtype=np.int64)
+
+
 def _stated_start(spec, gap, kmax, steps=0):
     """The first lattice k >= kmax that the stationary law proves certifies
     the kernel over gap on {0..kmax}: the first whose row bound
@@ -127,7 +137,7 @@ def _stated_start(spec, gap, kmax, steps=0):
         pi = spec.marginal(top)
         tail = _law_tail(spec.law, spec.theta, pi)[kmax:]
         leave, divisor = spec.exit_bound(gap, kmax, pi, tail)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             bound = (steps + 2) * tail + 2 * steps * leave if steps else leave / divisor
         met = np.flatnonzero(bound <= CERTIFIED_TOL)
         if met.size:
@@ -358,18 +368,32 @@ class RandomMeasure:
         return Trajectory(t0, rm_simulate(self.law, self.theta, self.rho, range(t0, t0 + n), rng))
 
 
+class _Branching:
+    """The offspring map of the chains of the paper's class: the Poisson and
+    NB branching chains and their ends rho = 1 and rho = 0, ``Constant`` and
+    ``IID``.  A chain names its law, theta, rho and the p of its NB offspring,
+    which is 1 for all but ``BranchingNB``."""
+
+    def offspring(self):
+        """(r0, r1, r2, theta1), which ``misti_classify`` inverts: the first
+        offspring probabilities r_i = r1 (q r0)^(i-1), q = 1 - p, and the unit
+        jump mass nu_1 theta of the marginal.  At p = 1 they are exactly
+        (1 - rho, rho, 0, nu_1 theta), the Poisson ones."""
+        q = 1.0 - self.p
+        r0 = (1.0 - self.rho) / (1.0 - self.rho * q)
+        r1 = self.rho * self.p**2 / (1.0 - self.rho * q) ** 2
+        return r0, r1, r1 * q * r0, float(self.law.levy(self.theta, 1)[0])
+
+
 @dataclass(frozen=True)
-class BranchingPoisson(_ThinningChain):
+class BranchingPoisson(_Branching, _ThinningChain):
     """Branching chain with Poisson(theta) marginal and autocorrelation rho:
     the Poisson thinning chain, whose gap-d kernel is the one-step kernel at
     rho^d, exactly."""
 
-    law = Poisson()  # a class attribute, not a field
+    law, p = Poisson(), 1.0  # class attributes, not fields
     theta: float
     rho: float
-
-    def offspring(self):
-        return 1.0 - self.rho, self.rho, 0.0, self.theta
 
 
 class _NBFamily(_Markov):
@@ -392,7 +416,7 @@ class _NBFamily(_Markov):
 
 
 @dataclass(frozen=True)
-class BranchingNB(_NBFamily):
+class BranchingNB(_Branching, _NBFamily):
     """Branching chain with NB(alpha, p) marginal and autocorrelation rho;
     its gap-d kernel is the one-step kernel at rho^d, as for BranchingPoisson."""
 
@@ -407,12 +431,6 @@ class BranchingNB(_NBFamily):
     def step_kernel(self, rho, k):
         return branching_nb_transition_matrix(self.alpha, self.p, rho, k)
 
-    def offspring(self):
-        q = 1.0 - self.p
-        r0 = (1.0 - self.rho) / (1.0 - self.rho * q)
-        r1 = self.rho * self.p**2 / (1.0 - self.rho * q) ** 2
-        return r0, r1, r1 * q * r0, self.alpha * q
-
     def sample_path(self, t0, n, rng):
         """NB(alpha + y, s) = NB(alpha, s) + NB(y, s), so the NB(alpha, s)
         immigrants of all steps come from one call.  The survivors y of a
@@ -424,28 +442,26 @@ class BranchingNB(_NBFamily):
         x = negative_binomial(self.alpha, self.p)
         immigrants = negative_binomial(self.alpha, succ, n - 1).tolist()
 
-        def offspring(x, i):
+        def descendants(x, i):
             y = binomial(x, keep)
             return y + negative_binomial(y, succ) if y else 0
 
         row = _offspring_rows(keep, succ)
-        return Trajectory(t0, _inversion_walk(x, immigrants, row, lambda: offspring, rng))
+        return Trajectory(t0, _inversion_walk(x, immigrants, row, lambda: descendants, rng))
 
 
 @dataclass(frozen=True)
-class _Degenerate(_Markov):
+class _Degenerate(_Branching, _Markov):
     """The two degenerate chains over mu^theta, the ends of the branching
     family: overlap rho = 1 (``Constant``) and rho = 0 (``IID``), a class
-    attribute of each, not a field."""
+    attribute of each, not a field, as is p = 1."""
 
     law: IDLaw
     theta: float
+    p = 1.0
 
     def __post_init__(self):
         _check_positive("theta", self.theta)
-
-    def offspring(self):
-        return 1.0 - self.rho, self.rho, 0.0, float(self.law.levy(self.theta, 1)[0])
 
 
 @dataclass(frozen=True)
@@ -472,9 +488,6 @@ class IID(_Degenerate):
         return Trajectory(t0, id_sample(self.law, self.theta, rng, size=n))
 
 
-ProcessSpec = Thinning | RandomMeasure | BranchingPoisson | BranchingNB | Constant | IID
-
-
 @dataclass(frozen=True)
 class Trajectory:
     """Discrete-tick path: values[i] is the state at time t0 + i."""
@@ -483,7 +496,7 @@ class Trajectory:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.int64)
+        v = _whole("values", self.values)
         if v.ndim != 1 or v.size < 1:
             raise ValueError("values must be a nonempty 1-d integer sequence")
         v.setflags(write=False)
@@ -761,9 +774,7 @@ def _offspring_rows(keep, succ):
     The entries are the inverse real FFT of f^x at the L-th roots of unity,
     cut to m, where L >= m is a length of small prime factors; the mass of W
     past L folds onto them, below 2^-53 in all.  f - 1 and log f come from
-    expm1 and log1p, and log f at the roots is kept by L; a row is built
-    only where it fits, so those logs hold no more values than the rows
-    kept have entries.  The rounding of the transform leaves each entry within
+    expm1 and log1p.  The rounding of the transform leaves each entry within
     about x 1e-16 of the exact sum: against a direct convolution of the
     binomial and NB pmfs, within 3.2e-14 for p in [0.001, 0.99], rho in
     [0.1, 0.999] and x <= 1500, and within 1.3e-13 at rho = 1e-12 and
@@ -776,7 +787,7 @@ def _offspring_rows(keep, succ):
         return np.log1p(keep * np.expm1(t) / (1.0 - c * np.exp(t)))
 
     log_z = _LOG_Z[c * np.exp(_LOG_Z) < 1.0]
-    tail, at_roots = log_f(log_z), {}
+    tail = log_f(log_z)
 
     def row(x, room):
         if x * keep / succ >= room:
@@ -787,9 +798,8 @@ def _offspring_rows(keep, succ):
         m = max(math.ceil(bound), 1)
         step = 1 << max(m.bit_length() - 4, 0)
         size = -(-m // step) * step
-        if size not in at_roots:
-            at_roots[size] = log_f(-2j * math.pi * np.arange(size // 2 + 1) / size)
-        cdf = np.cumsum(np.maximum(np.fft.irfft(np.exp(x * at_roots[size]), size)[:m], 0.0))
+        roots = log_f(-2j * math.pi * np.arange(size // 2 + 1) / size)
+        cdf = np.cumsum(np.maximum(np.fft.irfft(np.exp(x * roots), size)[:m], 0.0))
         cdf[-1] = 1.0
         return cdf.tolist()
 

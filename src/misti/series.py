@@ -61,24 +61,31 @@ def graded_order(nvars, maxdeg):
     return levels
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflowing float level ends the recursion, unwarned
 def graded_exp_log(a, nvars, maxdeg, log=None, exp=math.exp):
     """exp of the series with flattened dense coefficients ``a`` or, given the
     ``log`` of their scalar type (``math.log`` for floats, ``decimal.Decimal.ln``,
     ``mpmath.log`` in the tests), its log; by the recursion of the module
     docstring, in the scalar type of ``a``, whose ``exp`` (``decimal.Decimal.exp``,
     ``mpmath.exp``) gives the exp's constant term.  A Decimal recursion rounds
-    in the current decimal context."""
+    in the current decimal context.  A float recursion stops at the first
+    degree whose coefficients are not all finite and sets every coefficient
+    of higher degree to NaN, with no numpy warning."""
     inverse = log is not None
     if inverse and not a[0] > 0:
         raise ValueError(f"log needs a positive constant term, got {a[0]}")
     degree = _degrees(nvars, maxdeg).ravel()
+    levels = graded_order(nvars, maxdeg)
     b0 = log(a[0]) if inverse else exp(a[0])
     out = a / a[0] if inverse else a * b0
     out[0] = b0
     # deg(k) x[k] once per entry, not once per pair: x is a for exp, and for
     # log it is out, whose entries of degree h are rescaled once level h is done
     scaled, y = (degree * out, a) if inverse else (degree * a, out)
-    for h, (block, left, right, offsets) in enumerate(graded_order(nvars, maxdeg)[2:], 2):
+    for h, (block, left, right, offsets) in enumerate(levels[2:], 2):
+        if out.dtype == float and not np.isfinite(out[levels[h - 1][0]]).all():
+            out[degree >= h] = np.nan
+            break
         acc = np.add.reduceat(scaled[left] * y[right], offsets) / h
         if inverse:
             out[block] = (a[block] - acc) / a[0]
@@ -90,7 +97,8 @@ def graded_exp_log(a, nvars, maxdeg, log=None, exp=math.exp):
 
 def ts_log(a):
     """Log of the series with dense coefficient array ``a``, as an array of the
-    same shape; needs a positive constant term."""
+    same shape; needs a positive constant term.  Where a degree of the log
+    overflows (a constant term near 0), every higher degree is NaN."""
     return graded_exp_log(a.ravel(), a.ndim, a.shape[0] - 1, log=math.log).reshape(a.shape)
 
 

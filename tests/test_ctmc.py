@@ -172,6 +172,18 @@ def test_event_path_refuses_a_path_it_would_misread(times, states):
         EventPath(times, states, 3.0)
 
 
+def test_event_path_refuses_a_nan_query_time():
+    # NaN is neither before the first time nor past the horizon
+    with pytest.raises(ValueError, match="outside the simulated window"):
+        EventPath([0, 1, 2.5], [3, 4, 5], 4).at(math.nan)
+
+
+def test_event_path_refuses_fractional_states():
+    # int64 conversion would truncate them to 2 and 3
+    with pytest.raises(ValueError, match="states must be whole numbers"):
+        EventPath([0, 1], [2.7, 3.2], 4)
+
+
 def test_gillespie_rejects_an_infinite_horizon():
     # the event loop of a chain that moves would never reach it
     with pytest.raises(ValueError, match="horizon must be positive and finite"):

@@ -812,3 +812,10 @@ def test_branching_nb_matrix_binomial_weights(p, rho):
 def test_discrete_refuses_malformed_input(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+def test_a_trajectory_refuses_fractional_values():
+    # int64 conversion would read them as 1, 2 and 0
+    with pytest.raises(ValueError, match="values must be whole numbers"):
+        discrete.Trajectory(0, [1.7, 2.2, -0.5])
+    assert discrete.Trajectory(0, [1.0, 2.0]).values.tolist() == [1, 2]

@@ -9,6 +9,7 @@ import inspect
 import itertools
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 
 import misti
 from misti import discrete
-from misti.ctmc import NBBD, PoissonBD, transition_uniformized
+from misti.ctmc import NBBD, PoissonBD, _BirthDeath, transition_uniformized
 from misti.discrete import (
     IID,
     BranchingNB,
@@ -428,6 +429,42 @@ def test_a_statement_builds_no_kernel(family, monkeypatch):
     assert builds  # the spy sees the builds of a certification
 
 
+def _extreme_specs():
+    """One spec per Markov family at the ends of the parameter ranges, each
+    with the gaps a statement takes."""
+    scales, probs, rhos, rates = (1e-6, 200.0, 5000.0), (1e-3, 1 - 1e-6), (1e-9, 1 - 1e-6), (1e-6, 50.0)
+    levy = GenericLevy(((1, 1.0), (2, 0.5), (3, 0.2)))
+    for scale, rho in itertools.product(scales, rhos):
+        for spec in (Thinning(Poisson(), scale, rho), Thinning(levy, scale, rho), BranchingPoisson(scale, rho)):
+            yield spec, (1, 2)
+        for p in probs:
+            yield Thinning(NegBinomial(p), scale, rho), (1, 2)
+            yield BranchingNB(scale, p, rho), (1, 2)
+    for scale in scales:
+        yield IID(Poisson(), scale), (1, 2)
+        yield Constant(Poisson(), scale), (1, 2)
+        for rate in rates:
+            yield PoissonBD(scale, rate), (0.5, 2.0)
+            yield from ((NBBD(scale, p, rate), (0.5, 2.0)) for p in probs)
+
+
+def test_statements_at_extreme_parameters_stay_quiet(monkeypatch):
+    # a subnormal divisor at theta or alpha of 200 and more used to overflow
+    # leave / divisor with a warning; every statement stays within the
+    # lattices that may be built and builds no kernel
+    builds = []
+    for cls in (discrete._Markov, _BirthDeath):
+        monkeypatch.setattr(cls, "kernel_block", lambda self, gap, k: builds.append((self, gap, k)))
+    stated = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for spec, gaps in _extreme_specs():
+            for gap, steps in itertools.product(gaps, (0, 2)):
+                stated.append(discrete._stated_start(spec, gap, 12, steps))
+    assert len(stated) > 200 and all(12 <= k <= MAX_LATTICE for k in stated)
+    assert builds == []
+
+
 @pytest.mark.parametrize("evolved", [False, True])
 def test_a_birth_death_statement_builds_its_law_once_per_range(evolved, monkeypatch):
     # each searched range {0..top} builds the stationary pmf once, and both
@@ -561,10 +598,25 @@ def test_one_gap_rule_serves_every_discrete_chain():
     assert found == [("_Markov", name) for name in sorted(rule)]
 
 
+def test_one_offspring_map_serves_every_chain_of_the_class():
+    # the two branching chains and their ends Constant and IID read one map,
+    # which is the Poisson one at p = 1; p is no field of the chains that fix it
+    found = [
+        (path.name, node.lineno)
+        for path in sorted(Path(misti.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.FunctionDef) and node.name == "offspring"
+    ]
+    assert len(found) == 1
+    assert {cls.offspring for cls in (BranchingPoisson, BranchingNB, Constant, IID)} == {discrete._Branching.offspring}
+    for cls in (BranchingPoisson, Constant, IID):
+        assert cls.p == 1.0 and "p" not in {f.name for f in dataclasses.fields(cls)}
+
+
 # the public API of misti: the names that misti/__init__ imports
 PUBLIC_API = (
-    "BDModel", "BranchingNB", "BranchingPoisson", "Constant", "EventPath", "GenericLevy", "IDLaw",
-    "IID", "JointPMF", "NBBD", "NegBinomial", "Poisson", "PoissonBD", "ProcessSpec",
+    "BranchingNB", "BranchingPoisson", "Constant", "EventPath", "GenericLevy", "IDLaw",
+    "IID", "JointPMF", "NBBD", "NegBinomial", "Poisson", "PoissonBD",
     "RandomMeasure", "Thinning", "Trajectory", "VerifyReport", "autocorr_exact", "autocorr_mc",
     "bd_rates", "branching_nb_transition_matrix", "branching_step_nb", "cell_measures",
     "chain_joint_pmf", "check_markov_triple", "check_mvid", "check_reversibility",

@@ -253,3 +253,14 @@ def test_graded_exp_log_matches_the_per_pair_form_bit_for_bit(nvars, maxdeg):
             got = graded_exp_log(terms.copy(), nvars, maxdeg, log)
             want = _per_pair(terms.copy(), nvars, maxdeg, log)
             assert all(g == w for g, w in zip(got, want))
+
+
+def test_a_log_that_overflows_is_nan_above_the_first_degree_that_does():
+    # 1 / a[0] overflows degree 2 of the log; degrees 3 and up are NaN
+    a = np.full((9, 9), 1 / 80)
+    a[0, 0] = 1e-200
+    got = ts_log(a)
+    degree = np.add.outer(np.arange(9), np.arange(9))
+    assert np.isfinite(got[degree < 2]).all()
+    assert not np.isfinite(got[degree == 2]).any()
+    assert np.isnan(got[degree > 2]).all()

@@ -510,6 +510,17 @@ def test_mvid_refuses_a_table_whose_log_coefficients_overflow():
             check_mvid(pmf, 8, precision)
 
 
+def test_mvid_refuses_an_overflowing_log_with_no_warning():
+    # the float recursion stops at the first degree that overflows and leaves
+    # NaN above it, so the refusal needs no np.errstate around the check
+    table = np.full((9, 9), (1 - 1e-200) / 80)
+    table[0, 0] = 1e-200
+    pmf = JointPMF((0, 1), 8, table)
+    for precision in ("standard", "extended"):
+        with pytest.raises(ValueError, match="the check cannot decide"):
+            check_mvid(pmf, 8, precision)
+
+
 def test_mvid_validates_inputs():
     j3 = chain_joint_pmf(Thinning(NB, 1.0, 0.5), (0, 1, 2), 6)
     with pytest.raises(ValueError):
