@@ -385,8 +385,9 @@ def cmd_table(cfg):
         mid = id_pmf(law, theta, 2)[2]
         row = [theta, p, rho]
         for _, spec, closed_form in TABLE_PROCESSES:
-            closed = closed_form(theta, p, rho)
+            # the spec checks rho before the closed form reads it
             enum = float(chain_joint_pmf(spec(law, theta, rho), (0, 1, 2), 2).table[0, 2, 0] / mid)
+            closed = closed_form(theta, p, rho)
             row += [closed, enum, abs(closed - enum)]
         rows.append(row)
     columns = (f"{name}_{column}" for name, *_ in TABLE_PROCESSES for column in ("closed", "enum", "dev"))

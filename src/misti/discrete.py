@@ -57,8 +57,9 @@ Poisson thinning chain (binomial survivors plus Poisson immigrants), so
 ``BranchingPoisson`` only fixes the law of a thinning chain and shares its
 kernel and sampler.  The chains of the class, the two branching chains and
 their ends ``Constant`` and ``IID``, share one ``offspring()`` (``_Branching``),
-the NB offspring map in (p, rho), which at p = 1 is the Poisson one;
-``misti_classify`` inverts it.
+the NB offspring map in (p, rho), which at p = 1 is the Poisson one.
+``misti_classify`` is its checked inverse: it returns the chain whose
+``offspring()`` gives its inputs back, or raises.
 """
 
 from __future__ import annotations
@@ -514,11 +515,15 @@ def _additions_matrix(additions, n, rows=None):
     """Rows 0..rows - 1 (all n by default) of the n x n matrix of entries
     additions[s, y - s] for y >= s and 0 below the diagonal: the law of s plus
     a draw from the pmf additions[s] (one row per s, or one pmf for every s,
-    which makes it Toeplitz)."""
+    which makes it Toeplitz).  A Toeplitz row s is the window of n entries
+    of the pmf behind n - 1 zeros that starts at n - 1 - s, so that build
+    holds one n x n array; the per-row build gathers through index grids."""
+    if np.ndim(additions) == 1:
+        padded = np.concatenate([np.zeros(n - 1), additions])
+        return np.lib.stride_tricks.sliding_window_view(padded, n)[::-1][:rows].copy()
     s = np.arange(n if rows is None else rows)[:, None]
     lag = np.arange(n) - s  # y - s
-    added = np.broadcast_to(additions, (n, n))[s, np.maximum(lag, 0)]
-    return np.where(lag >= 0, added, 0.0)
+    return np.where(lag >= 0, additions[s, np.maximum(lag, 0)], 0.0)
 
 
 def _survivors_then_additions(survivors, additions):
@@ -884,51 +889,42 @@ def nb_random_measure_020(theta, p, rho):
 # ---------------------------------------------------------------------------
 
 def misti_classify(r0, r1, r2, theta1):
-    """Identify the unique jointly-ID reversible chain with the given data.
+    """The chain of the paper's class whose ``offspring()`` is
+    (r0, r1, r2, theta1), entrywise within 1e-9 (``math.isclose``, relative
+    and absolute); any other input raises ``ValueError``.
 
     (r0, r1, r2) are the first offspring probabilities (the coefficients of
     the one-step descendant pgf) and theta1 the unit jump mass of the
-    marginal.  Degenerate inputs map to Constant/IID; r2 = 0 with
-    r0 + r1 = 1 is the Poisson branching family; otherwise the negative
-    binomial family with q = (1 - r0 - r1) / (r0 (1 - r0)),
-    alpha = theta1 / q and rho = (1 - r0)^2 / r1.  The remaining offspring
-    probabilities must follow the geometric law r_i = r1 (q r0)^(i-1), which
-    pins r2 = r1 q r0.
-
-    Degenerate families are returned with a canonical Poisson marginal of
-    mean theta1 (the inputs do not constrain jump masses beyond size 1).
-    The identities above are checked to within 1e-9, the Poisson ones too:
-    r2 and 1 - r0 - r1 both within 1e-9 of 0 give the Poisson family, where
-    the NB formulas would divide rounding noise: (0.59343, 0.40657 - 1e-16,
-    1e-16, 2) would give q = 4e-16, alpha = 4e15 and an ``offspring()``
-    with theta1 = 1.93.  The returned spec's ``offspring()`` gives
-    (r0, r1, r2, theta1) back.
+    marginal.  The family is read off the inputs and its spec built from the
+    inverse formulas: r0 = 0 is ``Constant`` and r1 = 0 ``IID``, each with a
+    canonical Poisson marginal of mean theta1 (the inputs do not constrain
+    jump masses beyond size 1).  r2 and 1 - r0 - r1 both within 1e-9 of 0 are
+    the Poisson branching chain, where the NB formulas would divide rounding
+    noise: (0.59343, 0.40657 - 1e-16, 1e-16, 2) would give q = 4e-16 and
+    alpha = 4e15.  Otherwise the chain is negative binomial, with the
+    geometric ratio q = (1 - r0 - r1) / (r0 (1 - r0)) of its offspring law
+    r_i = r1 (q r0)^(i-1), alpha = theta1 / q and rho = (1 - r0)^2 / r1.
+    Only 0 < q < 1 keeps the total jump mass finite; that is
+    0 < 1 - r0 - r1 < r0 (1 - r0), the band (1 - r0)^2 < r1 < 1 - r0, tested
+    before q is formed, so r0 = 1 never divides by zero and no input
+    overflows.
     """
-    tol = 1e-9
     for name, val in (("r0", r0), ("r1", r1), ("r2", r2)):
         _check_nonneg(name, val)
     _check_positive("theta1", theta1)
-    if r0 + r1 > 1.0 + tol:
-        raise ValueError(f"r0 + r1 must be <= 1, got {r0 + r1}")
     if r0 == 0.0:
-        if abs(r1 - 1.0) > tol or r2 > tol:
-            raise ValueError("r0 = 0 requires r1 = 1 and r2 = 0 (constant case)")
-        return Constant(Poisson(), theta1)
-    if r1 == 0.0:
-        if abs(r0 - 1.0) > tol or r2 > tol:
-            raise ValueError("r1 = 0 requires r0 = 1 and r2 = 0 (iid case)")
-        return IID(Poisson(), theta1)
-    if r2 <= tol and abs(1.0 - r0 - r1) <= tol:
-        return BranchingPoisson(theta1, r1)
-    q = (1.0 - r0 - r1) / (r0 * (1.0 - r0))
-    if not 0.0 < q < 1.0:
-        raise ValueError(
-            f"implied geometric ratio q = {q} is infeasible (total jump mass "
-            "diverges unless 0 < q < 1)"
-        )
-    if abs(r2 - r1 * q * r0) > tol * max(1.0, r2):
-        raise ValueError(
-            f"r2 = {r2} breaks the geometric law r2 = r1 q r0 = {r1 * q * r0}"
-        )
-    return BranchingNB(theta1 / q, 1.0 - q, (1.0 - r0) ** 2 / r1)
+        spec = Constant(Poisson(), theta1)
+    elif r1 == 0.0:
+        spec = IID(Poisson(), theta1)
+    elif r2 <= 1e-9 and abs(1.0 - r0 - r1) <= 1e-9:
+        spec = BranchingPoisson(theta1, r1)
+    elif 0.0 < 1.0 - r0 - r1 < r0 * (1.0 - r0):
+        q = (1.0 - r0 - r1) / (r0 * (1.0 - r0))
+        spec = BranchingNB(theta1 / q, 1.0 - q, (1.0 - r0) ** 2 / r1)
+    else:
+        raise ValueError(f"r0 = {r0}, r1 = {r1}: geometric ratio q is infeasible (jump mass diverges unless 0 < q < 1)")
+    got = spec.offspring()
+    if not all(math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-9) for a, b in zip(got, (r0, r1, r2, theta1))):
+        raise ValueError(f"no chain has offspring() {(r0, r1, r2, theta1)}: the candidate {spec!r} gives {got}")
+    return spec
 

@@ -100,11 +100,10 @@ class JointPMF:
 CERTIFIED_TOL = 1e-13
 # the largest dense lattice block the certified loop may allocate, and the
 # largest joint table: 2**23 float64 entries are 64 MB, so lattices stop
-# below 2896 states.  A block's build holds a few such arrays at once (the
-# Toeplitz block of a random-measure cell also holds its int64 index
-# arrays): the largest tables peak at about 295 MB RSS, 2 times at k = 2895
-# for the NB random measure or for NB thinning, and 195 MB for the NB random
-# measure at 3 times and k = 202
+# below 2896 states.  A block's build holds a few such arrays at once: the
+# largest tables (NB(0.5) at theta 1, rho 0.5, one BLAS thread) peak at
+# about 231 MB RSS for the random measure and 239 MB for thinning at 2 times
+# and k = 2895, and 175 MB for the random measure at 3 times and k = 202
 MAX_ENTRIES = 2**23
 # the largest lattice bound whose dense block stays within MAX_ENTRIES
 MAX_LATTICE = math.isqrt(MAX_ENTRIES) - 1

@@ -447,6 +447,20 @@ def test_classify_infeasible_is_config_error():
 def test_classify_nan_is_config_error():
     assert run(["classify", "--r0", "nan", "--r1", "0.5", "--r2", "0", "--theta1", "1"]) == 2
 
+
+def test_classify_at_r0_one_is_config_error(capsys):
+    # q = (1 - r0 - r1) / (r0 (1 - r0)) would divide by zero here
+    assert run(["classify", "--r0", "1", "--r1", "1e-12", "--r2", "0.5", "--theta1", "1"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("rho", ["1000", "1e300"])
+def test_table_refuses_rho_past_one_before_its_closed_form(capsys, rho):
+    # p ** (theta (1 - rho)) overflows at such rho; the spec refuses it first
+    assert run(["table", "--rho-grid", rho]) == 2
+    assert "rho must lie strictly in (0,1)" in capsys.readouterr().err
+
+
 def test_config_file_roundtrip(tmp_path):
     cfg_path = tmp_path / "run.cfg"
     cfg_path.write_text(

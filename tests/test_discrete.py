@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from bisect import bisect_right
 
 import numpy as np
@@ -720,6 +721,20 @@ def test_classify_inverts_offspring():
                 assert getattr(back, name) == pytest.approx(getattr(spec, name), rel=1e-9)
 
 
+def test_a_toeplitz_block_holds_one_array_while_it_is_built():
+    # index grids and a gather would hold four or more n x n arrays at once
+    n = 1000
+    pmf = id_pmf(NB, 1.0, n - 1)
+    tracemalloc.start()
+    try:
+        block = discrete._additions_matrix(pmf, n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert block[3, 5] == pmf[2] and block[5, 3] == 0.0 and block[n - 1, n - 1] == pmf[0]
+    assert peak <= 1.5 * 8 * n**2
+
+
 def test_process_specs_reject_degenerate_rho():
     for rho in (0.0, 1.0):
         with pytest.raises(ValueError):
@@ -803,9 +818,9 @@ def test_branching_nb_matrix_binomial_weights(p, rho):
         (lambda: discrete.Trajectory(0, [[1, 2]]), "nonempty 1-d integer sequence"),
         # IID's own sampler does not check n, so only simulate_chain names the count
         (lambda: simulate_chain(IID(Poisson(), 1.0), 0, 0, np.random.default_rng(0)), "at least one step, got 0"),
-        (lambda: misti_classify(0.7, 0.5, 0.0, 1.0), r"r0 \+ r1 must be <= 1"),
-        (lambda: misti_classify(0.5, 0.0, 0.0, 1.0), "r1 = 0 requires r0 = 1"),
-        (lambda: misti_classify(1.0, 0.0, 0.2, 1.0), "r1 = 0 requires r0 = 1"),
+        (lambda: misti_classify(0.7, 0.5, 0.0, 1.0), "geometric ratio q is infeasible"),
+        (lambda: misti_classify(0.5, 0.0, 0.0, 1.0), r"no chain has offspring\(\) .* IID"),
+        (lambda: misti_classify(1.0, 0.0, 0.2, 1.0), r"no chain has offspring\(\) .* IID"),
     ],
     ids=["empty-values", "2d-values", "no-steps", "r0-plus-r1", "iid-with-r0", "iid-with-r2"],
 )

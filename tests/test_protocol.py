@@ -7,6 +7,7 @@ import ast
 import dataclasses
 import inspect
 import itertools
+import math
 import time
 import tracemalloc
 import warnings
@@ -15,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from _oracles import reversibility_violation
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import misti
@@ -97,6 +98,27 @@ def test_classify_inverts_offspring(spec):
     got = misti_classify(*spec.offspring())
     assert type(got) is type(spec)
     assert dataclasses.astuple(got) == pytest.approx(dataclasses.astuple(spec), rel=1e-9)
+
+
+# offspring data at zero, underflow, the 1e-9 tolerance and the ends of
+# (0, 1), or any finite float >= 0
+OFFSPRING_EDGES = [0.0, 1e-300, 1e-12, 1e-9, 5e-10, 2e-9, 1e-6, 0.1, 0.3, 0.5, 0.7, 0.9]
+OFFSPRING_EDGES += [1 - 1e-6, 1 - 1e-9, 1 - 1e-12, 1.0, 1 + 1e-10, 1.5]
+OFFSPRING_DATA = st.one_of(st.sampled_from(OFFSPRING_EDGES), st.floats(0.0, allow_infinity=False))
+UNIT_MASSES = st.one_of(st.sampled_from([1e-6, 1.0, 1e6]), st.floats(0.0, exclude_min=True, allow_infinity=False))
+
+
+@settings(PROPERTY, max_examples=400)
+# r0 = 1 with a small r1 once divided by r0 (1 - r0) = 0
+@example(r0=1.0, r1=1e-12, r2=0.5, theta1=1.0)
+@given(r0=OFFSPRING_DATA, r1=OFFSPRING_DATA, r2=OFFSPRING_DATA, theta1=UNIT_MASSES)
+def test_classify_gives_a_chain_with_these_offspring_or_refuses(r0, r1, r2, theta1):
+    try:
+        spec = misti_classify(r0, r1, r2, theta1)
+    except ValueError:
+        return
+    for got, want in zip(spec.offspring(), (r0, r1, r2, theta1)):
+        assert math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-9)
 
 
 @PROPERTY
